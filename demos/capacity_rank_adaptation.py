@@ -44,11 +44,9 @@ def obpb_families(profile, m_max):
     """
     modes_bs = ModeSet(enclosing_radius=4.0 / np.sqrt(2.0))
     modes_ue = ModeSet(enclosing_radius=1.0 / np.sqrt(2.0))
-    fields = (profiles.profile_fields(profile, "bs", modes_bs),
-              profiles.profile_fields(profile, "ue", modes_ue))
     config = optimizer.ObpbConfig()
-    runs = {m: optimizer.run(config, profile, modes_bs, modes_ue, m,
-                             fields=fields) for m in range(1, m_max + 1)}
+    runs = {m: optimizer.run(config, profile, modes_bs, modes_ue, m)
+            for m in range(1, m_max + 1)}
     ops = {name: surfaces.build_z(
         modes_bs, surfaces.sample_surface(
             surfaces.named_surface(name, 4.0 / np.sqrt(2.0))))

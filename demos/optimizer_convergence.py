@@ -35,8 +35,6 @@ def main():
     profile = profiles.JointProfile(profiles.baseline_params())
     modes_bs = ModeSet(enclosing_radius=4.0 / np.sqrt(2.0))
     modes_ue = ModeSet(enclosing_radius=1.0 / np.sqrt(2.0))
-    fields = (profiles.profile_fields(profile, "bs", modes_bs),
-              profiles.profile_fields(profile, "ue", modes_ue))
     config = optimizer.ObpbConfig()
     print(f"mode spaces {modes_bs.mode_count} x {modes_ue.mode_count}, "
           f"epsilon = {config.epsilon}, max {config.max_iterations} iters\n")
@@ -45,8 +43,7 @@ def main():
     rows = [["m", "half_step", "side", "objective"]]
     for m in STREAM_COUNTS:
         t0 = time.perf_counter()
-        res = optimizer.run(config, profile, modes_bs, modes_ue, m,
-                            fields=fields)
+        res = optimizer.run(config, profile, modes_bs, modes_ue, m)
         dt = time.perf_counter() - t0
         h = np.asarray(res.objective_history)
         print(f"M = {m}: converged={res.converged} after {res.iterations} "

@@ -52,11 +52,8 @@ def main():
     profile = profiles.JointProfile(profiles.baseline_params())
     modes_bs = ModeSet(enclosing_radius=R0)
     modes_ue = ModeSet(enclosing_radius=1.0 / np.sqrt(2.0))
-    fields = (profiles.profile_fields(profile, "bs", modes_bs),
-              profiles.profile_fields(profile, "ue", modes_ue))
-
     res = optimizer.run(optimizer.ObpbConfig(), profile, modes_bs, modes_ue,
-                        M, fields=fields)
+                        M)
     print(f"optimizer: M = {M}, converged = {res.converged} "
           f"({res.iterations} iterations)")
 

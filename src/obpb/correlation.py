@@ -10,17 +10,21 @@ enter the dot product; under 'full' both.  A beam described by mode
 coefficients q radiates the pattern g(psi) = q^T K(psi) (no conjugation), so
 the beam-space correlation of a coefficient matrix Q is Q^T R Q^*.
 
-Assembly is a rank-k Hermitian update over quadrature nodes, done in node
-chunks through BLAS zherk at half the gemm cost.
+Assembly uses the separation of variables of the spherical modes on the
+product quadrature grid: K_j(theta, phi) = K_j(theta, 0) e^(i m_j phi).  The
+azimuth sum collapses into the Fourier coefficients of the weighted marginal,
+
+    D[theta, k] = sum_phi w(theta, phi) P(theta, phi) e^(i k phi),
+
+and each block of modes with azimuthal orders (m_a, m_b) is a theta-only
+product T_a diag(D[:, m_a - m_b]) T_b^H.
 """
 
 import numpy as np
-from scipy.linalg.blas import zherk
 
 from . import modes as modes_mod
 
 _DB = 10.0 / np.log(10.0)
-_CHUNK_NODES = 8192
 
 # marginal profiles are quadratures of nonnegative integrands: anything more
 # negative than this (relative to the peak) indicates a caller bug
@@ -31,12 +35,7 @@ def _hermitize(r):
     return 0.5 * (r + r.conj().T)
 
 
-def _herk_accumulate(c, block):
-    """c += block @ block^H via zherk on the conjugate upper triangle."""
-    return zherk(1.0, block.T, beta=1.0, c=c, trans=2, lower=0, overwrite_c=1)
-
-
-def mode_correlation(modeset, marginal, grid, polarization="theta", fields=None,
+def mode_correlation(modeset, marginal, grid, polarization="theta",
                      prune_tol=1e-15):
     """Spherical-mode correlation matrix for one link end.
 
@@ -46,12 +45,8 @@ def mode_correlation(modeset, marginal, grid, polarization="theta", fields=None,
     marginal : (n_nodes,) nonnegative marginal power profile on the grid
     grid : DirectionGrid carrying the quadrature weights
     polarization : 'theta' keeps only theta components, 'full' both
-    fields : optional precomputed (K_theta, K_phi) matrices on the grid;
-        K_phi may be None under 'theta' polarization
-    prune_tol : nodes whose weighted power falls below prune_tol times the
-        peak are skipped; the marginals here are sharply concentrated, so
-        this drops most of the sphere at a relative error around the
-        tolerance itself
+    prune_tol : nodes whose weighted power is at most prune_tol times the
+        peak are given zero weight
 
     Returns the (J, J) Hermitian PSD matrix.
     """
@@ -60,27 +55,23 @@ def mode_correlation(modeset, marginal, grid, polarization="theta", fields=None,
     if peak > 0 and marginal.min() < -_NEGATIVE_TOL * peak:
         raise ValueError("marginal profile has significantly negative values")
     wm = np.maximum(grid.weights * marginal, 0.0)
-    keep = np.flatnonzero(wm > prune_tol * wm.max())
-    wp = np.sqrt(wm[keep])
+    wm[wm <= prune_tol * wm.max()] = 0.0
 
-    J = modeset.mode_count
-    c = np.zeros((J, J), dtype=complex, order="F")
-    for lo in range(0, keep.size, _CHUNK_NODES):
-        sel = keep[lo:lo + _CHUNK_NODES]
-        if fields is None:
-            kth, kph = modes_mod.far_field_matrix(
-                modeset, grid.theta[sel], grid.phi[sel])
-            if polarization == "theta":
-                kph = None
-        else:
-            kth = fields[0][:, sel]
-            kph = None if fields[1] is None else fields[1][:, sel]
-        c = _herk_accumulate(c, np.ascontiguousarray(kth * wp[lo:lo + _CHUNK_NODES]))
-        if polarization == "full":
-            if kph is None:
-                raise ValueError("'full' polarization needs K_phi fields")
-            c = _herk_accumulate(c, np.ascontiguousarray(kph * wp[lo:lo + _CHUNK_NODES]))
-    r = (np.triu(c) + np.triu(c, 1).conj().T).conj()
+    nmax = modeset.truncation_order
+    k = np.arange(-2 * nmax, 2 * nmax + 1)
+    d = wm.reshape(grid.shape) @ np.exp(1j * np.outer(grid.phi_nodes, k))
+    t = modes_mod.far_field_matrix(modeset, grid.theta_nodes,
+                                   np.zeros_like(grid.theta_nodes))
+    t = t if polarization == "full" else t[:1]
+    groups = [np.flatnonzero(modeset.m == m) for m in range(-nmax, nmax + 1)]
+    r = np.empty((modeset.mode_count,) * 2, dtype=complex)
+    for ia, a in enumerate(groups):
+        for ib in range(ia, len(groups)):
+            b = groups[ib]
+            dk = d[:, ia - ib + 2 * nmax]            # k = m_a - m_b
+            block = sum((tc[a] * dk) @ tc[b].conj().T for tc in t)
+            r[np.ix_(a, b)] = block
+            r[np.ix_(b, a)] = block.conj().T
     return _hermitize(r)
 
 

@@ -106,26 +106,29 @@ def dominant_beams(r_sph, m):
     return _phase_fix(vecs).conj(), vals
 
 
-def optimize_side(q_far, profile, modeset, m, side, fields_near, fields_far):
-    """One half-step: refresh the beams of `side` against fixed far beams.
-
-    q_far: mode coefficients of the far side's current beams; fields_near /
-    fields_far: precomputed (K_theta, K_phi) on the corresponding grids.
-    Returns (Q, lam) for the refreshed side.
-    """
-    u = profiles.pattern_power(q_far, fields_far)
+def _side_correlation(q_far, profile, modes_near, modes_far, side):
+    """Mode correlation of `side` under the marginal the far beams weight."""
     if side == "bs":
-        marginal = profile.marginal_bs(u)
+        marginal = profiles.marginal_profile_bs(profile, q_far, modes_far)
         grid = profile.bs_grid
     elif side == "ue":
-        marginal = profile.marginal_ue(u)
+        marginal = profiles.marginal_profile_ue(profile, q_far, modes_far)
         grid = profile.ue_grid
     else:
         raise ValueError("side is 'bs' or 'ue'")
-    r = correlation.mode_correlation(
-        modeset, marginal, grid, polarization=profile.params.polarization,
-        fields=fields_near)
-    return dominant_beams(r, m)
+    return correlation.mode_correlation(
+        modes_near, marginal, grid, polarization=profile.params.polarization)
+
+
+def optimize_side(q_far, profile, modes_near, modes_far, m, side):
+    """One half-step: refresh the beams of `side` against fixed far beams.
+
+    q_far: mode coefficients of the far side's current beams over
+    modes_far; modes_near: the ModeSet of the side being refreshed.
+    Returns (Q, lam) for the refreshed side.
+    """
+    return dominant_beams(
+        _side_correlation(q_far, profile, modes_near, modes_far, side), m)
 
 
 def _converged(history, epsilon):
@@ -137,14 +140,7 @@ def _converged(history, epsilon):
             and d2 <= epsilon * abs(history[-3]))
 
 
-def _bs_correlation(q_ue, profile, modes_bs, fields_bs, fields_ue):
-    u = profiles.pattern_power(q_ue, fields_ue)
-    return correlation.mode_correlation(
-        modes_bs, profile.marginal_bs(u), profile.bs_grid,
-        polarization=profile.params.polarization, fields=fields_bs)
-
-
-def run(config, profile, modes_bs, modes_ue, m, fields=None):
+def run(config, profile, modes_bs, modes_ue, m):
     """Alternating optimization at fixed rank M.
 
     The objective tracked per half-step is det(R_h/M) of the base-station
@@ -155,16 +151,12 @@ def run(config, profile, modes_bs, modes_ue, m, fields=None):
     update's effect on the objective arrives for free, since the refreshed
     BS mode correlation is needed by the next half-step anyway.
 
-    fields: optional ((K_theta_bs, K_phi_bs), (K_theta_ue, K_phi_ue)) on the
-    profile's grids; computed here (and in 'theta' polarization without the
-    phi components) when not supplied.  Returns an ObpbResult.
+    Every marginal comes from the far beams' pattern power on the profile's
+    product grids (profiles.marginal_profile_bs / _ue); no dense field
+    matrix is formed.  Returns an ObpbResult.
     """
     if m < 1 or m > min(modes_bs.mode_count, modes_ue.mode_count):
         raise ValueError("need 1 <= M <= min mode count of the two ends")
-    if fields is None:
-        fields = (profiles.profile_fields(profile, "bs", modes_bs),
-                  profiles.profile_fields(profile, "ue", modes_ue))
-    fields_bs, fields_ue = fields
 
     # single omnidirectional seed beam at the user
     from .modes import flat_index
@@ -176,16 +168,15 @@ def run(config, profile, modes_bs, modes_ue, m, fields=None):
     converged = False
     iterations = 0
     norm = float(m) ** m
-    r_bs = _bs_correlation(q_ue, profile, modes_bs, fields_bs, fields_ue)
+    r_bs = _side_correlation(q_ue, profile, modes_bs, modes_ue, "bs")
     for iterations in range(1, config.max_iterations + 1):
         q_bs, lam_bs = dominant_beams(r_bs, m)
         history.append(float(np.prod(lam_bs)) / norm)
         if _converged(history, config.epsilon):
             converged = True
             break
-        q_ue, lam_ue = optimize_side(
-            q_bs, profile, modes_ue, m, "ue", fields_ue, fields_bs)
-        r_bs = _bs_correlation(q_ue, profile, modes_bs, fields_bs, fields_ue)
+        q_ue, lam_ue = optimize_side(q_bs, profile, modes_ue, modes_bs, m, "ue")
+        r_bs = _side_correlation(q_ue, profile, modes_bs, modes_ue, "bs")
         r_h = correlation.beam_correlation(q_bs, r_bs)
         history.append(float(np.real(np.linalg.det(r_h))) / norm)
         if _converged(history, config.epsilon):
@@ -194,7 +185,6 @@ def run(config, profile, modes_bs, modes_ue, m, fields=None):
     if lam_ue is None:
         # converged within the very first half-step window; give the user
         # side its matched update so both Q matrices have M columns
-        q_ue, lam_ue = optimize_side(
-            q_bs, profile, modes_ue, m, "ue", fields_ue, fields_bs)
+        q_ue, lam_ue = optimize_side(q_bs, profile, modes_ue, modes_bs, m, "ue")
     return ObpbResult(q_bs, q_ue, lam_bs, lam_ue, history, converged,
                       iterations, r_bs=r_bs)

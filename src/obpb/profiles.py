@@ -226,44 +226,53 @@ def joint_density(profile, psi_bs, psi_ue):
     return profile.density(psi_bs, psi_ue)
 
 
-def pattern_power(q, field_matrix):
-    """|q^T K|^2 summed over polarization components.
+def pattern_power(q, modeset, grid, polarization="theta"):
+    """Radiated power sum_beams |q^T K|^2 of a beam set on a product grid.
 
-    q: (J,) or (J, M) beam coefficient matrix; field_matrix: tuple of
-    component matrices (each (J, n_nodes)) as built by modes.far_field_matrix,
-    with None entries for components that are ignored.  Returns the summed
-    power per node, accumulating every beam column.
+    q: (J,) or (J, M) beam coefficient matrix.  Each mode separates as
+    K_j(theta, phi) = K_j(theta, 0) e^(i m_j phi), so the beams are summed
+    per azimuthal order on the theta nodes, a(theta, m) = sum_{m_j = m}
+    q_j K_j(theta, 0), and expanded in azimuth as a @ e^(i m phi).  Under
+    'theta' polarization only the theta components count, under 'full'
+    both.  Returns the power per grid node, accumulated over every beam.
     """
     q = np.atleast_2d(np.asarray(q).T).T      # (J, M)
+    nmax = modeset.truncation_order
+    orders = np.arange(-nmax, nmax + 1)
+    per_order = modeset.m[:, None] == orders              # (J, 2N + 1)
+    azim = np.exp(1j * np.outer(orders, grid.phi_nodes))  # (2N + 1, n_phi)
+    t = modes.far_field_matrix(modeset, grid.theta_nodes,
+                               np.zeros_like(grid.theta_nodes))
     total = 0.0
-    for comp in field_matrix:
-        if comp is None:
-            continue
-        g = q.T @ comp
-        total = total + np.sum(np.abs(g) ** 2, axis=0)
+    for tc in (t if polarization == "full" else t[:1]):
+        g = (np.einsum("jb,jt->btj", q, tc) @ per_order) @ azim
+        total = total + np.sum(np.abs(g) ** 2, axis=0).ravel()
     return total
 
 
-def marginal_profile_bs(profile, q_ue, fields_ue):
+def marginal_profile_bs(profile, q_ue, modes_ue):
     """BS marginal produced by a set of UE beams.
 
-    q_ue: (J_ue, M) mode coefficients; fields_ue: (K_theta, K_phi or None)
-    on the UE grid.  The UE beams' total radiated pattern power weights the
-    joint profile.
+    q_ue: (J_ue, M) mode coefficients over modes_ue.  The UE beams' total
+    radiated pattern power on the UE grid weights the joint profile.
     """
-    return profile.marginal_bs(pattern_power(q_ue, fields_ue))
+    return profile.marginal_bs(pattern_power(
+        q_ue, modes_ue, profile.ue_grid, profile.params.polarization))
 
 
-def marginal_profile_ue(profile, q_bs, fields_bs):
+def marginal_profile_ue(profile, q_bs, modes_bs):
     """UE marginal produced by a set of BS beams."""
-    return profile.marginal_ue(pattern_power(q_bs, fields_bs))
+    return profile.marginal_ue(pattern_power(
+        q_bs, modes_bs, profile.bs_grid, profile.params.polarization))
 
 
 def profile_fields(profile, side, modeset, polarization=None):
-    """Far-field matrices of a ModeSet on one of the profile's grids.
+    """Dense far-field matrices of a ModeSet on one of the profile's grids.
 
-    Returns (K_theta, K_phi) with K_phi set to None under 'theta'
-    polarization, ready for pattern_power / correlation assembly.
+    Returns (K_theta, K_phi), each (J, n_nodes), with K_phi set to None
+    under 'theta' polarization.  The pipeline never forms these; they are
+    the dense reference that checks of pattern_power and mode_correlation
+    compare against.
     """
     grid = profile.bs_grid if side == "bs" else profile.ue_grid
     pol = polarization or profile.params.polarization

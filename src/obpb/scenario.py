@@ -8,8 +8,8 @@ falls back to the same defaults the library modules use.
 Scenario points (method x N_UE) are independent of each other: every point
 writes only into its own directory, so the sequential loop below could be
 replaced by any work pool without coordination.  The expensive objects that
-points share (profile quadrature, mode fields, the optimizer runs, the greedy
-chains) are computed once up front and treated as read-only.
+points share (profile quadrature, the optimizer runs, the surface projectors,
+the greedy chains) are computed once up front and treated as read-only.
 
 All artifacts are plain CSV/JSON, written with round-trip float formatting and
 fixed key order and without timestamps, so a rerun of the same scenario on the
@@ -443,14 +443,10 @@ class _ObpbBundle:
     def __init__(self, scenario, profile):
         self.modes_bs = ModeSet(enclosing_radius=scenario.bs_radius)
         self.modes_ue = ModeSet(enclosing_radius=scenario.ue_radius)
-        self.fields = (
-            profiles.profile_fields(profile, "bs", self.modes_bs),
-            profiles.profile_fields(profile, "ue", self.modes_ue))
         self.runs = {}
         for m in range(1, scenario.obpb_m_max + 1):
             self.runs[m] = optimizer.run(scenario.obpb_config, profile,
-                                         self.modes_bs, self.modes_ue, m,
-                                         fields=self.fields)
+                                         self.modes_bs, self.modes_ue, m)
         self.ops = {}
         self.samplings = {}
         needed = {mm["surface"] for mm in scenario.methods

@@ -34,12 +34,6 @@ def ue_modes():
 
 
 @pytest.fixture(scope="session")
-def baseline_fields(baseline_profile, bs_modes, ue_modes):
-    return (profiles.profile_fields(baseline_profile, "bs", bs_modes),
-            profiles.profile_fields(baseline_profile, "ue", ue_modes))
-
-
-@pytest.fixture(scope="session")
 def baseline_run(tmp_path_factory):
     """Two runs of paper_baseline; returns their output directories."""
     root = tmp_path_factory.mktemp("paper_baseline")

@@ -307,12 +307,10 @@ def test_criterion_8_desk_oracles(capsys):
     from obpb.modes import flat_index
     q_far = np.zeros((modeset.mode_count, 1), dtype=complex)
     q_far[flat_index(2, 0, 1) - 1, 0] = 1.0
-    fields_bs = profiles.profile_fields(profile, "bs", modeset)
-    fields_ue = profiles.profile_fields(profile, "ue", modeset)
     q_side, lam_side = optimizer.optimize_side(
-        q_far, profile, modeset, 2, "bs", fields_bs, fields_ue)
+        q_far, profile, modeset, modeset, 2, "bs")
 
-    u_far = profiles.pattern_power(q_far, fields_ue)
+    u_far = profiles.pattern_power(q_far, modeset, profile.ue_grid)
     marg = profile.marginal_bs(u_far)
     wm = grid.weights * marg
     r_ref = np.zeros((j, j), dtype=complex)

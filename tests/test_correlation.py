@@ -77,6 +77,61 @@ def test_mode_correlation_psd_for_random_marginals(seed):
     assert lam.min() > -1e-12 * max(lam.max(), 1e-30)
 
 
+# the separable theta x phi kernel against the dense on-grid reference
+
+@pytest.fixture(scope="module")
+def oracle():
+    modeset = ModeSet(truncation_order=3)
+    profile = profiles.JointProfile(profiles.baseline_params(),
+                                    bs_grid=profiles.make_grid(10, 20),
+                                    ue_grid=profiles.make_grid(10, 20))
+    return modeset, profile
+
+
+def _dense_components(profile, modeset, polarization):
+    kth, kph = profiles.profile_fields(profile, "bs", modeset,
+                                       polarization=polarization)
+    return [kth] if kph is None else [kth, kph]
+
+
+@pytest.mark.parametrize("polarization", ["theta", "full"])
+@pytest.mark.parametrize("kind", ["random", "all_active"])
+@pytest.mark.parametrize("prune_tol", [0.0, 1e-15])
+def test_mode_correlation_matches_dense_node_sum(oracle, polarization, kind,
+                                                 prune_tol):
+    modeset, profile = oracle
+    grid = profile.bs_grid
+    rng = np.random.default_rng(5)
+    marginal = rng.uniform(0.5, 1.5, grid.n_nodes)
+    if kind == "random":
+        # nonnegative with exact zeros and a spread of magnitudes
+        marginal *= rng.uniform(size=grid.n_nodes) < 0.6
+        marginal *= 10.0 ** rng.uniform(-20.0, 0.0, grid.n_nodes)
+    wm = grid.weights * marginal
+    wm[wm <= prune_tol * wm.max()] = 0.0
+    dense = sum((k * wm) @ k.conj().T
+                for k in _dense_components(profile, modeset, polarization))
+    r = correlation.mode_correlation(modeset, marginal, grid,
+                                     polarization=polarization,
+                                     prune_tol=prune_tol)
+    assert np.abs(r - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("polarization", ["theta", "full"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_pattern_power_matches_dense_beam_sum(oracle, polarization, m):
+    modeset, profile = oracle
+    rng = np.random.default_rng(6)
+    q = (rng.standard_normal((modeset.mode_count, m))
+         + 1j * rng.standard_normal((modeset.mode_count, m)))
+    dense = sum(np.sum(np.abs(q.T @ k) ** 2, axis=0)
+                for k in _dense_components(profile, modeset, polarization))
+    u = profiles.pattern_power(q, modeset, profile.bs_grid,
+                               polarization=polarization)
+    assert u.shape == dense.shape
+    assert np.abs(u - dense).max() <= 1e-12 * dense.max()
+
+
 def test_beam_correlation_bilinear_convention():
     # R_beam = Q^T R Q^*, no conjugation on the first factor
     rng = np.random.default_rng(2)

@@ -17,9 +17,7 @@ def desk():
     profile = profiles.JointProfile(profiles.baseline_params(),
                                     bs_grid=profiles.make_grid(24, 48),
                                     ue_grid=profiles.make_grid(12, 24))
-    fields = (profiles.profile_fields(profile, "bs", modeset),
-              profiles.profile_fields(profile, "ue", modeset))
-    return modeset, profile, fields
+    return modeset, profile
 
 
 def _random_psd(rng, n):
@@ -78,27 +76,26 @@ def test_dominant_beams_rejects_bad_m():
 
 
 def test_optimize_side_requires_valid_side(desk):
-    modeset, profile, fields = desk
+    modeset, profile = desk
     q = np.zeros((modeset.mode_count, 1), dtype=complex)
     q[0, 0] = 1.0
     with pytest.raises(ValueError):
-        optimizer.optimize_side(q, profile, modeset, 1, "relay",
-                                fields[0], fields[1])
+        optimizer.optimize_side(q, profile, modeset, modeset, 1, "relay")
 
 
 def test_run_rejects_oversized_m(desk):
-    modeset, profile, fields = desk
+    modeset, profile = desk
     with pytest.raises(ValueError):
         optimizer.run(optimizer.ObpbConfig(), profile, modeset, modeset,
-                      modeset.mode_count + 1, fields=fields)
+                      modeset.mode_count + 1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_run_monotone_and_converged(desk, m):
-    modeset, profile, fields = desk
+    modeset, profile = desk
     eps = 1e-3
     res = optimizer.run(optimizer.ObpbConfig(epsilon=eps), profile,
-                        modeset, modeset, m, fields=fields)
+                        modeset, modeset, m)
     h = np.asarray(res.objective_history)
     assert h.size >= 1
     # each half-step maximizes its own side's objective, so the shared
@@ -114,8 +111,8 @@ def test_run_monotone_and_converged(desk, m):
         assert np.abs(q.conj().T @ q - np.eye(m)).max() < 1e-10
     # the cached BS correlation matches a fresh evaluation against q_ue
     r_check = correlation.mode_correlation(
-        modeset, profiles.marginal_profile_bs(profile, res.q_ue, fields[1]),
-        profile.bs_grid, fields=fields[0])
+        modeset, profiles.marginal_profile_bs(profile, res.q_ue, modeset),
+        profile.bs_grid)
     assert np.abs(res.r_bs - r_check).max() < 1e-12 * np.abs(r_check).max()
 
 
@@ -123,14 +120,14 @@ def test_seed_beam_is_the_lowest_tm_mode(desk):
     # the first half-step starts from the electrically small dipole; its
     # marginal is the donut-weighted profile, which a direct assembly of the
     # first history entry must reproduce
-    modeset, profile, fields = desk
+    modeset, profile = desk
     res = optimizer.run(optimizer.ObpbConfig(), profile, modeset, modeset,
-                        1, fields=fields)
+                        1)
     from obpb.modes import flat_index
     q_seed = np.zeros((modeset.mode_count, 1), dtype=complex)
     q_seed[flat_index(2, 0, 1) - 1, 0] = 1.0
     r0 = correlation.mode_correlation(
-        modeset, profiles.marginal_profile_bs(profile, q_seed, fields[1]),
-        profile.bs_grid, fields=fields[0])
+        modeset, profiles.marginal_profile_bs(profile, q_seed, modeset),
+        profile.bs_grid)
     lam0 = np.linalg.eigvalsh(r0)[-1]
     assert abs(res.objective_history[0] - lam0) < 1e-10 * lam0

@@ -96,11 +96,10 @@ def test_marginals_preserve_total_power(desk_profile):
 
 def test_pattern_power_of_single_mode(desk_profile):
     ms = ModeSet(truncation_order=2)
-    fields = profiles.profile_fields(desk_profile, "bs", ms,
-                                     polarization="full")
     q = np.zeros((ms.mode_count, 1), dtype=complex)
     q[flat_index(2, 0, 1) - 1, 0] = 1.0
-    u = profiles.pattern_power(q, fields)
+    u = profiles.pattern_power(q, ms, desk_profile.bs_grid,
+                               polarization="full")
     # every unit-norm mode radiates 4 pi
     assert abs(desk_profile.bs_grid.integrate(u) - 4.0 * np.pi) < 1e-8
     # and the dipole donut decays toward the poles like sin^2(theta)
