@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from .scenario import (ScenarioError, compare_manifests, load_scenario,
-                       render_comparison_csv, run_scenario)
+                       render_csv, run_scenario)
 
 
 def _build_parser():
@@ -60,7 +60,7 @@ def main(argv=None):
             return outcome.exit_code
         header, rows = compare_manifests(args.manifests,
                                          baseline=args.baseline)
-        text = render_comparison_csv(header, rows)
+        text = render_csv(header, rows)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)

@@ -14,13 +14,16 @@ current far side.
 
 The loop starts from a single electrically-small-dipole beam at the user
 side and stops once two consecutive half-step transitions (one ending at
-each side) change the figure of merit by less than a relative epsilon.
+each side) change the figure of merit by less than a relative epsilon.  The
+BS mode correlation under that seed does not depend on M, so a sweep over M
+builds it once (`seed_correlation`) and hands it to every `run`.
 """
 
 import numpy as np
 import scipy.linalg
 
 from . import correlation, profiles
+from .modes import flat_index
 
 # eigenvalues closer than this (relatively) are treated as degenerate and
 # their vectors ordered by anchor-entry position, for run-to-run determinism
@@ -140,7 +143,17 @@ def _converged(history, epsilon):
             and d2 <= epsilon * abs(history[-3]))
 
 
-def run(config, profile, modes_bs, modes_ue, m):
+def seed_correlation(profile, modes_bs, modes_ue):
+    """BS mode correlation under the single dipole seed beam at the user.
+
+    This is the first half-step's input at every M.
+    """
+    q_ue = np.zeros((modes_ue.mode_count, 1), dtype=complex)
+    q_ue[flat_index(2, 0, 1) - 1, 0] = 1.0
+    return _side_correlation(q_ue, profile, modes_bs, modes_ue, "bs")
+
+
+def run(config, profile, modes_bs, modes_ue, m, r_seed=None):
     """Alternating optimization at fixed rank M.
 
     The objective tracked per half-step is det(R_h/M) of the base-station
@@ -153,22 +166,20 @@ def run(config, profile, modes_bs, modes_ue, m):
 
     Every marginal comes from the far beams' pattern power on the profile's
     product grids (profiles.marginal_profile_bs / _ue); no dense field
-    matrix is formed.  Returns an ObpbResult.
+    matrix is formed.  r_seed, when given, is `seed_correlation` of the same
+    profile and mode sets, shared by runs at different M; it is only read.
+    Returns an ObpbResult.
     """
     if m < 1 or m > min(modes_bs.mode_count, modes_ue.mode_count):
         raise ValueError("need 1 <= M <= min mode count of the two ends")
-
-    # single omnidirectional seed beam at the user
-    from .modes import flat_index
-    q_ue = np.zeros((modes_ue.mode_count, 1), dtype=complex)
-    q_ue[flat_index(2, 0, 1) - 1, 0] = 1.0
 
     history = []
     lam_ue = None
     converged = False
     iterations = 0
     norm = float(m) ** m
-    r_bs = _side_correlation(q_ue, profile, modes_bs, modes_ue, "bs")
+    r_bs = (r_seed if r_seed is not None
+            else seed_correlation(profile, modes_bs, modes_ue))
     for iterations in range(1, config.max_iterations + 1):
         q_bs, lam_bs = dominant_beams(r_bs, m)
         history.append(float(np.prod(lam_bs)) / norm)

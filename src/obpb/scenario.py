@@ -7,9 +7,19 @@ falls back to the same defaults the library modules use.
 
 Scenario points (method x N_UE) are independent of each other: every point
 writes only into its own directory, so the sequential loop below could be
-replaced by any work pool without coordination.  The expensive objects that
-points share (profile quadrature, the optimizer runs, the surface projectors,
-the greedy chains) are computed once up front and treated as read-only.
+replaced by any work pool without coordination.  What points share is built
+once up front and only read afterwards: the optimizer runs for every M (all
+started from one dipole-seeded BS correlation), the surface projectors, the
+greedy chains, each OBPB family's patterns (none depends on N_UE) and one
+steering matrix per artifact direction set.  The joint profile is let go
+before the first point, once the manifest has taken its normalization and
+SISO reference: its joint matrix is the run's largest array and no point
+reads it.
+
+Numeric tables are rendered a whole column at a time, and the text of every
+distinct column is kept for the rest of the run, so the angle columns, an
+OBPB family's streams at every N_UE and a greedy chain's beams at every
+point that evaluates them to the same bits are formatted once.
 
 All artifacts are plain CSV/JSON, written with round-trip float formatting and
 fixed key order and without timestamps, so a rerun of the same scenario on the
@@ -324,11 +334,40 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _write_csv(path, header, rows):
+def render_csv(header, rows):
+    """CSV text of a mixed-type table: strings verbatim, numbers by _fmt."""
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) if not isinstance(v, str) else v
                           for v in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+class _ColumnText:
+    """Numeric CSV tables rendered column by column, in bulk.
+
+    ``repr`` of the Python scalars that ``tolist`` yields is the form `_fmt`
+    gives (str of an int, shortest round-trip repr of a float) without a
+    per-cell type check.  Rendered columns are kept by dtype and bytes, so a
+    column that recurs anywhere in the run (the angle columns of every
+    table, an OBPB family's streams at every N_UE, a greedy chain's beams at
+    every prefix that evaluates them to the same bits) is formatted once.
+    """
+
+    def __init__(self):
+        self._text = {}
+
+    def column(self, values):
+        values = np.ascontiguousarray(values)
+        key = (values.dtype.str, values.tobytes())
+        text = self._text.get(key)
+        if text is None:
+            text = self._text[key] = list(map(repr, values.tolist()))
+        return text
+
+    def write(self, path, header, columns):
+        lines = [",".join(header)]
+        lines.extend(map(",".join, zip(*map(self.column, columns))))
+        _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, obj):
@@ -359,10 +398,10 @@ def _mode_pattern_db(q, modeset, theta, phi):
     return _power_db(out)
 
 
-def _element_pattern_db(weights, config, theta, phi):
-    """Per-stream array pattern in dB (element envelope times array factor)."""
-    a = conventional.steering_matrix(config, theta, phi)
-    g = np.atleast_2d(np.asarray(weights).T) @ a
+def _element_pattern_db(weights, steering):
+    """Per-stream array pattern in dB (element envelope times array factor)
+    over the directions of a `conventional.steering_matrix`."""
+    g = np.atleast_2d(np.asarray(weights).T) @ steering
     return _power_db(np.abs(g) ** 2)
 
 
@@ -390,37 +429,41 @@ def _grid_directions(step_deg):
     return tt.ravel(), pp.ravel(), tt.ravel() * deg, pp.ravel() * deg
 
 
-def _stream_header(prefix, m):
-    return [prefix] + [f"stream_{i + 1}_db" for i in range(m)]
+class _ArtifactWriter:
+    """Pattern and correlation tables of every point, over one set of
+    artifact directions and one column-text store for the whole run."""
 
+    def __init__(self, scenario):
+        phi_cut, theta_cut = _cut_directions(scenario.cut_step_deg)
+        # tables are (file name, pattern tag, leading header, leading
+        # columns, theta, phi); a "_ue" tag asks for the user-side beams
+        self.bs_tables, self.ue_tables = [], []
+        for stem, tag, label, (angles, theta, phi) in (
+                ("cut_phi_plane", "cut_phi", "phi_deg", phi_cut),
+                ("cut_theta_plane", "cut_theta", "angle_deg", theta_cut)):
+            self.bs_tables.append((f"{stem}.csv", tag, [label], [angles],
+                                   theta, phi))
+            self.ue_tables.append((f"{stem}_ue.csv", f"{tag}_ue", [label],
+                                   [angles], theta, phi))
+        tdeg, pdeg, theta, phi = _grid_directions(scenario.grid_step_deg)
+        self.bs_tables.append(("pattern_grid.csv", "grid",
+                               ["theta_deg", "phi_deg"], [tdeg, pdeg],
+                               theta, phi))
+        self.text = _ColumnText()
 
-def _write_pattern_artifacts(point_dir, scenario, pattern_db_of):
-    """Write the cut and grid CSVs given a (tag, directions)->dB evaluator."""
-    phi_cut, theta_cut = _cut_directions(scenario.cut_step_deg)
-    for fname, tag, (angles, th, ph), label in (
-            ("cut_phi_plane.csv", "cut_phi", phi_cut, "phi_deg"),
-            ("cut_theta_plane.csv", "cut_theta", theta_cut, "angle_deg")):
-        db = pattern_db_of(tag, np.asarray(th, dtype=float),
-                           np.asarray(ph, dtype=float))
-        rows = [[angles[i]] + list(db[:, i]) for i in range(angles.size)]
-        _write_csv(point_dir / fname, _stream_header(label, db.shape[0]),
-                   rows)
-    tdeg, pdeg, th, ph = _grid_directions(scenario.grid_step_deg)
-    db = pattern_db_of("grid", th, ph)
-    rows = [[tdeg[i], pdeg[i]] + list(db[:, i]) for i in range(tdeg.size)]
-    _write_csv(point_dir / "pattern_grid.csv",
-               ["theta_deg", "phi_deg"] + _stream_header("", db.shape[0])[1:],
-               rows)
+    def patterns(self, point_dir, tables, pattern_db_of):
+        """Write tables given a (tag, theta, phi) -> (streams, n) dB map."""
+        for fname, tag, head, lead, theta, phi in tables:
+            db = pattern_db_of(tag, theta, phi)
+            header = head + [f"stream_{i + 1}_db" for i in range(db.shape[0])]
+            self.text.write(point_dir / fname, header, lead + list(db))
 
-
-def _write_correlation_csv(path, r_norm):
-    rows = []
-    m = r_norm.shape[0]
-    for i in range(m):
-        for j in range(m):
-            v = r_norm[i, j]
-            rows.append([i + 1, j + 1, v.real, v.imag, abs(v)])
-    _write_csv(path, ["i", "j", "re", "im", "abs"], rows)
+    def correlation(self, path, r_norm):
+        m = r_norm.shape[0]
+        i, j = np.divmod(np.arange(m * m), m)
+        self.text.write(path, ["i", "j", "re", "im", "abs"],
+                        [i + 1, j + 1, r_norm.real.ravel(),
+                         r_norm.imag.ravel(), np.abs(r_norm).ravel()])
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +486,13 @@ class _ObpbBundle:
     def __init__(self, scenario, profile):
         self.modes_bs = ModeSet(enclosing_radius=scenario.bs_radius)
         self.modes_ue = ModeSet(enclosing_radius=scenario.ue_radius)
+        seed = optimizer.seed_correlation(profile, self.modes_bs,
+                                          self.modes_ue)
         self.runs = {}
         for m in range(1, scenario.obpb_m_max + 1):
             self.runs[m] = optimizer.run(scenario.obpb_config, profile,
-                                         self.modes_bs, self.modes_ue, m)
+                                         self.modes_bs, self.modes_ue, m,
+                                         r_seed=seed)
         self.ops = {}
         self.samplings = {}
         needed = {mm["surface"] for mm in scenario.methods
@@ -519,6 +565,7 @@ class _ConventionalBundle:
         self.sub_metric = next((mm["metric"] for mm in scenario.methods
                                 if mm["kind"] == "sub_array"), "power")
         self._sub_cache = {}
+        self._steering = {}
 
     def sub_winner(self, n_ue):
         if n_ue not in self._sub_cache:
@@ -526,6 +573,13 @@ class _ConventionalBundle:
                 float(n_ue) * self.r_unit, self.config, n_ue, self.snr,
                 metric=self.sub_metric)
         return self._sub_cache[n_ue]
+
+    def pattern_db(self, weights, tag, theta, phi):
+        """Per-stream dB patterns; one steering matrix per direction set."""
+        if tag not in self._steering:
+            self._steering[tag] = conventional.steering_matrix(
+                self.config, theta, phi)
+        return _element_pattern_db(weights, self._steering[tag])
 
 
 def _point_record(method, n_ue, report, det_report, report_m, extra):
@@ -567,12 +621,18 @@ def run_scenario(scenario, echo=None):
         conv_bundle = _ConventionalBundle(scenario, profile, snr)
         say("conventional chains ready "
             f"(codebook {conv_bundle.config.n_beams} beams)")
+    # the last read of the profile: its joint matrix is the run's largest
+    # array, and no point needs it
+    resolved = _resolved_parameters(scenario, profile, snr, obpb_bundle,
+                                    conv_bundle)
+    del profile
 
+    writer = _ArtifactWriter(scenario)
     points = []
     for method in scenario.methods:
         for n_ue in scenario.n_ue:
             rec = _run_point(scenario, method, n_ue, out_dir, snr,
-                             obpb_bundle, conv_bundle)
+                             obpb_bundle, conv_bundle, writer)
             points.append(rec)
             say(f"{method['label']} N_UE={n_ue}: M_opt={rec['m_opt']} "
                 f"C={rec['capacity_bits']:.3f} det_db={rec['det_db']:.2f}")
@@ -582,15 +642,14 @@ def run_scenario(scenario, echo=None):
                      "" if p.get("converged") is None
                      else ("true" if p["converged"] else "false"),
                      p.get("sub_shape_label", "")] for p in points]
-    _write_csv(out_dir / "summary.csv",
-               ["method", "n_ue", "m_opt", "capacity_bits", "det_db",
-                "report_m", "converged", "sub_shape"], summary_rows)
+    _write_text(out_dir / "summary.csv", render_csv(
+        ["method", "n_ue", "m_opt", "capacity_bits", "det_db", "report_m",
+         "converged", "sub_shape"], summary_rows))
 
     manifest = {
         "scenario_name": scenario.name,
         "source": str(scenario.source),
-        "resolved": _resolved_parameters(scenario, profile, snr, obpb_bundle,
-                                         conv_bundle),
+        "resolved": resolved,
         "points": points,
         "obpb_histories": (obpb_bundle.histories() if obpb_bundle else {}),
         "converged": obpb_bundle.converged if obpb_bundle else True,
@@ -604,7 +663,7 @@ def run_scenario(scenario, echo=None):
 
 
 def _run_point(scenario, method, n_ue, out_dir, snr, obpb_bundle,
-               conv_bundle):
+               conv_bundle, writer):
     point_dir = out_dir / method["label"] / f"n_ue_{n_ue}"
     extra = {"artifacts": str(point_dir.relative_to(out_dir))}
 
@@ -620,9 +679,7 @@ def _run_point(scenario, method, n_ue, out_dir, snr, obpb_bundle,
         def pattern_db_of(tag, theta, phi):
             return obpb_bundle.pattern_db(surface, report_m, tag, theta, phi)
 
-        def ue_pattern_db_of(tag, theta, phi):
-            return obpb_bundle.pattern_db(surface, report_m, tag + "_ue",
-                                          theta, phi)
+        tables = writer.bs_tables + writer.ue_tables
     else:
         m_cap = min(conv_bundle.config.n_elements, n_ue)
         if method["kind"] == "full_array":
@@ -650,27 +707,14 @@ def _run_point(scenario, method, n_ue, out_dir, snr, obpb_bundle,
         extra["selection_chain"] = [int(i) for i in sel.chain[:m_cap]]
 
         def pattern_db_of(tag, theta, phi):
-            return _element_pattern_db(beams, conv_bundle.config, theta, phi)
+            return conv_bundle.pattern_db(beams, tag, theta, phi)
 
-        ue_pattern_db_of = None
+        tables = writer.bs_tables
 
-    _write_pattern_artifacts(point_dir, scenario, pattern_db_of)
-    if ue_pattern_db_of is not None:
-        phi_cut, theta_cut = _cut_directions(scenario.cut_step_deg)
-        for fname, tag, (angles, th, ph), label in (
-                ("cut_phi_plane_ue.csv", "cut_phi", phi_cut, "phi_deg"),
-                ("cut_theta_plane_ue.csv", "cut_theta", theta_cut,
-                 "angle_deg")):
-            db = ue_pattern_db_of(tag, np.asarray(th, dtype=float),
-                                  np.asarray(ph, dtype=float))
-            rows = [[angles[i]] + list(db[:, i])
-                    for i in range(angles.size)]
-            _write_csv(point_dir / fname,
-                       _stream_header(label, db.shape[0]), rows)
-
+    writer.patterns(point_dir, tables, pattern_db_of)
     det_report = correlation.det_db(r_report)
-    _write_correlation_csv(point_dir / "correlation.csv",
-                           correlation.normalize_correlation(r_report))
+    writer.correlation(point_dir / "correlation.csv",
+                       correlation.normalize_correlation(r_report))
     payload = {"method": method["label"], "n_ue": int(n_ue),
                "report_m": int(report_m), "det_db": float(det_report),
                "capacity": report.as_dict()}
@@ -813,10 +857,3 @@ def compare_manifests(paths, baseline=None):
                          float(p["capacity_bits"]), float(p["det_db"]),
                          ratio, warn])
     return header, rows
-
-
-def render_comparison_csv(header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) if not isinstance(v, str) else v
-                          for v in row) for row in rows)
-    return "\n".join(lines) + "\n"

@@ -131,3 +131,22 @@ def test_seed_beam_is_the_lowest_tm_mode(desk):
         profile.bs_grid)
     lam0 = np.linalg.eigvalsh(r0)[-1]
     assert abs(res.objective_history[0] - lam0) < 1e-10 * lam0
+
+
+def test_shared_seed_matches_independent_runs(desk):
+    # a sweep over M builds the dipole-seeded BS correlation once; every run
+    # handed that matrix must reproduce its own independent run bit for bit
+    # and leave the shared matrix untouched
+    modeset, profile = desk
+    config = optimizer.ObpbConfig()
+    seed = optimizer.seed_correlation(profile, modeset, modeset)
+    seed_before = seed.copy()
+    for m in (1, 2, 3):
+        alone = optimizer.run(config, profile, modeset, modeset, m)
+        shared = optimizer.run(config, profile, modeset, modeset, m,
+                               r_seed=seed)
+        assert np.array_equal(alone.q_bs, shared.q_bs)
+        assert np.array_equal(alone.q_ue, shared.q_ue)
+        assert alone.objective_history == shared.objective_history
+        assert np.array_equal(alone.r_bs, shared.r_bs)
+    assert np.array_equal(seed, seed_before)

@@ -206,6 +206,75 @@ def test_capacity_json_is_self_describing(smoke_run):
         sum(c for _, c in cap["per_stream"]))
 
 
+def test_bulk_columns_render_like_fmt(tmp_path):
+    # the numeric tables skip _fmt's per-cell dispatch; their text must be
+    # the same on the values that stress float formatting (signed zero, the
+    # dB floor, the smallest subnormal, exponent forms) and on integers
+    floats = np.array([-0.0, -180.0, 1e16, 1e-5, scenario._power_db(0.0),
+                       5e-324, 0.1 + 0.2, 90.0])
+    ints = np.arange(-1, floats.size - 1)
+    text = scenario._ColumnText()
+    assert text.column(floats) == [scenario._fmt(v) for v in floats]
+    assert text.column(ints) == [scenario._fmt(v) for v in ints]
+    assert scenario._power_db(0.0) == -200.0
+    path = tmp_path / "table.csv"
+    text.write(path, ["i", "x"], [ints, floats])
+    assert path.read_text() == scenario.render_csv(
+        ["i", "x"], [[i, x] for i, x in zip(ints, floats)])
+    # equal bytes under another dtype are another column
+    assert text.column(floats.view(np.int64)) != text.column(floats)
+
+
+def test_obpb_tables_are_shared_across_n_ue(smoke_run):
+    # nothing an OBPB family reports depends on N_UE, so every table but
+    # capacity.json (which names its N_UE) is the same file at each point
+    _, outcome = smoke_run
+    for label in ("obpb_plane", "obpb_optimal"):
+        first = outcome.output_dir / label / "n_ue_2"
+        for fname in ("cut_phi_plane.csv", "cut_theta_plane.csv",
+                      "pattern_grid.csv", "cut_phi_plane_ue.csv",
+                      "cut_theta_plane_ue.csv", "correlation.csv"):
+            assert ((outcome.output_dir / label / "n_ue_4" / fname)
+                    .read_bytes() == (first / fname).read_bytes()), \
+                (label, fname)
+
+
+def test_conventional_patterns_match_direct_evaluation(smoke_run):
+    # each point's stream columns are the dB patterns of the first report_m
+    # beams of its own chain, whatever text the run reused for them
+    from obpb import conventional
+    _, outcome = smoke_run
+    config = conventional.ArrayConfig(n_v=4, n_h=4, beam_interval=2)
+    man = json.loads(outcome.manifest_path.read_text())
+    phi_cut, theta_cut = scenario._cut_directions(30.0)
+    _, _, grid_th, grid_ph = scenario._grid_directions(60.0)
+    tables = (("cut_phi_plane.csv", 1, phi_cut[1], phi_cut[2]),
+              ("cut_theta_plane.csv", 1, theta_cut[1], theta_cut[2]),
+              ("pattern_grid.csv", 2, grid_th, grid_ph))
+    checked = 0
+    for point in man["points"]:
+        if point["method"] not in ("full_array_det", "sub_array"):
+            continue
+        if point["method"] == "sub_array":
+            weights, _ = conventional.subarray_codebook(
+                config, tuple(point["sub_shape"]))
+        else:
+            weights = conventional.dft_codebook(config)
+        beams = weights[:, point["selection_chain"][:point["report_m"]]]
+        for fname, lead, theta, phi in tables:
+            got = np.loadtxt(outcome.output_dir / point["artifacts"] / fname,
+                             delimiter=",", skiprows=1, ndmin=2)[:, lead:].T
+            want = scenario._element_pattern_db(
+                beams, conventional.steering_matrix(config, theta, phi))
+            assert got.shape == want.shape
+            got_lin, want_lin = 10.0 ** (got / 10.0), 10.0 ** (want / 10.0)
+            peak = want_lin.max(axis=1, keepdims=True)
+            assert np.all(np.abs(got_lin - want_lin) <= 1e-12 * peak), \
+                (point["method"], point["n_ue"], fname)
+            checked += 1
+    assert checked == 2 * 2 * 3
+
+
 def test_nonconvergence_exits_2(tmp_path):
     cfg = tmp_path / "starved.yaml"
     cfg.write_text(SMOKE_YAML.format(out=tmp_path / "out")
