@@ -182,8 +182,11 @@ def candidate_gram(weights, r_elem):
 def greedy_select_power(gram, m, group_of=None):
     """Top-m beams by mean received power diag(G), at most one per group.
 
-    Ties (within 1e-12 relative) resolve to the lowest candidate index.
-    Returns the selected column indices in selection order.
+    Only exact ties go to the lowest candidate index (a stable sort), so
+    powers that differ in the last bits can order differently once G is
+    rescaled.  The 1e-12 relative tie rule of greedy_select_det would make
+    chains scale-invariant, but it moves sub_array det_db values that
+    bench/reference.json pins.  Returns the indices in selection order.
     """
     power = np.real(np.diag(gram)).copy()
     order = np.argsort(-power, kind="stable")
@@ -234,17 +237,6 @@ def greedy_select_det(gram, m, group_of=None):
     return chosen
 
 
-def select_beams(weights, gram, m, metric="power", group_of=None):
-    """Greedy selection wrapper; returns (W_selected, indices)."""
-    if metric == "power":
-        idx = greedy_select_power(gram, m, group_of)
-    elif metric == "determinant":
-        idx = greedy_select_det(gram, m, group_of)
-    else:
-        raise ValueError("metric is 'power' or 'determinant'")
-    return weights[:, idx], idx
-
-
 class ConventionalSelection:
     """A greedy chain over one codebook plus everything built from it.
 
@@ -292,6 +284,12 @@ def subarray_selection(r_elem, config, sub_shape, m_max, metric="power"):
     return ConventionalSelection(weights, gram, chain, group_of)
 
 
+def tiling_shapes(config, candidates=SUBARRAY_SHAPES):
+    """The candidate sub-array shapes that tile the array, in listed order."""
+    return [tuple(s) for s in candidates
+            if config.n_v % s[0] == 0 and config.n_h % s[1] == 0]
+
+
 def best_subarray_partition(r_elem, config, n_ue, snr,
                             candidates=SUBARRAY_SHAPES, metric="power"):
     """Pick the sub-array shape maximizing rank-adapted average capacity.
@@ -303,15 +301,13 @@ def best_subarray_partition(r_elem, config, n_ue, snr,
     from . import capacity as _capacity
 
     best = None
-    for shape in candidates:
-        if config.n_v % shape[0] or config.n_h % shape[1]:
-            continue       # shape does not tile this array
+    for shape in tiling_shapes(config, candidates):
         n_groups = config.n_elements // (shape[0] * shape[1])
         m_max = min(n_groups, int(n_ue))
         sel = subarray_selection(r_elem, config, shape, m_max, metric)
         report = _capacity.rank_adapt(sel.beam_correlation, m_max, snr)
         if best is None or report.total > best[2].total * (1.0 + 1e-12):
-            best = (tuple(shape), sel, report)
+            best = (shape, sel, report)
     if best is None:
         raise ValueError("no candidate partition tiles this array")
     return best

@@ -226,28 +226,35 @@ def joint_density(profile, psi_bs, psi_ue):
     return profile.density(psi_bs, psi_ue)
 
 
-def pattern_power(q, modeset, grid, polarization="theta"):
-    """Radiated power sum_beams |q^T K|^2 of a beam set on a product grid.
+def beam_power(q, modeset, theta_nodes, phi_nodes, polarization="theta"):
+    """Radiated power |q^T K|^2 of each beam on a theta x phi product.
 
-    q: (J,) or (J, M) beam coefficient matrix.  Each mode separates as
-    K_j(theta, phi) = K_j(theta, 0) e^(i m_j phi), so the beams are summed
-    per azimuthal order on the theta nodes, a(theta, m) = sum_{m_j = m}
-    q_j K_j(theta, 0), and expanded in azimuth as a @ e^(i m phi).  Under
-    'theta' polarization only the theta components count, under 'full'
-    both.  Returns the power per grid node, accumulated over every beam.
+    q: (J,) or (J, M) beam coefficients; the nodes are 1-D angle lists in
+    radians.  Each mode separates as K_j(theta, phi) = K_j(theta, 0)
+    e^(i m_j phi), so the beams are summed per azimuthal order on the theta
+    nodes, a(theta, m) = sum_{m_j = m} q_j K_j(theta, 0), and expanded in
+    azimuth as a @ e^(i m phi).  Under 'theta' polarization only the theta
+    components count, under 'full' both.  Returns (M, n_theta, n_phi).
     """
     q = np.atleast_2d(np.asarray(q).T).T      # (J, M)
     nmax = modeset.truncation_order
     orders = np.arange(-nmax, nmax + 1)
     per_order = modeset.m[:, None] == orders              # (J, 2N + 1)
-    azim = np.exp(1j * np.outer(orders, grid.phi_nodes))  # (2N + 1, n_phi)
-    t = modes.far_field_matrix(modeset, grid.theta_nodes,
-                               np.zeros_like(grid.theta_nodes))
-    total = 0.0
+    azim = np.exp(1j * np.outer(orders, phi_nodes))       # (2N + 1, n_phi)
+    t = modes.far_field_matrix(modeset, theta_nodes,
+                               np.zeros_like(theta_nodes))
+    power = 0.0
     for tc in (t if polarization == "full" else t[:1]):
         g = (np.einsum("jb,jt->btj", q, tc) @ per_order) @ azim
-        total = total + np.sum(np.abs(g) ** 2, axis=0).ravel()
-    return total
+        power = power + np.abs(g) ** 2
+    return power
+
+
+def pattern_power(q, modeset, grid, polarization="theta"):
+    """Radiated power sum_beams |q^T K|^2 of a beam set on a product grid:
+    the beam sum of `beam_power`, per node in the grid's flat order."""
+    return np.sum(beam_power(q, modeset, grid.theta_nodes, grid.phi_nodes,
+                             polarization), axis=0).ravel()
 
 
 def marginal_profile_bs(profile, q_ue, modes_ue):

@@ -35,12 +35,11 @@ import yaml
 
 from . import __version__, capacity, conventional, correlation, optimizer
 from . import profiles, surfaces
-from .modes import ModeSet, far_field_matrix
+from .modes import ModeSet, mode_count_for_radius
 from .profiles import JointProfile, ProfileParams, make_grid
 
 SURFACE_NAMES = ("plane", "one_32_sphere", "hemisphere")
 DB_FLOOR = 1e-20          # pattern power floor before 10*log10
-_EVAL_CHUNK = 2048        # directions per far-field evaluation block
 
 
 class ScenarioError(ValueError):
@@ -216,6 +215,19 @@ class Scenario:
                                     f"{where}: obpb: max_iterations", 200))
         self.obpb_m_max = _integer(ob.get("m_max"), f"{where}: obpb: m_max",
                                    12)
+        if self.needs_obpb():
+            counts = {}
+            for side, r0 in (("bs", self.bs_radius), ("ue", self.ue_radius)):
+                counts[side] = mode_count_for_radius(r0)
+                if counts[side] == 0:
+                    raise ScenarioError(
+                        f"{where}: antenna: {side}_aperture_side: too small "
+                        "for one spherical mode (needs >= 0.2251 wavelengths)")
+            if self.obpb_m_max > min(counts.values()):
+                raise ScenarioError(
+                    f"{where}: obpb: m_max: {self.obpb_m_max} exceeds the "
+                    f"mode count of the smaller end (J_bs = {counts['bs']}, "
+                    f"J_ue = {counts['ue']})")
 
         sur = _require_mapping(tree.get("surfaces", {}), f"{where}: surfaces")
         _reject_unknown(sur, f"{where}: surfaces", ("density", "rank_rtol"))
@@ -238,6 +250,11 @@ class Scenario:
             beam_interval=_integer(conv.get("beam_interval"),
                                    f"{where}: conventional: beam_interval",
                                    4))
+        if (any(m["kind"] == "sub_array" for m in self.methods)
+                and not conventional.tiling_shapes(self.array_config)):
+            raise ScenarioError(
+                f"{where}: conventional: n_v/n_h: no sub-array shape tiles a "
+                f"{self.array_config.n_v} x {self.array_config.n_h} array")
 
         art = _require_mapping(tree.get("artifacts", {}),
                                f"{where}: artifacts")
@@ -386,16 +403,15 @@ def _power_db(power):
 def _mode_pattern_db(q, modeset, theta, phi):
     """Per-stream radiated power in dB over a list of directions.
 
-    Both polarization components contribute; evaluation is chunked so the
-    (J x nodes) far-field blocks stay small.
+    Both polarization components contribute.  `profiles.beam_power`
+    evaluates the product of the list's distinct theta and phi values, which
+    is gathered back to the list: every artifact table is nearly such a
+    product (a phi cut is 1 x n, a theta cut n x 2, the grid exactly one).
     """
-    q = np.atleast_2d(np.asarray(q).T).T
-    out = np.empty((q.shape[1], theta.size))
-    for lo in range(0, theta.size, _EVAL_CHUNK):
-        sl = slice(lo, min(lo + _EVAL_CHUNK, theta.size))
-        kth, kph = far_field_matrix(modeset, theta[sl], phi[sl])
-        out[:, sl] = (np.abs(q.T @ kth) ** 2 + np.abs(q.T @ kph) ** 2)
-    return _power_db(out)
+    theta_nodes, it = np.unique(theta, return_inverse=True)
+    phi_nodes, ip = np.unique(phi, return_inverse=True)
+    power = profiles.beam_power(q, modeset, theta_nodes, phi_nodes, "full")
+    return _power_db(power[:, it, ip])
 
 
 def _element_pattern_db(weights, steering):

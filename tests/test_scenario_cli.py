@@ -96,6 +96,50 @@ def test_scenario_error_messages_are_anchored(tmp_path):
     with pytest.raises(scenario.ScenarioError, match="n_theta, n_phi"):
         scenario.load_scenario(bad)
 
+    # J = 48 / 16 at 1 / 0.5 wavelength apertures: m_max 16 fits, 17 does not
+    small = ("n_ue: [4]\nantenna: {bs_aperture_side: 1.0, "
+             "ue_aperture_side: 0.5}\nobpb: {m_max: %d}\n")
+    bad.write_text("methods: [obpb:plane]\n" + small % 17)
+    with pytest.raises(scenario.ScenarioError,
+                       match=r"obpb: m_max: 17 .*J_bs = 48, J_ue = 16"):
+        scenario.load_scenario(bad)
+    bad.write_text("methods: [obpb:plane]\n" + small % 16)
+    assert scenario.load_scenario(bad).obpb_m_max == 16
+    # without an OBPB method m_max is never used
+    bad.write_text("methods: [full_array:power]\n" + small % 20)
+    assert scenario.load_scenario(bad).obpb_m_max == 20
+
+    # N = floor(2 pi side / sqrt(2)) = 0 below 0.2251 wavelengths
+    bad.write_text("methods: [obpb:optimal]\nn_ue: [4]\n"
+                   "antenna: {ue_aperture_side: 0.2}\nobpb: {m_max: 1}\n")
+    with pytest.raises(scenario.ScenarioError,
+                       match="antenna: ue_aperture_side: too small"):
+        scenario.load_scenario(bad)
+
+    bad.write_text("methods: [sub_array]\nn_ue: [4]\n"
+                   "conventional: {n_v: 3, n_h: 3}\n")
+    with pytest.raises(scenario.ScenarioError,
+                       match="conventional: n_v/n_h: .* 3 x 3 array"):
+        scenario.load_scenario(bad)
+    bad.write_text("methods: [full_array:det]\nn_ue: [4]\n"
+                   "conventional: {n_v: 3, n_h: 3}\n")
+    assert scenario.load_scenario(bad).array_config.n_elements == 9
+
+
+def test_shipped_baseline_matches_benchmark_workload():
+    # the acceptance gates read the shipped file and the benchmark builds
+    # its own copy of the same tree; the two must not drift apart
+    import importlib.util
+    import yaml
+    repo = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", repo / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    shipped = yaml.safe_load(
+        (repo / "scenarios" / "paper_baseline.yaml").read_text())
+    assert shipped == workloads.scenario_tree("paper_baseline", 0)
+
 
 def test_yaml_syntax_errors_carry_line_numbers(tmp_path):
     bad = tmp_path / "broken.yaml"
@@ -275,6 +319,30 @@ def test_conventional_patterns_match_direct_evaluation(smoke_run):
     assert checked == 2 * 2 * 3
 
 
+@pytest.mark.parametrize("steps", [(30.0, 60.0), (1.0, 3.0)])
+@pytest.mark.parametrize("n_tr", [3, 17])
+@pytest.mark.parametrize("m", [1, 12])
+def test_mode_patterns_match_dense_field_evaluation(steps, n_tr, m):
+    # the product-grid patterns of every artifact table against the dense
+    # (J x directions) field matrices of the same direction lists
+    from obpb.modes import ModeSet, far_field_matrix
+    modeset = ModeSet(truncation_order=n_tr)
+    rng = np.random.default_rng(n_tr + m)
+    q = (rng.standard_normal((modeset.mode_count, m))
+         + 1j * rng.standard_normal((modeset.mode_count, m)))
+    phi_cut, theta_cut = scenario._cut_directions(steps[0])
+    _, _, grid_th, grid_ph = scenario._grid_directions(steps[1])
+    for theta, phi in ((phi_cut[1], phi_cut[2]), (theta_cut[1], theta_cut[2]),
+                       (grid_th, grid_ph)):
+        kth, kph = far_field_matrix(modeset, theta, phi)
+        want = np.abs(q.T @ kth) ** 2 + np.abs(q.T @ kph) ** 2
+        got = 10.0 ** (scenario._mode_pattern_db(q, modeset, theta, phi)
+                       / 10.0)
+        assert got.shape == want.shape == (m, theta.size)
+        peak = want.max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * peak), theta.size
+
+
 def test_nonconvergence_exits_2(tmp_path):
     cfg = tmp_path / "starved.yaml"
     cfg.write_text(SMOKE_YAML.format(out=tmp_path / "out")
@@ -304,6 +372,14 @@ def test_cli_validate_rejects_bad_config(tmp_path, capsys):
     assert cli.main(["validate", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "methods" in err
+
+    # a stream count the smaller end cannot carry fails before any run
+    bad.write_text("methods: [obpb:optimal]\nn_ue: [4]\n"
+                   "antenna: {bs_aperture_side: 1.0, ue_aperture_side: 0.5}\n"
+                   "obpb: {m_max: 20}\n")
+    assert cli.main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "obpb: m_max" in err
 
 
 def test_cli_run_quiet(tmp_path, capsys):
