@@ -56,7 +56,7 @@ def obpb_families(profile, m_max):
         def r_of_m(m):
             q = runs[m].q_bs
             if surface != "optimal":
-                q, _ = surfaces.project(ops[surface], q)
+                q = surfaces.project(ops[surface], q)
             return correlation.beam_correlation(q, runs[m].r_bs)
         return r_of_m
 

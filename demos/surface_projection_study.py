@@ -66,7 +66,7 @@ def main():
         t0 = time.perf_counter()
         samp = surfaces.sample_surface(surf)
         op = surfaces.build_z(modes_bs, samp)
-        q_semi, _ = surfaces.project(op, res.q_bs)
+        q_semi = surfaces.project(op, res.q_bs)
         dt = time.perf_counter() - t0
         s = op.singular_values
         print(f"\n{name}: {samp.n_points} sample currents "

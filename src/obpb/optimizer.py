@@ -17,6 +17,14 @@ side and stops once two consecutive half-step transitions (one ending at
 each side) change the figure of merit by less than a relative epsilon.  The
 BS mode correlation under that seed does not depend on M, so a sweep over M
 builds it once (`seed_correlation`) and hands it to every `run`.
+
+Only the M dominant eigenpairs of each correlation are read, and M is small
+against the mode count, so `dominant_beams` finds them by implicitly
+restarted Arnoldi (ARPACK through `scipy.sparse.linalg.eigsh`) followed by a
+Rayleigh-Ritz step, and uses a dense `eigh` only where the Krylov space would
+be the whole space or ARPACK does not converge.  Each half-step starts the
+Krylov iteration from a fixed vector plus the same side's beams of the
+previous half-step, which already span nearly the wanted subspace.
 """
 
 import numpy as np
@@ -28,6 +36,8 @@ from .modes import flat_index
 # eigenvalues closer than this (relatively) are treated as degenerate and
 # their vectors ordered by anchor-entry position, for run-to-run determinism
 _DEGENERACY_TOL = 1e-10
+# seed of the fixed Krylov start vector
+_START_SEED = 0x0B9B
 
 
 class ObpbConfig:
@@ -93,19 +103,61 @@ def _order_descending(vals, vecs):
     return vals, vecs
 
 
-def dominant_beams(r_sph, m):
+def _krylov_start(j, start):
+    """Krylov start vector: a fixed unit vector that depends on nothing but
+    j, plus the unit-normalized sum of the eigenvectors behind `start`."""
+    rng = np.random.default_rng(_START_SEED)
+    v0 = rng.standard_normal(j) + 1j * rng.standard_normal(j)
+    v0 /= np.linalg.norm(v0)
+    if start is not None:
+        guess = np.asarray(start).conj().sum(axis=1)
+        norm = np.linalg.norm(guess)
+        if norm > 0:
+            v0 += guess / norm
+    return v0
+
+
+def _top_eigenpairs(r_sph, m, start):
+    """The m largest eigenpairs of Hermitian r_sph, in no particular order.
+
+    ARPACK's Ritz vectors for (nearly) repeated eigenvalues need not be
+    orthogonal, so the returned pairs come from one Rayleigh-Ritz step on
+    the orthonormalized Krylov answer.
+    """
+    # imported here, not at module load: scipy.sparse.linalg costs tens of
+    # milliseconds of start-up that runs without an optimizer never use
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    j = r_sph.shape[0]
+    ncv = max(2 * m + 1, m + 20)
+    if ncv < j:
+        try:
+            _, vecs = eigsh(r_sph, k=m, which="LA", tol=0, ncv=ncv,
+                            v0=_krylov_start(j, start))
+        except ArpackNoConvergence:
+            pass
+        else:
+            basis, _ = np.linalg.qr(vecs)
+            h = basis.conj().T @ r_sph @ basis
+            vals, w = scipy.linalg.eigh(0.5 * (h + h.conj().T))
+            return vals, basis @ w
+    return scipy.linalg.eigh(r_sph, subset_by_index=[j - m, j - 1])
+
+
+def dominant_beams(r_sph, m, start=None):
     """Top-M eigenbeams of a mode correlation matrix.
 
     Returns (Q, lam): coefficients (J, M) with orthonormal columns and the
     eigenvalues in descending order.  Beams radiate g = q^T K, so the
     coefficient vectors are the conjugated eigenvectors; the beam-space
-    correlation Q^T R Q^* then equals diag(lam).
+    correlation Q^T R Q^* then equals diag(lam).  start, when given, is a
+    coefficient matrix (J, any) whose beams lie near the answer, such as the
+    previous half-step's; it only speeds the solve up.
     """
     j = r_sph.shape[0]
     if not 1 <= m <= j:
         raise ValueError("need 1 <= M <= mode count")
-    vals, vecs = scipy.linalg.eigh(r_sph, subset_by_index=[j - m, j - 1])
-    vals, vecs = _order_descending(vals, vecs)
+    vals, vecs = _order_descending(*_top_eigenpairs(r_sph, m, start))
     return _phase_fix(vecs).conj(), vals
 
 
@@ -123,15 +175,18 @@ def _side_correlation(q_far, profile, modes_near, modes_far, side):
         modes_near, marginal, grid, polarization=profile.params.polarization)
 
 
-def optimize_side(q_far, profile, modes_near, modes_far, m, side):
+def optimize_side(q_far, profile, modes_near, modes_far, m, side,
+                  start=None):
     """One half-step: refresh the beams of `side` against fixed far beams.
 
     q_far: mode coefficients of the far side's current beams over
-    modes_far; modes_near: the ModeSet of the side being refreshed.
+    modes_far; modes_near: the ModeSet of the side being refreshed; start:
+    the side's previous beams, if any (see `dominant_beams`).
     Returns (Q, lam) for the refreshed side.
     """
     return dominant_beams(
-        _side_correlation(q_far, profile, modes_near, modes_far, side), m)
+        _side_correlation(q_far, profile, modes_near, modes_far, side), m,
+        start=start)
 
 
 def _converged(history, epsilon):
@@ -174,19 +229,20 @@ def run(config, profile, modes_bs, modes_ue, m, r_seed=None):
         raise ValueError("need 1 <= M <= min mode count of the two ends")
 
     history = []
-    lam_ue = None
+    q_bs = q_ue = lam_ue = None
     converged = False
     iterations = 0
     norm = float(m) ** m
     r_bs = (r_seed if r_seed is not None
             else seed_correlation(profile, modes_bs, modes_ue))
     for iterations in range(1, config.max_iterations + 1):
-        q_bs, lam_bs = dominant_beams(r_bs, m)
+        q_bs, lam_bs = dominant_beams(r_bs, m, start=q_bs)
         history.append(float(np.prod(lam_bs)) / norm)
         if _converged(history, config.epsilon):
             converged = True
             break
-        q_ue, lam_ue = optimize_side(q_bs, profile, modes_ue, modes_bs, m, "ue")
+        q_ue, lam_ue = optimize_side(q_bs, profile, modes_ue, modes_bs, m,
+                                     "ue", start=q_ue)
         r_bs = _side_correlation(q_ue, profile, modes_bs, modes_ue, "bs")
         r_h = correlation.beam_correlation(q_bs, r_bs)
         history.append(float(np.real(np.linalg.det(r_h))) / norm)

@@ -528,7 +528,7 @@ class _ObpbBundle:
         if key not in self._beam_cache:
             q = self.runs[m].q_bs
             if surface != "optimal":
-                q, _ = surfaces.project(self.ops[surface], q)
+                q = surfaces.project(self.ops[surface], q)
             self._beam_cache[key] = q
         return self._beam_cache[key]
 

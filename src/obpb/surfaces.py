@@ -11,14 +11,19 @@ the regular spherical waves evaluated at the sample points and projected on
 the tangent directions.  Columns of Z span the radiatable mode subspace, and
 the semi-optimal beam is the orthogonal projection
 
-    a = Z^+ q_opt,   q_semi = Z a = (Z Z^+) q_opt,
+    q_semi = P q_opt,   P = Z Z^+ = U_r U_r^H,
 
-which is both the least-squares and the minimum-norm current solution.
+with U_r the left singular vectors above the rank cut.  The pipeline reads
+only P, so a ProjectionOperator keeps U_r's projector and the singular
+values; the currents a = Z^+ q_opt (both the least-squares and the
+minimum-norm current solution) are built on request by `currents`.
 
 Surfaces all fit inside the sphere of radius r0 that encloses the reference
 square aperture: the through-center plane of side sqrt(2) r0, spherical caps
 whose rim corners touch the r0 sphere, and the hemisphere of radius r0.
 """
+
+import functools
 
 import numpy as np
 
@@ -135,6 +140,16 @@ def _local_frame(theta, phi):
     return u, that, phat
 
 
+def _sample_count(length, density):
+    """ceil(length * density), at least 1.
+
+    The product is rounded to 9 decimals first: a side that comes out one
+    ulp above a whole number of cells (sqrt2 * (a / sqrt2) for a = 1.75,
+    3.5 or 7 wavelengths) must not gain a whole row of samples.
+    """
+    return max(1, int(np.ceil(round(length * density, 9))))
+
+
 def sample_surface(surface, density=4.0):
     """Cell-centered point currents at `density` samples per wavelength.
 
@@ -145,7 +160,7 @@ def sample_surface(surface, density=4.0):
     if density <= 0:
         raise ValueError("density must be positive")
     if surface.kind == "plane":
-        n = int(np.ceil(surface.side * density))
+        n = _sample_count(surface.side, density)
         u = ((np.arange(n) + 0.5) / n - 0.5) * surface.side
         yy, zz = np.meshgrid(u, u, indexing="ij")
         pts = np.stack([np.zeros(n * n), yy.ravel(), zz.ravel()], axis=1)
@@ -153,7 +168,7 @@ def sample_surface(surface, density=4.0):
             np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), (n * n, 2, 3)).copy()
     else:
         R, tc, pc = surface.radius, surface.theta_c, surface.phi_c
-        n_bands = max(1, int(np.ceil(2.0 * tc * R * density)))
+        n_bands = _sample_count(2.0 * tc * R, density)
         th = np.pi / 2 + ((np.arange(n_bands) + 0.5) / n_bands - 0.5) * 2.0 * tc
         rows = []
         tangs = []
@@ -163,7 +178,7 @@ def sample_surface(surface, density=4.0):
         center = np.array([-abs(surface.center_x), 0.0, 0.0])
         for t in th:
             arc = 2.0 * pc * R * np.sin(t)
-            n_p = max(1, int(np.ceil(arc * density)))
+            n_p = _sample_count(arc, density)
             ph = ((np.arange(n_p) + 0.5) / n_p - 0.5) * 2.0 * pc
             u, that, phat = _local_frame(np.full(n_p, t), ph)
             rows.append(center + R * u)
@@ -189,25 +204,45 @@ def sample_surface(surface, density=4.0):
 RANK_RTOL = 1e-14
 
 
+def _left_singular(z):
+    """(U, sigma) of z (J x n), economy size, singular values descending.
+
+    A wide z (n > J) is first reduced to the J x J triangular factor of a QR
+    of z^H, which has the same left singular vectors and singular values
+    (Golub & Van Loan, section 5.4), so neither the long right singular
+    vectors nor the QR's orthogonal factor is formed.
+    """
+    if z.shape[1] > z.shape[0]:
+        z = np.linalg.qr(z.conj().T, mode="r").conj().T
+    u, s, _ = np.linalg.svd(z, full_matrices=False)
+    return u, s
+
+
 class ProjectionOperator:
-    """SVD factorization of a surface transfer matrix Z (J x 2P).
+    """Projector onto the radiatable subspace of a transfer matrix Z (J x 2P).
 
     P_op = Z Z^+ restricted to the numerical rank is Hermitian and idempotent
-    by construction (U_r U_r^H from the singular triplets above rtol).
+    by construction (U_r U_r^H from the singular triplets above rtol).  The
+    pseudoinverse is built from a full SVD of Z on first use only.
     """
 
     def __init__(self, z, rtol=RANK_RTOL):
         self.z = z
-        u, s, vh = np.linalg.svd(z, full_matrices=False)
+        u, s = _left_singular(z)
         self.singular_values = s
         self.rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
-        r = self.rank
-        self.pinv = (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
-        self.p_op = u[:, :r] @ u[:, :r].conj().T
+        self.p_op = u[:, :self.rank] @ u[:, :self.rank].conj().T
 
     @property
     def mode_count(self):
         return self.z.shape[0]
+
+    @functools.cached_property
+    def pinv(self):
+        """Moore-Penrose pseudoinverse of Z at the kept rank (2P x J)."""
+        u, s, vh = np.linalg.svd(self.z, full_matrices=False)
+        r = self.rank
+        return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
 
 
 def build_z(modeset, sampling, rtol=RANK_RTOL):
@@ -235,24 +270,25 @@ def build_z(modeset, sampling, rtol=RANK_RTOL):
 def project(op, q, normalize=True):
     """Project beam coefficients onto a surface's radiatable subspace.
 
-    Returns (q_semi, a): the projected (and by default unit-power
-    re-normalized) coefficients and the surface current weights a = Z^+ q.
-    Zero projections are returned as-is rather than normalized.
+    Returns q_semi = P_op q for one coefficient vector or a (J, M) matrix,
+    by default re-normalized to unit power per column; zero projections are
+    returned as-is rather than normalized.  P_op q equals Z Z^+ q exactly in
+    real arithmetic, but evaluating it through the currents loses
+    ~sigma_0/sigma_r digits to cancellation (the currents on weakly-coupled
+    modes are huge and mostly cancel), while the projector form keeps
+    re-projection idempotent to machine precision.
     """
-    q = np.asarray(q, dtype=complex)
-    single = q.ndim == 1
-    if single:
-        q = q[:, None]
-    a = op.pinv @ q
-    # P_op q equals Z a exactly in real arithmetic, but evaluating through the
-    # current solution loses ~sigma_0/sigma_r digits to cancellation (the
-    # currents on weakly-coupled modes are huge and mostly cancel in Z a);
-    # the projector form keeps re-projection idempotent to machine precision.
-    q_semi = op.p_op @ q
+    q_semi = op.p_op @ np.asarray(q, dtype=complex)
     if normalize:
         norms = np.linalg.norm(q_semi, axis=0)
-        safe = np.where(norms > 0, norms, 1.0)
-        q_semi = q_semi / safe
-    if single:
-        return q_semi[:, 0], a[:, 0]
-    return q_semi, a
+        q_semi = q_semi / np.where(norms > 0, norms, 1.0)
+    return q_semi
+
+
+def currents(op, q):
+    """Surface current weights a = Z^+ q of beam coefficients q.
+
+    These are the minimum-norm currents whose radiation is the projection
+    P_op q (before any normalization).
+    """
+    return op.pinv @ np.asarray(q, dtype=complex)

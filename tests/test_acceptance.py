@@ -111,8 +111,8 @@ def test_criterion_2_projector_laws(capsys, bs_modes):
         worst["herm"] = max(worst["herm"],
                             float(np.abs(p - p.conj().T).max()))
         worst["idem"] = max(worst["idem"], float(np.abs(p @ p - p).max()))
-        q1, _ = surfaces.project(op, q)
-        q2, _ = surfaces.project(op, q1)
+        q1 = surfaces.project(op, q)
+        q2 = surfaces.project(op, q1)
         worst["end"] = max(worst["end"], float(np.linalg.norm(q2 - q1)))
     elapsed = time.perf_counter() - t0
 

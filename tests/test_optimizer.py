@@ -6,6 +6,9 @@ full-scale monotonicity/convergence checks live with the release gates.
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
 from obpb import correlation, optimizer, profiles
 from obpb.modes import ModeSet
@@ -150,3 +153,115 @@ def test_shared_seed_matches_independent_runs(desk):
         assert alone.objective_history == shared.objective_history
         assert np.array_equal(alone.r_bs, shared.r_bs)
     assert np.array_equal(seed, seed_before)
+
+
+# ---------------------------------------------------------------------------
+# Krylov top-M solver against dense eigh
+# ---------------------------------------------------------------------------
+
+def _prescribed(rng, vals):
+    """Hermitian PSD matrix with spectrum `vals` and its eigenvectors."""
+    j = vals.size
+    u, _ = np.linalg.qr(rng.standard_normal((j, j))
+                        + 1j * rng.standard_normal((j, j)))
+    r = (u * vals) @ u.conj().T
+    return 0.5 * (r + r.conj().T), u
+
+
+def _assert_matches_dense(r, m, start=None):
+    """Eigenvalues within 1e-12 relative and the top-M eigenspace within
+    1 - cos 1e-12 of scipy.linalg.eigh; reruns bitwise identical."""
+    j = r.shape[0]
+    q, lam = optimizer.dominant_beams(r, m, start=start)
+    q2, lam2 = optimizer.dominant_beams(r, m, start=start)
+    assert np.array_equal(q, q2) and np.array_equal(lam, lam2)
+    ref_vals, ref_vecs = scipy.linalg.eigh(r, subset_by_index=[j - m, j - 1])
+    ref_vals = ref_vals[::-1]
+    assert np.all(np.abs(lam - ref_vals) <= 1e-12 * ref_vals)
+    # largest principal angle between the two spans, from its sine so that
+    # 1 - cos is resolved below machine epsilon
+    v = q.conj()
+    sin = np.linalg.norm(v - ref_vecs @ (ref_vecs.conj().T @ v), 2)
+    assert sin ** 2 / (1.0 + np.sqrt(max(1.0 - sin ** 2, 0.0))) <= 1e-12
+    assert np.abs(q.conj().T @ q - np.eye(m)).max() < 1e-12
+
+
+_J = st.integers(min_value=100, max_value=140)
+_M = st.integers(min_value=1, max_value=12)
+_SEED = st.integers(min_value=0, max_value=2 ** 31 - 1)
+
+
+def _spectrum(rng, j, m):
+    """Top m eigenvalues in [0.55, 1], the rest in [0.01, 0.5]."""
+    vals = np.sort(rng.uniform(0.01, 0.5, j))[::-1]
+    vals[:m] = np.sort(rng.uniform(0.55, 1.0, m))[::-1]
+    return vals
+
+
+@settings(max_examples=25, deadline=None)
+@given(_J, _M, _SEED, st.floats(min_value=-6.0, max_value=np.log10(0.02)))
+def test_dominant_beams_clustered_cut(j, m, seed, log_gap):
+    # lambda_M / lambda_{M+1} in (1, 1.02]; below a gap of 1e-6 the top-M
+    # eigenspace itself moves by more than 1e-12 under roundoff, whatever
+    # the solver
+    rng = np.random.default_rng(seed)
+    vals = _spectrum(rng, j, m)
+    vals[m] = vals[m - 1] / (1.0 + 10.0 ** log_gap)
+    vals[m + 1:] = np.minimum(vals[m + 1:], 0.999 * vals[m])
+    r, _ = _prescribed(rng, vals)
+    _assert_matches_dense(r, m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_J, st.integers(min_value=2, max_value=12), _SEED,
+       st.integers(min_value=2, max_value=3))
+def test_dominant_beams_repeated_eigenvalue(j, m, seed, multiplicity):
+    # an eigenvalue repeated exactly inside the top M
+    rng = np.random.default_rng(seed)
+    vals = _spectrum(rng, j, m)
+    multiplicity = min(multiplicity, m)
+    first = int(rng.integers(0, m - multiplicity + 1))
+    vals[first:first + multiplicity] = vals[first]
+    vals[:m] = np.sort(vals[:m])[::-1]
+    r, _ = _prescribed(rng, vals)
+    _assert_matches_dense(r, m)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_J, _SEED)
+def test_dominant_beams_extreme_m(j, seed):
+    # m = 1 runs the Krylov solver; m = J - 2, J - 1 and J run dense eigh
+    rng = np.random.default_rng(seed)
+    r, _ = _prescribed(rng, np.sort(rng.uniform(0.01, 1.0, j))[::-1])
+    for m in (1, j - 2, j - 1, j):
+        _assert_matches_dense(r, m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_J, _M, _SEED)
+def test_dominant_beams_start_orthogonal_to_answer(j, m, seed):
+    # a warm start whose beams span only the bottom eigenvectors
+    rng = np.random.default_rng(seed)
+    r, u = _prescribed(rng, _spectrum(rng, j, m))
+    _assert_matches_dense(r, m, start=u[:, -m:].conj())
+
+
+def test_dominant_beams_falls_back_to_eigh(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "forced", np.empty(0), np.empty((0, 0)))
+
+    rng = np.random.default_rng(3)
+    j, m = 120, 5
+    r, _ = _prescribed(rng, _spectrum(rng, j, m))
+    krylov_q, krylov_lam = optimizer.dominant_beams(r, m)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    q, lam = optimizer.dominant_beams(r, m)
+    # the fallback is the dense solve, bit for bit
+    vals, vecs = optimizer._order_descending(
+        *scipy.linalg.eigh(r, subset_by_index=[j - m, j - 1]))
+    assert np.array_equal(lam, vals)
+    assert np.array_equal(q, optimizer._phase_fix(vecs).conj())
+    assert not np.array_equal(q, krylov_q)
+    assert np.abs(lam - krylov_lam).max() <= 1e-12 * lam[0]
+    _assert_matches_dense(r, m)

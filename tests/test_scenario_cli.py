@@ -343,6 +343,129 @@ def test_mode_patterns_match_dense_field_evaluation(steps, n_tr, m):
         assert np.all(np.abs(got - want) <= 1e-12 * peak), theta.size
 
 
+DESK_OBPB_YAML = """\
+name: desk_obpb
+output_dir: {out}
+methods: [obpb:optimal, obpb:plane, obpb:one_32_sphere, obpb:hemisphere]
+n_ue: [2, 4]
+quadrature:
+  bs: [48, 96]
+  ue: [24, 48]
+antenna:
+  bs_aperture_side: 1.0
+  ue_aperture_side: 1.0
+obpb:
+  m_max: 4
+artifacts:
+  cut_step_deg: 30.0
+  grid_step_deg: 60.0
+"""
+
+
+def _compare_artifact_trees(a, b):
+    """Largest deviations of tree b from tree a, by kind of value.
+
+    The file lists, every string, integer and flag (m_opt, report_m,
+    iteration counts, surface ranks and sample counts) and every float not
+    named below must be equal.  Returned: objective histories and
+    capacities (relative), det_db (dB), stream patterns (linear power over
+    each stream's peak) and correlation.csv entries (absolute).
+    """
+    import csv
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(b) for p in b.rglob("*")
+                           if p.is_file())
+    worst = dict.fromkeys(("history", "capacity", "det_db", "pattern",
+                           "correlation"), 0.0)
+
+    def note(kind, err):
+        worst[kind] = max(worst[kind], float(err))
+
+    def walk(x, y, key, in_capacity):
+        assert type(x) is type(y), key
+        if isinstance(x, dict):
+            assert list(x) == list(y), key
+            for k in x:
+                walk(x[k], y[k], k, in_capacity or k == "capacity")
+        elif isinstance(x, list):
+            assert len(x) == len(y), key
+            for u, v in zip(x, y):
+                walk(u, v, key, in_capacity)
+        elif isinstance(x, float) and key == "objective_history":
+            note("history", abs(y - x) / abs(x))
+        elif isinstance(x, float) and key == "det_db":
+            note("det_db", abs(y - x))
+        elif isinstance(x, float) and (in_capacity or key == "capacity_bits"):
+            note("capacity", abs(y - x) / abs(x) if x else abs(y))
+        else:
+            assert x == y, key
+
+    for rel in files:
+        if rel.suffix == ".json":
+            walk(json.loads((a / rel).read_text()),
+                 json.loads((b / rel).read_text()), None, False)
+            continue
+        with open(a / rel, newline="") as fa, open(b / rel, newline="") as fb:
+            ra, rb = list(csv.reader(fa)), list(csv.reader(fb))
+        assert ra[0] == rb[0] and len(ra) == len(rb), rel
+        for col, name in enumerate(ra[0]):
+            xa = [row[col] for row in ra[1:]]
+            xb = [row[col] for row in rb[1:]]
+            if name.startswith("stream_"):
+                la = 10.0 ** (np.array(xa, dtype=float) / 10.0)
+                lb = 10.0 ** (np.array(xb, dtype=float) / 10.0)
+                note("pattern", np.abs(lb - la).max() / la.max())
+            elif name in ("re", "im", "abs"):
+                note("correlation", np.abs(np.array(xb, dtype=float)
+                                           - np.array(xa, dtype=float)).max())
+            elif name in ("capacity_bits", "det_db"):
+                for u, v in zip(xa, xb):
+                    walk(float(u), float(v), name, False)
+            else:
+                assert xa == xb, (rel, name)
+    return worst
+
+
+def test_artifacts_match_dense_solvers(tmp_path, monkeypatch):
+    # the Krylov eigensolver and the QR-reduced projector against dense eigh
+    # and a full SVD of every transfer matrix, on all four OBPB families
+    import scipy.sparse.linalg
+    from obpb import surfaces
+    cfg = tmp_path / "desk.yaml"
+    cfg.write_text(DESK_OBPB_YAML.format(out=tmp_path / "krylov"))
+    solves = []
+    krylov_eigsh = scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        lambda *a, **k: solves.append(a[0].shape[0])
+                        or krylov_eigsh(*a, **k))
+    krylov = scenario.run_scenario(scenario.load_scenario(cfg))
+    man = json.loads(krylov.manifest_path.read_text())
+    # both sides (J = 48) ran the Krylov solver, runs took several
+    # half-steps (so warm starts were used), and the hemisphere's Z is wide
+    assert solves.count(48) > 2 * 4
+    assert max(h["iterations"] for h in man["obpb_histories"].values()) > 1
+    hemi = man["resolved"]["surfaces"]["shapes"]["hemisphere"]
+    assert 2 * hemi["n_points"] > man["resolved"]["modes"]["j_bs"]
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "forced", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    monkeypatch.setattr(surfaces, "_left_singular",
+                        lambda z: np.linalg.svd(z, full_matrices=False)[:2])
+    scn = scenario.load_scenario(cfg)
+    scn.output_dir = str(tmp_path / "dense")
+    dense = scenario.run_scenario(scn)
+    assert krylov.exit_code == dense.exit_code == 0
+    worst = _compare_artifact_trees(dense.output_dir, krylov.output_dir)
+    assert worst["history"] <= 1e-12
+    assert worst["capacity"] <= 1e-12
+    assert worst["det_db"] <= 1e-9
+    assert worst["pattern"] <= 1e-10
+    assert worst["correlation"] <= 1e-10
+
+
 def test_nonconvergence_exits_2(tmp_path):
     cfg = tmp_path / "starved.yaml"
     cfg.write_text(SMOKE_YAML.format(out=tmp_path / "out")

@@ -136,7 +136,7 @@ def test_projection_never_amplifies(seed):
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(modeset.mode_count) \
         + 1j * rng.standard_normal(modeset.mode_count)
-    q_semi, _ = surfaces.project(op, q, normalize=False)
+    q_semi = surfaces.project(op, q, normalize=False)
     assert np.linalg.norm(q_semi) <= np.linalg.norm(q) * (1.0 + 1e-12)
 
 
@@ -144,7 +144,8 @@ def test_project_shapes_and_normalization(small_plane_op):
     rng = np.random.default_rng(9)
     j = small_plane_op.mode_count
     q = rng.standard_normal((j, 3)) + 1j * rng.standard_normal((j, 3))
-    q_semi, a = surfaces.project(small_plane_op, q)
+    q_semi = surfaces.project(small_plane_op, q)
+    a = surfaces.currents(small_plane_op, q)
     assert q_semi.shape == (j, 3)
     assert a.shape == (small_plane_op.z.shape[1], 3)
     assert np.abs(np.linalg.norm(q_semi, axis=0) - 1.0).max() < 1e-12
@@ -156,14 +157,16 @@ def test_project_shapes_and_normalization(small_plane_op):
     cond = s[0] / s[small_plane_op.rank - 1]
     assert np.abs(radiated / ratio - q_semi).max() < 1e-13 * cond + 1e-12
 
-    single, a1 = surfaces.project(small_plane_op, q[:, 0])
+    single = surfaces.project(small_plane_op, q[:, 0])
+    a1 = surfaces.currents(small_plane_op, q[:, 0])
     assert single.shape == (j,) and a1.ndim == 1
     assert np.abs(single - q_semi[:, 0]).max() < 1e-12
 
 
 def test_project_zero_vector_stays_zero(small_plane_op):
     q = np.zeros(small_plane_op.mode_count, dtype=complex)
-    q_semi, a = surfaces.project(small_plane_op, q)
+    q_semi = surfaces.project(small_plane_op, q)
+    a = surfaces.currents(small_plane_op, q)
     assert np.all(q_semi == 0) and np.all(a == 0)
 
 
@@ -172,7 +175,7 @@ def test_projection_is_pop_application(small_plane_op):
     rng = np.random.default_rng(4)
     j = small_plane_op.mode_count
     q = rng.standard_normal(j) + 1j * rng.standard_normal(j)
-    q_semi, _ = surfaces.project(small_plane_op, q, normalize=False)
+    q_semi = surfaces.project(small_plane_op, q, normalize=False)
     ref = small_plane_op.p_op @ q
     assert np.abs(q_semi - ref).max() < 1e-10 * np.linalg.norm(q)
 
@@ -181,3 +184,39 @@ def test_custom_rtol_trims_rank(small_plane_op):
     # a coarse tolerance keeps only the strongest couplings; monotone in rtol
     op_loose = surfaces.ProjectionOperator(small_plane_op.z, rtol=0.5)
     assert 1 <= op_loose.rank < small_plane_op.rank
+
+
+def test_plane_sampling_ignores_one_ulp_overshoot():
+    # sqrt2 * (a / sqrt2) lands one ulp above a for these sides, and a plain
+    # ceil(side * density) then added a whole row and column of samples
+    for aperture, n in ((1.75, 7), (3.5, 14), (7.0, 28)):
+        plane = surfaces.plane_surface(aperture / np.sqrt(2.0))
+        assert plane.side * 4.0 > 4.0 * aperture
+        assert surfaces.sample_surface(plane).n_points == n * n
+    # the 4-wavelength samplings every shipped scenario uses are unchanged
+    counts = {name: surfaces.sample_surface(
+        surfaces.named_surface(name, R0_BS)).n_points
+        for name in ("plane", "one_32_sphere", "hemisphere")}
+    assert counts == {"plane": 256, "one_32_sphere": 281, "hemisphere": 832}
+
+
+@pytest.mark.parametrize("name, rank", [("plane", 323),
+                                        ("one_32_sphere", 562),
+                                        ("hemisphere", 646)])
+def test_projector_matches_full_svd(name, rank):
+    # the hemisphere's Z is wide (1664 columns) and takes the QR route; its
+    # last kept singular value is 4.4e-14 sigma_0, close above the 1e-14 cut
+    modeset = ModeSet(enclosing_radius=R0_BS)
+    op = surfaces.build_z(modeset, surfaces.sample_surface(
+        surfaces.named_surface(name, R0_BS)))
+    assert op.rank == rank
+    u, s, vh = np.linalg.svd(op.z, full_matrices=False)
+    assert np.abs(op.singular_values - s).max() <= 1e-13 * s[0]
+    p_ref = u[:, :rank] @ u[:, :rank].conj().T
+    assert np.abs(op.p_op - p_ref).max() <= 1e-13
+    # currents on request equal the eagerly built pseudoinverse's
+    pinv = (vh[:rank].conj().T / s[:rank]) @ u[:, :rank].conj().T
+    rng = np.random.default_rng(11)
+    q = rng.standard_normal((modeset.mode_count, 3)) \
+        + 1j * rng.standard_normal((modeset.mode_count, 3))
+    assert np.array_equal(surfaces.currents(op, q), pinv @ q)
