@@ -22,9 +22,9 @@ Only the M dominant eigenpairs of each correlation are read, and M is small
 against the mode count, so `dominant_beams` finds them by implicitly
 restarted Arnoldi (ARPACK through `scipy.sparse.linalg.eigsh`) followed by a
 Rayleigh-Ritz step, and uses a dense `eigh` only where the Krylov space would
-be the whole space or ARPACK does not converge.  Each half-step starts the
-Krylov iteration from a fixed vector plus the same side's beams of the
-previous half-step, which already span nearly the wanted subspace.
+be the whole space or ARPACK does not converge.  Every solve starts the
+Krylov iteration from the same fixed vector, so a solve depends on nothing
+but its matrix and M.
 """
 
 import numpy as np
@@ -103,21 +103,15 @@ def _order_descending(vals, vecs):
     return vals, vecs
 
 
-def _krylov_start(j, start):
+def _krylov_start(j):
     """Krylov start vector: a fixed unit vector that depends on nothing but
-    j, plus the unit-normalized sum of the eigenvectors behind `start`."""
+    j."""
     rng = np.random.default_rng(_START_SEED)
     v0 = rng.standard_normal(j) + 1j * rng.standard_normal(j)
-    v0 /= np.linalg.norm(v0)
-    if start is not None:
-        guess = np.asarray(start).conj().sum(axis=1)
-        norm = np.linalg.norm(guess)
-        if norm > 0:
-            v0 += guess / norm
-    return v0
+    return v0 / np.linalg.norm(v0)
 
 
-def _top_eigenpairs(r_sph, m, start):
+def _top_eigenpairs(r_sph, m):
     """The m largest eigenpairs of Hermitian r_sph, in no particular order.
 
     ARPACK's Ritz vectors for (nearly) repeated eigenvalues need not be
@@ -133,7 +127,7 @@ def _top_eigenpairs(r_sph, m, start):
     if ncv < j:
         try:
             _, vecs = eigsh(r_sph, k=m, which="LA", tol=0, ncv=ncv,
-                            v0=_krylov_start(j, start))
+                            v0=_krylov_start(j))
         except ArpackNoConvergence:
             pass
         else:
@@ -144,20 +138,18 @@ def _top_eigenpairs(r_sph, m, start):
     return scipy.linalg.eigh(r_sph, subset_by_index=[j - m, j - 1])
 
 
-def dominant_beams(r_sph, m, start=None):
+def dominant_beams(r_sph, m):
     """Top-M eigenbeams of a mode correlation matrix.
 
     Returns (Q, lam): coefficients (J, M) with orthonormal columns and the
     eigenvalues in descending order.  Beams radiate g = q^T K, so the
     coefficient vectors are the conjugated eigenvectors; the beam-space
-    correlation Q^T R Q^* then equals diag(lam).  start, when given, is a
-    coefficient matrix (J, any) whose beams lie near the answer, such as the
-    previous half-step's; it only speeds the solve up.
+    correlation Q^T R Q^* then equals diag(lam).
     """
     j = r_sph.shape[0]
     if not 1 <= m <= j:
         raise ValueError("need 1 <= M <= mode count")
-    vals, vecs = _order_descending(*_top_eigenpairs(r_sph, m, start))
+    vals, vecs = _order_descending(*_top_eigenpairs(r_sph, m))
     return _phase_fix(vecs).conj(), vals
 
 
@@ -175,18 +167,15 @@ def _side_correlation(q_far, profile, modes_near, modes_far, side):
         modes_near, marginal, grid, polarization=profile.params.polarization)
 
 
-def optimize_side(q_far, profile, modes_near, modes_far, m, side,
-                  start=None):
+def optimize_side(q_far, profile, modes_near, modes_far, m, side):
     """One half-step: refresh the beams of `side` against fixed far beams.
 
     q_far: mode coefficients of the far side's current beams over
-    modes_far; modes_near: the ModeSet of the side being refreshed; start:
-    the side's previous beams, if any (see `dominant_beams`).
+    modes_far; modes_near: the ModeSet of the side being refreshed.
     Returns (Q, lam) for the refreshed side.
     """
     return dominant_beams(
-        _side_correlation(q_far, profile, modes_near, modes_far, side), m,
-        start=start)
+        _side_correlation(q_far, profile, modes_near, modes_far, side), m)
 
 
 def _converged(history, epsilon):
@@ -229,20 +218,19 @@ def run(config, profile, modes_bs, modes_ue, m, r_seed=None):
         raise ValueError("need 1 <= M <= min mode count of the two ends")
 
     history = []
-    q_bs = q_ue = lam_ue = None
+    lam_ue = None
     converged = False
     iterations = 0
     norm = float(m) ** m
     r_bs = (r_seed if r_seed is not None
             else seed_correlation(profile, modes_bs, modes_ue))
     for iterations in range(1, config.max_iterations + 1):
-        q_bs, lam_bs = dominant_beams(r_bs, m, start=q_bs)
+        q_bs, lam_bs = dominant_beams(r_bs, m)
         history.append(float(np.prod(lam_bs)) / norm)
         if _converged(history, config.epsilon):
             converged = True
             break
-        q_ue, lam_ue = optimize_side(q_bs, profile, modes_ue, modes_bs, m,
-                                     "ue", start=q_ue)
+        q_ue, lam_ue = optimize_side(q_bs, profile, modes_ue, modes_bs, m, "ue")
         r_bs = _side_correlation(q_ue, profile, modes_bs, modes_ue, "bs")
         r_h = correlation.beam_correlation(q_bs, r_bs)
         history.append(float(np.real(np.linalg.det(r_h))) / norm)

@@ -441,7 +441,7 @@ def test_artifacts_match_dense_solvers(tmp_path, monkeypatch):
     krylov = scenario.run_scenario(scenario.load_scenario(cfg))
     man = json.loads(krylov.manifest_path.read_text())
     # both sides (J = 48) ran the Krylov solver, runs took several
-    # half-steps (so warm starts were used), and the hemisphere's Z is wide
+    # half-steps, and the hemisphere's Z is wide
     assert solves.count(48) > 2 * 4
     assert max(h["iterations"] for h in man["obpb_histories"].values()) > 1
     hemi = man["resolved"]["surfaces"]["shapes"]["hemisphere"]
