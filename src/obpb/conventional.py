@@ -23,7 +23,7 @@ scales linearly with N_UE without changing any selection.
 import numpy as np
 import scipy.linalg
 
-from . import correlation
+from . import capacity
 
 # the ten sub-array shapes (vertical x horizontal) admitted by the search
 SUBARRAY_SHAPES = ((1, 4), (2, 2), (4, 1), (1, 8), (2, 4), (4, 2), (8, 1),
@@ -262,26 +262,23 @@ class ConventionalSelection:
         return len(self.chain)
 
 
+def _selection(weights, r_elem, m_max, metric, group_of=None):
+    """Greedy chain of m_max candidate beams under the given metric."""
+    gram = candidate_gram(weights, r_elem)
+    select = greedy_select_power if metric == "power" else greedy_select_det
+    return ConventionalSelection(weights, gram,
+                                 select(gram, m_max, group_of), group_of)
+
+
 def full_array_selection(r_elem, config, m_max, metric="power"):
     """Greedy chain of m_max full-array DFT beams under the given metric."""
-    weights = dft_codebook(config)
-    gram = candidate_gram(weights, r_elem)
-    if metric == "power":
-        chain = greedy_select_power(gram, m_max)
-    else:
-        chain = greedy_select_det(gram, m_max)
-    return ConventionalSelection(weights, gram, chain)
+    return _selection(dft_codebook(config), r_elem, m_max, metric)
 
 
 def subarray_selection(r_elem, config, sub_shape, m_max, metric="power"):
     """Greedy chain of embedded sub-array beams, at most one per group."""
     weights, group_of = subarray_codebook(config, sub_shape)
-    gram = candidate_gram(weights, r_elem)
-    if metric == "power":
-        chain = greedy_select_power(gram, m_max, group_of)
-    else:
-        chain = greedy_select_det(gram, m_max, group_of)
-    return ConventionalSelection(weights, gram, chain, group_of)
+    return _selection(weights, r_elem, m_max, metric, group_of)
 
 
 def tiling_shapes(config, candidates=SUBARRAY_SHAPES):
@@ -298,14 +295,12 @@ def best_subarray_partition(r_elem, config, n_ue, snr,
     to min(n_groups, N_UE) streams; the shape whose best stream count yields
     the highest capacity wins (first listed wins ties).
     """
-    from . import capacity as _capacity
-
     best = None
     for shape in tiling_shapes(config, candidates):
         n_groups = config.n_elements // (shape[0] * shape[1])
         m_max = min(n_groups, int(n_ue))
         sel = subarray_selection(r_elem, config, shape, m_max, metric)
-        report = _capacity.rank_adapt(sel.beam_correlation, m_max, snr)
+        report = capacity.rank_adapt(sel.beam_correlation, m_max, snr)
         if best is None or report.total > best[2].total * (1.0 + 1e-12):
             best = (shape, sel, report)
     if best is None:

@@ -218,7 +218,6 @@ def run(config, profile, modes_bs, modes_ue, m, r_seed=None):
         raise ValueError("need 1 <= M <= min mode count of the two ends")
 
     history = []
-    lam_ue = None
     converged = False
     iterations = 0
     norm = float(m) ** m
@@ -237,9 +236,5 @@ def run(config, profile, modes_bs, modes_ue, m, r_seed=None):
         if _converged(history, config.epsilon):
             converged = True
             break
-    if lam_ue is None:
-        # converged within the very first half-step window; give the user
-        # side its matched update so both Q matrices have M columns
-        q_ue, lam_ue = optimize_side(q_bs, profile, modes_ue, modes_bs, m, "ue")
     return ObpbResult(q_bs, q_ue, lam_bs, lam_ue, history, converged,
                       iterations, r_bs=r_bs)

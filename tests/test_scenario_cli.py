@@ -283,6 +283,22 @@ def test_obpb_tables_are_shared_across_n_ue(smoke_run):
                 (label, fname)
 
 
+def test_obpb_rank_adaptation_runs_once_per_family(tmp_path, monkeypatch):
+    # an OBPB family's point does not depend on N_UE, so the runner
+    # rank-adapts each family once and writes the result at every N_UE
+    import yaml
+    from obpb import capacity
+    calls = []
+    rank_adapt = capacity.rank_adapt
+    monkeypatch.setattr(capacity, "rank_adapt",
+                        lambda *args: calls.append(args) or rank_adapt(*args))
+    tree = yaml.safe_load(SMOKE_YAML.format(out=tmp_path / "out"))
+    tree.update(methods=["obpb:plane", "obpb:optimal"], n_ue=[2, 4, 8])
+    outcome = scenario.run_scenario(scenario.Scenario(tree))
+    assert len(outcome.points) == 6
+    assert len(calls) == 2
+
+
 def test_conventional_patterns_match_direct_evaluation(smoke_run):
     # each point's stream columns are the dB patterns of the first report_m
     # beams of its own chain, whatever text the run reused for them
