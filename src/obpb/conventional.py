@@ -229,7 +229,8 @@ def greedy_select_det(gram, m, group_of=None):
         chosen.append(c)
         if group_of is not None:
             used.add(group_of[c])
-        # rank-one update of all Schur complements against the new selection
+        # Schur complements of every candidate against the whole selection,
+        # from a fresh Cholesky factor of the chosen block
         gs = gram[np.ix_(chosen, np.arange(n))]
         l = scipy.linalg.cholesky(gram[np.ix_(chosen, chosen)], lower=True)
         x = scipy.linalg.solve_triangular(l, gs, lower=True)

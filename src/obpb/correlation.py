@@ -16,8 +16,13 @@ azimuth sum collapses into the Fourier coefficients of the weighted marginal,
 
     D[theta, k] = sum_phi w(theta, phi) P(theta, phi) e^(i k phi),
 
-and each block of modes with azimuthal orders (m_a, m_b) is a theta-only
-product T_a diag(D[:, m_a - m_b]) T_b^H.
+and the rows of the modes with azimuthal order m_a form one theta-only
+product per polarization component,
+
+    R[a, :] = T_a (D[:, m_a - m] * T^*)^T,
+
+with T the (J, n_theta) fields at phi = 0 and the column m_a - m_j of D
+picked for every mode j: 2N + 1 matrix products fill R.
 """
 
 import numpy as np
@@ -63,15 +68,11 @@ def mode_correlation(modeset, marginal, grid, polarization="theta",
     t = modes_mod.far_field_matrix(modeset, grid.theta_nodes,
                                    np.zeros_like(grid.theta_nodes))
     t = t if polarization == "full" else t[:1]
-    groups = [np.flatnonzero(modeset.m == m) for m in range(-nmax, nmax + 1)]
     r = np.empty((modeset.mode_count,) * 2, dtype=complex)
-    for ia, a in enumerate(groups):
-        for ib in range(ia, len(groups)):
-            b = groups[ib]
-            dk = d[:, ia - ib + 2 * nmax]            # k = m_a - m_b
-            block = sum((tc[a] * dk) @ tc[b].conj().T for tc in t)
-            r[np.ix_(a, b)] = block
-            r[np.ix_(b, a)] = block.conj().T
+    for m_a in range(-nmax, nmax + 1):
+        a = modeset.m == m_a
+        cols = m_a - modeset.m + 2 * nmax            # k = m_a - m_j per mode j
+        r[a] = sum(tc[a] @ (d[:, cols] * tc.conj().T) for tc in t)
     return _hermitize(r)
 
 
@@ -107,7 +108,8 @@ def omni_power(grid):
     This is the electrically small dipole reference: |K_201|^2, a
     sin^2(theta) donut carrying total power 4 pi like every mode.
     """
-    kth, kph = modes_mod.far_field_function(2, 0, 1, grid.theta, grid.phi)
+    kth, kph = modes_mod.far_field_function(*modes_mod.DIPOLE_SMN, grid.theta,
+                                          grid.phi)
     return np.abs(kth) ** 2 + np.abs(kph) ** 2
 
 

@@ -36,6 +36,10 @@ from scipy.special import spherical_jn
 # for n <= 20.
 POLE_CLAMP = 1e-7
 
+# (s, m, n) of the lowest TM mode, the electrically small dipole: the
+# optimizer's seed beam and the SNR calibration's reference antenna
+DIPOLE_SMN = (2, 0, 1)
+
 
 def truncation_order(r0):
     """Polar truncation order for an antenna enclosed in radius r0 (wavelengths).
@@ -169,9 +173,7 @@ def normalized_legendre(nmax, m, theta):
 
 def _mode_sign(m):
     """Hansen prefactor (-m/|m|)^m, with the m = 0 convention of 1."""
-    if m > 0 and m % 2 == 1:
-        return -1.0
-    return 1.0
+    return np.where((m > 0) & (m % 2 == 1), -1.0, 1.0)
 
 
 def far_field_function(s, m, n, theta, phi):
@@ -203,33 +205,47 @@ def far_field_matrix(modes, theta, phi):
     are shared across modes with the same |m|, which is what makes the
     J = 646 truncation affordable on large quadrature grids.
     """
+    return _fields_by_order(modes, theta, phi)[:2]
+
+
+def _fields_by_order(modes, theta, phi, radial=None):
+    """K_theta, K_phi and, given the rows Rr of radial_factors, F_r.
+
+    One Legendre pass per order |m| writes every row of that order at once:
+    the TE rows of m = +|m| and -|m| and the TM rows that follow them in
+    flat order (j + 1).  Keep the elementwise operation order: the surface
+    transfer matrices feed an SVD whose projector amplifies last-bit
+    changes (K formed as K(theta, 0) e^(i m phi) moves the 1/32-sphere
+    capacity by 1e-9 relative).
+    """
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
     if theta.size != phi.size:
         raise ValueError("theta and phi must have the same length")
     nmax = modes.truncation_order
-    J = modes.mode_count
-    Kth = np.empty((J, theta.size), dtype=complex)
-    Kph = np.empty_like(Kth)
+    s, m, n = modes.s, modes.m, modes.n
+    c = np.sqrt(2.0 / (n * (n + 1.0))) * _mode_sign(m)
+    phase = np.array([(-1j) ** k for k in range(nmax + 2)])[n + 2 - s]
+    pref = c * phase                         # c_mn (-i)^(n+1) or c_mn (-i)^n
+    azim = np.array([np.exp(1j * mm * phi) for mm in range(-nmax, nmax + 1)])
     st = np.sin(np.clip(theta, POLE_CLAMP, np.pi - POLE_CLAMP))
-
-    for mu in range(0, nmax + 1):
+    Kth = np.empty((modes.mode_count, theta.size), dtype=complex)
+    Kph = np.empty_like(Kth)
+    Fr = None if radial is None else np.zeros(Kth.shape, dtype=complex)
+    for mu in range(nmax + 1):
         P, dP = normalized_legendre(nmax, mu, theta)
-        for sign in ((1,) if mu == 0 else (1, -1)):
-            m = sign * mu
-            azim = np.exp(1j * m * phi)
-            for n in range(max(mu, 1), nmax + 1):
-                pb = P[n - mu]
-                dpb = dP[n - mu]
-                mps = (1j * m / st) * pb
-                c = np.sqrt(2.0 / (n * (n + 1.0))) * _mode_sign(m)
-                p1 = c * (-1j) ** (n + 1)
-                p2 = c * (-1j) ** n
-                Kth[flat_index(1, m, n) - 1] = (p1 * azim) * mps
-                Kph[flat_index(1, m, n) - 1] = (p1 * azim) * (-dpb)
-                Kth[flat_index(2, m, n) - 1] = (p2 * azim) * dpb
-                Kph[flat_index(2, m, n) - 1] = (p2 * azim) * mps
-    return Kth, Kph
+        te = np.flatnonzero((s == 1) & (np.abs(m) == mu))
+        tm = te + 1
+        pb, dpb = P[n[te] - mu], dP[n[te] - mu]
+        e = azim[m[te] + nmax]
+        mps = (1j * m[te, None] / st) * pb
+        Kth[te] = (pref[te, None] * e) * mps
+        Kph[te] = (pref[te, None] * e) * -dpb
+        Kth[tm] = (pref[tm, None] * e) * dpb
+        Kph[tm] = (pref[tm, None] * e) * mps
+        if Fr is not None:
+            Fr[tm] = radial[n[tm] - 1] * c[tm, None] * phase[tm, None] * e * pb
+    return Kth, Kph, Fr
 
 
 def radial_factors(nmax, kr):
@@ -277,26 +293,10 @@ def regular_wave_matrix(modes, r, theta, phi):
     (F_r, F_theta, F_phi), each (J, P) in flat-index order.
     """
     r = np.asarray(r, dtype=float).ravel()
-    theta = np.asarray(theta, dtype=float).ravel()
-    phi = np.asarray(phi, dtype=float).ravel()
-    nmax = modes.truncation_order
-    Kth, Kph = far_field_matrix(modes, theta, phi)
-    R1, R2, Rr = radial_factors(nmax, 2.0 * np.pi * r)
-    J = modes.mode_count
-    Fr = np.zeros((J, r.size), dtype=complex)
-    Fth = np.empty_like(Fr)
-    Fph = np.empty_like(Fr)
-    for i, (s, m, n) in enumerate(modes):
-        rad = R1[n - 1] if s == 1 else R2[n - 1]
-        Fth[i] = rad * Kth[i]
-        Fph[i] = rad * Kph[i]
-    # radial components of the s = 2 modes, sharing Legendre blocks per |m|
-    for mu in range(0, nmax + 1):
-        P, _ = normalized_legendre(nmax, mu, theta)
-        for sign in ((1,) if mu == 0 else (1, -1)):
-            m = sign * mu
-            azim = np.exp(1j * m * phi)
-            for n in range(max(mu, 1), nmax + 1):
-                c = np.sqrt(2.0 / (n * (n + 1.0))) * _mode_sign(m)
-                Fr[flat_index(2, m, n) - 1] = Rr[n - 1] * c * (-1j) ** n * azim * P[n - mu]
-    return Fr, Fth, Fph
+    R1, R2, Rr = radial_factors(modes.truncation_order, 2.0 * np.pi * r)
+    Kth, Kph, Fr = _fields_by_order(modes, theta, phi, Rr)
+    # tangential parts: K_smn times the per-mode radial scalar
+    rad = np.stack((R1, R2))[modes.s - 1, modes.n - 1]
+    Kth *= rad
+    Kph *= rad
+    return Fr, Kth, Kph

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from . import correlation, profiles
-from .modes import flat_index
+from .modes import DIPOLE_SMN, flat_index
 
 # eigenvalues closer than this (relatively) are treated as degenerate and
 # their vectors ordered by anchor-entry position, for run-to-run determinism
@@ -193,7 +193,7 @@ def seed_correlation(profile, modes_bs, modes_ue):
     This is the first half-step's input at every M.
     """
     q_ue = np.zeros((modes_ue.mode_count, 1), dtype=complex)
-    q_ue[flat_index(2, 0, 1) - 1, 0] = 1.0
+    q_ue[flat_index(*DIPOLE_SMN) - 1, 0] = 1.0
     return _side_correlation(q_ue, profile, modes_bs, modes_ue, "bs")
 
 

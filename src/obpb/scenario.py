@@ -43,10 +43,9 @@ import yaml
 
 from . import __version__, capacity, conventional, correlation, optimizer
 from . import profiles, surfaces
-from .modes import ModeSet, mode_count_for_radius
+from .modes import DIPOLE_SMN, ModeSet, mode_count_for_radius
 from .profiles import JointProfile, ProfileParams, make_grid
 
-SURFACE_NAMES = ("plane", "one_32_sphere", "hemisphere")
 DB_FLOOR = 1e-20          # pattern power floor before 10*log10
 
 
@@ -104,10 +103,10 @@ def parse_method(spec, where="methods"):
     arg = arg.strip()
     if kind == "obpb":
         surface = arg or "optimal"
-        if surface != "optimal" and surface not in SURFACE_NAMES:
+        if surface != "optimal" and surface not in surfaces.SURFACES:
             raise ScenarioError(
                 f"{where}: unknown surface '{surface}' (optimal, "
-                + ", ".join(SURFACE_NAMES) + ")")
+                + ", ".join(surfaces.SURFACES) + ")")
         return {"kind": "obpb", "surface": surface,
                 "label": f"obpb_{surface}"}
     if kind == "full_array":
@@ -166,6 +165,9 @@ class Scenario:
             raise ScenarioError(f"{where}: n_ue: expected a non-empty list")
         self.n_ue = [_integer(v, f"{where}: n_ue[{i}]", None)
                      for i, v in enumerate(n_ue)]
+        for i, v in enumerate(self.n_ue):
+            if v in self.n_ue[:i]:
+                raise ScenarioError(f"{where}: n_ue: duplicate entry {v}")
 
         self.snr_db_siso = _number(tree.get("snr_db_siso"),
                                    f"{where}: snr_db_siso", -12.0)
@@ -755,7 +757,7 @@ def _resolved_parameters(scenario, profile, snr, obpb_bundle, conv_bundle):
             "epsilon": scenario.obpb_config.epsilon,
             "max_iterations": scenario.obpb_config.max_iterations,
             "m_max": scenario.obpb_m_max,
-            "seed_mode_smn": [2, 0, 1],
+            "seed_mode_smn": list(DIPOLE_SMN),
             "rank_adaptation": "re-run optimizer per candidate M",
         }
         resolved["surfaces"] = {

@@ -94,15 +94,19 @@ def hemisphere_surface(r0):
                           phi_c=np.pi / 2, center_x=0.0)
 
 
+# the three reference shapes by scenario name, each a factory of r0
+SURFACES = {
+    "plane": plane_surface,
+    "one_32_sphere": lambda r0: cap_surface(r0, np.pi / 8, np.pi / 8),
+    "hemisphere": hemisphere_surface,
+}
+
+
 def named_surface(name, r0):
     """Surface factory for the three reference shapes by scenario name."""
-    if name == "plane":
-        return plane_surface(r0)
-    if name == "one_32_sphere":
-        return cap_surface(r0, np.pi / 8, np.pi / 8)
-    if name == "hemisphere":
-        return hemisphere_surface(r0)
-    raise ValueError(f"unknown surface '{name}'")
+    if name not in SURFACES:
+        raise ValueError(f"unknown surface '{name}'")
+    return SURFACES[name](r0)
 
 
 class SurfaceSampling:

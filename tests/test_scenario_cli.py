@@ -92,6 +92,11 @@ def test_scenario_error_messages_are_anchored(tmp_path):
     with pytest.raises(scenario.ScenarioError, match="duplicate"):
         scenario.load_scenario(bad)
 
+    bad.write_text("methods: [obpb:plane]\nn_ue: [4, 9, 4]\n")
+    with pytest.raises(scenario.ScenarioError,
+                       match=r"n_ue: duplicate entry 4$"):
+        scenario.load_scenario(bad)
+
     bad.write_text("methods: [obpb:plane]\nn_ue: [4]\nquadrature: {bs: [9]}\n")
     with pytest.raises(scenario.ScenarioError, match="n_theta, n_phi"):
         scenario.load_scenario(bad)
