@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 configuration or input error, 2 scenario ran but at
 least one optimizer point did not converge (artifacts are still written).
+`validate` runs no compute, so it cannot see an ``obpb.m_max`` above a
+surface's radiatable rank: that needs the transfer matrix, and `run` reports
+it (exit 1) once the matrix is built, before anything is written.
 """
 
 import argparse

@@ -176,7 +176,13 @@ def element_correlation(profile, config, n_ue=1):
 def candidate_gram(weights, r_elem):
     """Beam-space Gram G = W^T R W^* of all candidate beams (Hermitian PSD)."""
     g = weights.T @ r_elem @ weights.conj()
-    return 0.5 * (g + g.conj().T)
+    # 0.5 (G + G^H) by the same operations, in place, so two B x B
+    # temporaries fewer: the partition search builds and frees one Gram per
+    # shape, and freed temporaries go back to the system and are faulted in
+    # again for the next shape
+    g += g.conj().T
+    g *= 0.5
+    return g
 
 
 def greedy_select_power(gram, m, group_of=None):
@@ -239,24 +245,24 @@ def greedy_select_det(gram, m, group_of=None):
 
 
 class ConventionalSelection:
-    """A greedy chain over one codebook plus everything built from it.
+    """A greedy chain over one codebook, reduced to what rank adaptation and
+    the pattern tables read: the chain's weight columns and its Gram block.
 
     Both greedy rules are nested (the length-m selection is the prefix of
-    the length-M chain), so rank adaptation slices prefixes of one chain.
+    the length-M chain), so every m is a leading slice of those two arrays;
+    the codebook and its full Gram are not kept.
     """
 
-    def __init__(self, weights, gram, chain, group_of=None):
-        self.weights = weights
-        self.gram = gram
+    def __init__(self, weights, gram, chain):
         self.chain = list(chain)
-        self.group_of = group_of
+        self._weights = weights[:, self.chain]
+        self._gram = gram[np.ix_(self.chain, self.chain)]
 
     def beam_weights(self, m):
-        return self.weights[:, self.chain[:m]]
+        return self._weights[:, :m]
 
     def beam_correlation(self, m):
-        idx = self.chain[:m]
-        return self.gram[np.ix_(idx, idx)]
+        return self._gram[:m, :m]
 
     @property
     def m_max(self):
@@ -267,8 +273,7 @@ def _selection(weights, r_elem, m_max, metric, group_of=None):
     """Greedy chain of m_max candidate beams under the given metric."""
     gram = candidate_gram(weights, r_elem)
     select = greedy_select_power if metric == "power" else greedy_select_det
-    return ConventionalSelection(weights, gram,
-                                 select(gram, m_max, group_of), group_of)
+    return ConventionalSelection(weights, gram, select(gram, m_max, group_of))
 
 
 def full_array_selection(r_elem, config, m_max, metric="power"):

@@ -8,8 +8,13 @@ the flat angle coordinates; the sin(theta) measure lives entirely in the
 quadrature weights.
 
 Azimuth is 2 pi periodic, so the Gaussian is wrapped by summing the +-1
-period images of both azimuths (nine terms).  With sigma_phi up to ~50 deg
-the +-2 images are below 1e-10 of the peak and are dropped.
+period images of both azimuths (nine terms).  Mean azimuths are wrapped into
+(-180, 180] deg, so every node's offset from the mean lies within 2 pi and
+the nearest dropped +-2 image is at least 3 pi - |mu_phi| away.
+`ProfileParams` rejects an end whose exp(-(3 pi - |mu_phi|)^2 / (2
+sigma_phi^2)) exceeds 1e-10 of the peak (sigma_phi above ~79 deg at
+mu_phi = 0); the widest benchmark profile (sigma_phi <= 50.5 deg, |mu_phi| <=
+5 deg) sits at e^-56.
 
 The normalization constant is computed numerically on the construction
 grids, so the discrete integral of the joint density is exactly 1 there.
@@ -26,6 +31,9 @@ DEG = np.pi / 180.0
 # profile (see tests)
 BS_GRID = (96, 192)
 UE_GRID = (48, 96)
+
+# largest share of the peak a dropped +-2 azimuth image may carry
+_IMAGE_CUT = 1e-10
 
 # row-block size for assembling the joint matrix; keeps the exp temporaries
 # near 150 MB while the full 18432 x 4608 matrix is ~680 MB
@@ -73,18 +81,29 @@ class ProfileParams:
 
     Angles in degrees: mean_bs/mean_ue are (theta, phi) pairs, sigma the four
     standard deviations in the order (theta_b, phi_b, theta_u, phi_u), corr
-    the 4 x 4 correlation matrix in the same order.
+    the 4 x 4 correlation matrix in the same order.  Each mean phi is wrapped
+    into (-180, 180]; values already there keep their bits.
     """
 
     def __init__(self, mean_bs, mean_ue, sigma, corr, polarization="theta"):
-        self.mean_bs = np.asarray(mean_bs, dtype=float)
-        self.mean_ue = np.asarray(mean_ue, dtype=float)
+        self.mean_bs = np.array(mean_bs, dtype=float)
+        self.mean_ue = np.array(mean_ue, dtype=float)
         self.sigma = np.asarray(sigma, dtype=float)
         self.corr = np.asarray(corr, dtype=float)
         if self.mean_bs.shape != (2,) or self.mean_ue.shape != (2,):
             raise ValueError("means are (theta, phi) pairs in degrees")
         if self.sigma.shape != (4,) or np.any(self.sigma <= 0):
             raise ValueError("sigma must be four positive values")
+        for end, mean, sigma in (("bs", self.mean_bs, self.sigma[1]),
+                                 ("ue", self.mean_ue, self.sigma[3])):
+            if not -180.0 < mean[1] <= 180.0:
+                mean[1] = 180.0 - (180.0 - mean[1]) % 360.0
+            gap = 3.0 * np.pi - abs(mean[1]) * DEG
+            if np.exp(-gap ** 2 / (2.0 * (sigma * DEG) ** 2)) > _IMAGE_CUT:
+                raise ValueError(
+                    f"{end} azimuth: sigma {sigma:g} deg at mean {mean[1]:g} "
+                    "deg puts the dropped +-2 period images above "
+                    f"{_IMAGE_CUT:g} of the peak")
         if self.corr.shape != (4, 4) or not np.allclose(self.corr, self.corr.T):
             raise ValueError("correlation matrix must be symmetric 4 x 4")
         if not np.allclose(np.diag(self.corr), 1.0):

@@ -7,19 +7,24 @@ falls back to the same defaults the library modules use.
 
 Scenario points (method x N_UE) each write only into their own directory.
 The runner follows the structure the sweep already has.  What points share
-is built once up front and only read afterwards: the optimizer runs for
-every M (all started from one dipole-seeded BS correlation), the surface
-projectors, the full-array greedy chains (selection is scale-invariant, so
-one chain at N_UE = 1 serves every N_UE) and, once the joint profile is
-gone, one steering matrix per BS artifact table.  Nothing an OBPB family
-reports depends on N_UE, so each family's point (rank adaptation, report-M
-correlation, det_db and pattern tables) is computed once and written under
-every ``n_ue_<k>`` directory.  A codebook point is computed per N_UE: the
-full-array family scales the shared chain's gram by N_UE, and the sub-array
-partition search runs at the true scale.  A method's tables are let go
-once its points are written.  The joint profile is let go before the first
-point, once the manifest has taken its normalization and SISO reference:
-its joint matrix is the run's largest array and no point reads it.
+is built once up front, reduced to what the points read, and only read
+afterwards.  The surface projectors are built first (a stream count above a
+surface's rank fails there, before the optimizer runs); then the optimizer
+runs once per M, all started from one dipole-seeded BS correlation, and each
+run is reduced as it returns to every OBPB family's BS beams and M x M beam
+correlation plus the UE beams and the history.  The full-array greedy
+chains (selection is scale-invariant, so one chain at N_UE = 1 serves every
+N_UE) keep only their beams and Gram block, and once the joint profile is
+gone one steering matrix per BS artifact table is built.  Nothing an OBPB
+family reports depends on N_UE, so each family's point (rank adaptation,
+report-M correlation, det_db and pattern tables) is computed once and
+written under every ``n_ue_<k>`` directory.  A codebook point is computed
+per N_UE: the full-array family scales the shared chain's Gram block by
+N_UE, and the sub-array partition search runs at the true scale.  A
+method's tables are let go once its points are written.  The joint profile
+is let go before the first point, once the manifest has taken its
+normalization and SISO reference: its joint matrix is the run's largest
+array and no point reads it.
 
 Numeric tables are rendered a whole column at a time, and the text of every
 distinct column is kept for the rest of the run.  That text is the run's
@@ -90,6 +95,40 @@ def _integer(node, where, default, minimum=1):
     return value
 
 
+# the library defaults that scenario keys fall back to
+_OBPB, _ARRAY = optimizer.ObpbConfig(), conventional.ArrayConfig()
+
+# every key of the flat sections as (key, parser, default, minimum): a
+# number must exceed its minimum, an integer reach it
+_SECTIONS = {
+    "antenna": (("bs_aperture_side", _number, 4.0, 0.0),
+                ("ue_aperture_side", _number, 1.0, 0.0)),
+    "obpb": (("epsilon", _number, _OBPB.epsilon, 0.0),
+             ("max_iterations", _integer, _OBPB.max_iterations, 1),
+             ("m_max", _integer, 12, 1)),
+    "surfaces": (("density", _number, 4.0, 0.0),
+                 ("rank_rtol", _number, surfaces.RANK_RTOL, 0.0)),
+    "conventional": (("n_v", _integer, _ARRAY.n_v, 1),
+                     ("n_h", _integer, _ARRAY.n_h, 1),
+                     ("spacing", _number, _ARRAY.spacing, 0.0),
+                     ("beam_interval", _integer, _ARRAY.beam_interval, 1)),
+    "artifacts": (("cut_step_deg", _number, 1.0, 0.0),
+                  ("grid_step_deg", _number, 3.0, 0.0)),
+}
+
+_METRICS = {"power": "power", "det": "determinant",
+            "determinant": "determinant"}
+
+
+def _section(tree, name, where):
+    """One flat section's values by key, missing keys at their defaults."""
+    where = f"{where}: {name}"
+    node = _require_mapping(tree.get(name, {}), where)
+    _reject_unknown(node, where, [row[0] for row in _SECTIONS[name]])
+    return {key: parse(node.get(key), f"{where}: {key}", default, minimum)
+            for key, parse, default, minimum in _SECTIONS[name]}
+
+
 def parse_method(spec, where="methods"):
     """One method string -> descriptor dict with a filesystem-safe label.
 
@@ -109,22 +148,14 @@ def parse_method(spec, where="methods"):
                 + ", ".join(surfaces.SURFACES) + ")")
         return {"kind": "obpb", "surface": surface,
                 "label": f"obpb_{surface}"}
-    if kind == "full_array":
-        metric = {"power": "power", "det": "determinant",
-                  "determinant": "determinant"}.get(arg or "power")
+    if kind in ("full_array", "sub_array"):
+        metric = _METRICS.get(arg or "power")
         if metric is None:
-            raise ScenarioError(f"{where}: full_array metric is "
+            raise ScenarioError(f"{where}: {kind} metric is "
                                 f"'power' or 'det', got '{arg}'")
-        return {"kind": "full_array", "metric": metric,
-                "label": "full_array_" + ("det" if metric == "determinant"
-                                          else "power")}
-    if kind == "sub_array":
-        metric = {"": "power", "power": "power", "det": "determinant",
-                  "determinant": "determinant"}.get(arg)
-        if metric is None:
-            raise ScenarioError(f"{where}: sub_array metric is "
-                                f"'power' or 'det', got '{arg}'")
-        return {"kind": "sub_array", "metric": metric, "label": "sub_array"}
+        label = ("sub_array" if kind == "sub_array" else "full_array_"
+                 + ("det" if metric == "determinant" else "power"))
+        return {"kind": kind, "metric": metric, "label": label}
     raise ScenarioError(f"{where}: unknown method kind '{kind}' "
                         "(obpb, full_array, sub_array)")
 
@@ -205,26 +236,14 @@ class Scenario:
                 _integer(pair[0], f"{where}: quadrature: {side}[0]", None, 2),
                 _integer(pair[1], f"{where}: quadrature: {side}[1]", None, 2))
 
-        ant = _require_mapping(tree.get("antenna", {}), f"{where}: antenna")
-        _reject_unknown(ant, f"{where}: antenna",
-                        ("bs_aperture_side", "ue_aperture_side"))
-        self.bs_aperture_side = _number(ant.get("bs_aperture_side"),
-                                        f"{where}: antenna: bs_aperture_side",
-                                        4.0, 0.0)
-        self.ue_aperture_side = _number(ant.get("ue_aperture_side"),
-                                        f"{where}: antenna: ue_aperture_side",
-                                        1.0, 0.0)
+        ant = _section(tree, "antenna", where)
+        self.bs_aperture_side = ant["bs_aperture_side"]
+        self.ue_aperture_side = ant["ue_aperture_side"]
 
-        ob = _require_mapping(tree.get("obpb", {}), f"{where}: obpb")
-        _reject_unknown(ob, f"{where}: obpb",
-                        ("epsilon", "max_iterations", "m_max"))
-        self.obpb_config = optimizer.ObpbConfig(
-            epsilon=_number(ob.get("epsilon"), f"{where}: obpb: epsilon",
-                            0.01, 0.0),
-            max_iterations=_integer(ob.get("max_iterations"),
-                                    f"{where}: obpb: max_iterations", 200))
-        self.obpb_m_max = _integer(ob.get("m_max"), f"{where}: obpb: m_max",
-                                   12)
+        ob = _section(tree, "obpb", where)
+        self.obpb_config = optimizer.ObpbConfig(ob["epsilon"],
+                                                ob["max_iterations"])
+        self.obpb_m_max = ob["m_max"]
         if self.needs_obpb():
             counts = {}
             for side, r0 in (("bs", self.bs_radius), ("ue", self.ue_radius)):
@@ -239,43 +258,21 @@ class Scenario:
                     f"mode count of the smaller end (J_bs = {counts['bs']}, "
                     f"J_ue = {counts['ue']})")
 
-        sur = _require_mapping(tree.get("surfaces", {}), f"{where}: surfaces")
-        _reject_unknown(sur, f"{where}: surfaces", ("density", "rank_rtol"))
-        self.surface_density = _number(sur.get("density"),
-                                       f"{where}: surfaces: density", 4.0,
-                                       0.0)
-        self.surface_rtol = _number(sur.get("rank_rtol"),
-                                    f"{where}: surfaces: rank_rtol",
-                                    surfaces.RANK_RTOL, 0.0)
+        sur = _section(tree, "surfaces", where)
+        self.surface_density = sur["density"]
+        self.surface_rtol = sur["rank_rtol"]
 
-        conv = _require_mapping(tree.get("conventional", {}),
-                                f"{where}: conventional")
-        _reject_unknown(conv, f"{where}: conventional",
-                        ("n_v", "n_h", "spacing", "beam_interval"))
         self.array_config = conventional.ArrayConfig(
-            n_v=_integer(conv.get("n_v"), f"{where}: conventional: n_v", 8),
-            n_h=_integer(conv.get("n_h"), f"{where}: conventional: n_h", 8),
-            spacing=_number(conv.get("spacing"),
-                            f"{where}: conventional: spacing", 0.5, 0.0),
-            beam_interval=_integer(conv.get("beam_interval"),
-                                   f"{where}: conventional: beam_interval",
-                                   4))
+            **_section(tree, "conventional", where))
         if (any(m["kind"] == "sub_array" for m in self.methods)
                 and not conventional.tiling_shapes(self.array_config)):
             raise ScenarioError(
                 f"{where}: conventional: n_v/n_h: no sub-array shape tiles a "
                 f"{self.array_config.n_v} x {self.array_config.n_h} array")
 
-        art = _require_mapping(tree.get("artifacts", {}),
-                               f"{where}: artifacts")
-        _reject_unknown(art, f"{where}: artifacts",
-                        ("cut_step_deg", "grid_step_deg"))
-        self.cut_step_deg = _number(art.get("cut_step_deg"),
-                                    f"{where}: artifacts: cut_step_deg",
-                                    1.0, 0.0)
-        self.grid_step_deg = _number(art.get("grid_step_deg"),
-                                     f"{where}: artifacts: grid_step_deg",
-                                     3.0, 0.0)
+        art = _section(tree, "artifacts", where)
+        self.cut_step_deg = art["cut_step_deg"]
+        self.grid_step_deg = art["grid_step_deg"]
 
     # -- derived geometry ---------------------------------------------------
 
@@ -503,38 +500,56 @@ class RunOutcome:
 
 
 class _ObpbBundle:
-    """Optimizer runs for every candidate M plus the surface projectors."""
+    """Each OBPB family's beams and beam correlations at every candidate M.
+
+    The surface projectors are built first, so a stream count above a
+    surface's radiatable rank fails before the optimizer runs.  Each
+    optimizer run is reduced as soon as it returns: every family keeps its
+    BS beams (projected, for a surface) and their M x M correlation against
+    the run's BS mode correlation, and the run's UE beams and history are
+    kept.  The projectors, the samplings and every J x J mode correlation
+    are let go when construction ends; ``shapes`` keeps each surface's
+    sample count, rank and kind for the manifest.
+    """
 
     def __init__(self, scenario, profile):
         self.modes_bs = ModeSet(enclosing_radius=scenario.bs_radius)
         self.modes_ue = ModeSet(enclosing_radius=scenario.ue_radius)
+        m_max = scenario.obpb_m_max
+        names = [mm["surface"] for mm in scenario.methods
+                 if mm["kind"] == "obpb"]
+        ops, self.shapes = {}, {}
+        for name in sorted(set(names) - {"optimal"}):
+            samp = surfaces.sample_surface(
+                surfaces.named_surface(name, scenario.bs_radius),
+                scenario.surface_density)
+            op = ops[name] = surfaces.build_z(self.modes_bs, samp,
+                                              rtol=scenario.surface_rtol)
+            if m_max > op.rank:
+                raise ScenarioError(
+                    f"{scenario.source}: obpb: m_max: {m_max} exceeds the "
+                    f"radiatable rank {op.rank} of surface '{name}'")
+            self.shapes[name] = {"n_points": samp.n_points, "rank": op.rank,
+                                 "kind": samp.surface.kind}
         seed = optimizer.seed_correlation(profile, self.modes_bs,
                                           self.modes_ue)
-        self.runs = {}
-        for m in range(1, scenario.obpb_m_max + 1):
-            self.runs[m] = optimizer.run(scenario.obpb_config, profile,
-                                         self.modes_bs, self.modes_ue, m,
-                                         r_seed=seed)
-        self.ops = {}
-        self.samplings = {}
-        needed = {mm["surface"] for mm in scenario.methods
-                  if mm["kind"] == "obpb" and mm["surface"] != "optimal"}
-        for name in sorted(needed):
-            surf = surfaces.named_surface(name, scenario.bs_radius)
-            samp = surfaces.sample_surface(surf, scenario.surface_density)
-            self.samplings[name] = samp
-            self.ops[name] = surfaces.build_z(self.modes_bs, samp,
-                                              rtol=scenario.surface_rtol)
-
-    @property
-    def converged(self):
-        return all(r.converged for r in self.runs.values())
-
-    def histories(self):
-        return {m: {"objective_history": list(r.objective_history),
-                    "converged": bool(r.converged),
-                    "iterations": int(r.iterations)}
-                for m, r in self.runs.items()}
+        # family -> M -> (BS beams, their beam correlation)
+        self.families = {name: {} for name in names}
+        self.q_ue, self.histories = {}, {}
+        for m in range(1, m_max + 1):
+            run = optimizer.run(scenario.obpb_config, profile, self.modes_bs,
+                                self.modes_ue, m, r_seed=seed)
+            for name, family in self.families.items():
+                q = (run.q_bs if name == "optimal"
+                     else surfaces.project(ops[name], run.q_bs))
+                family[m] = q, correlation.beam_correlation(q, run.r_bs)
+            self.q_ue[m] = run.q_ue
+            self.histories[m] = {
+                "objective_history": list(run.objective_history),
+                "converged": bool(run.converged),
+                "iterations": int(run.iterations)}
+        self.converged = all(h["converged"]
+                             for h in self.histories.values())
 
 
 class _ConventionalBundle:
@@ -591,19 +606,17 @@ class _Point:
 
 def _obpb_point(scenario, method, bundle, snr, writer):
     """The point of one OBPB family; nothing in it depends on N_UE."""
-    op = bundle.ops.get(method["surface"])
-    q_bs = {m: run.q_bs if op is None else surfaces.project(op, run.q_bs)
-            for m, run in bundle.runs.items()}
-    r_h = {m: correlation.beam_correlation(q, bundle.runs[m].r_bs)
-           for m, q in q_bs.items()}
-    report = capacity.rank_adapt(r_h.get, scenario.obpb_m_max, snr)
+    family = bundle.families[method["surface"]]
+    report = capacity.rank_adapt(lambda m: family[m][1], scenario.obpb_m_max,
+                                 snr)
     report_m = min(scenario.report_m or report.m_opt, scenario.obpb_m_max)
-    dbs = ([_mode_pattern_db(q_bs[report_m], bundle.modes_bs, theta, phi)
+    q_bs, r_report = family[report_m]
+    dbs = ([_mode_pattern_db(q_bs, bundle.modes_bs, theta, phi)
             for *_, theta, phi in writer.bs_tables]
-           + [_mode_pattern_db(bundle.runs[report_m].q_ue, bundle.modes_ue,
+           + [_mode_pattern_db(bundle.q_ue[report_m], bundle.modes_ue,
                                theta, phi)
               for *_, theta, phi in writer.ue_tables])
-    return _Point(report, report_m, r_h[report_m],
+    return _Point(report, report_m, r_report,
                   writer.bs_tables + writer.ue_tables, dbs,
                   {"converged": bundle.converged})
 
@@ -661,7 +674,7 @@ def run_scenario(scenario, echo=None):
         obpb_bundle = _ObpbBundle(scenario, profile)
         say(f"optimizer: {scenario.obpb_m_max} stream counts, converged="
             f"{obpb_bundle.converged}; surface ranks "
-            + str({k: op.rank for k, op in obpb_bundle.ops.items()}))
+            + str({k: s["rank"] for k, s in obpb_bundle.shapes.items()}))
     conv_bundle = None
     if scenario.needs_conventional():
         conv_bundle = _ConventionalBundle(scenario, profile)
@@ -700,7 +713,7 @@ def run_scenario(scenario, echo=None):
         "source": str(scenario.source),
         "resolved": resolved,
         "points": points,
-        "obpb_histories": (obpb_bundle.histories() if obpb_bundle else {}),
+        "obpb_histories": obpb_bundle.histories if obpb_bundle else {},
         "converged": obpb_bundle.converged if obpb_bundle else True,
         "summary_csv": "summary.csv",
     }
@@ -763,12 +776,7 @@ def _resolved_parameters(scenario, profile, snr, obpb_bundle, conv_bundle):
         resolved["surfaces"] = {
             "density_per_wavelength": scenario.surface_density,
             "rank_rtol": scenario.surface_rtol,
-            "shapes": {
-                name: {
-                    "n_points": obpb_bundle.samplings[name].n_points,
-                    "rank": op.rank,
-                    "kind": obpb_bundle.samplings[name].surface.kind,
-                } for name, op in obpb_bundle.ops.items()},
+            "shapes": obpb_bundle.shapes,
         }
     if conv_bundle is not None:
         cfg = conv_bundle.config

@@ -208,6 +208,47 @@ def test_selection_chain_object(desk_profile, small_config):
     assert np.abs(rb - ref).max() < 1e-10 * np.abs(ref).max()
 
 
+def test_candidate_gram_is_the_hermitian_part_bit_for_bit():
+    # the Gram is Hermitized in place; the values must be those of
+    # 0.5 (G + G^H) to the last bit, since greedy power chains break exact
+    # ties only
+    rng = np.random.default_rng(7)
+    for n, b in ((16, 64), (5, 37), (1, 3)):
+        w = rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b))
+        w[:, ::7] = 0.0
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        r = a @ a.conj().T
+        g = w.T @ r @ w.conj()
+        assert (conventional.candidate_gram(w, r).tobytes()
+                == (0.5 * (g + g.conj().T)).tobytes())
+
+
+def test_selection_keeps_only_the_chain(desk_profile, small_config):
+    # a selection holds the chain's columns and Gram block, nothing the size
+    # of the codebook, and its prefixes are the dense Gram's blocks bit for bit
+    r = conventional.element_correlation(desk_profile, small_config)
+    n_beams = small_config.n_beams
+    cases = [(conventional.dft_codebook(small_config),
+              lambda metric: conventional.full_array_selection(
+                  r, small_config, 6, metric))]
+    for shape in ((2, 2), (1, 4)):
+        cases.append((conventional.subarray_codebook(small_config, shape)[0],
+                      lambda metric, shape=shape:
+                      conventional.subarray_selection(
+                          r, small_config, shape, 4, metric)))
+    for weights, select in cases:
+        gram = conventional.candidate_gram(weights, r)
+        for metric in ("power", "determinant"):
+            sel = select(metric)
+            held = [v for v in vars(sel).values() if isinstance(v, np.ndarray)]
+            assert held and all(n_beams not in v.shape for v in held)
+            for m in range(1, sel.m_max + 1):
+                idx = sel.chain[:m]
+                assert np.array_equal(sel.beam_correlation(m),
+                                      gram[np.ix_(idx, idx)])
+                assert np.array_equal(sel.beam_weights(m), weights[:, idx])
+
+
 def test_selection_is_scale_invariant(desk_profile, small_config):
     # scaling R by N_UE must not change any greedy choice
     r = conventional.element_correlation(desk_profile, small_config)

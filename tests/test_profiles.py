@@ -61,6 +61,46 @@ def test_params_validation():
                                base.corr, polarization="circular")
 
 
+def test_mean_azimuth_is_wrapped():
+    # 350 and -10 degrees are the same physical profile; the +-1 image sum
+    # assumes the wrapped mean, and in-range means keep their bits
+    base = profiles.baseline_params()
+    grids = (profiles.make_grid(24, 48), profiles.make_grid(24, 48))
+    joint = {}
+    for phi in (350.0, -10.0):
+        params = profiles.ProfileParams(base.mean_bs, (90.0, phi),
+                                        base.sigma, base.corr)
+        assert params.mean_ue[1] == -10.0
+        joint[phi] = profiles.JointProfile(params, *grids).joint_matrix
+    err = np.abs(joint[350.0] - joint[-10.0]).max()
+    assert err <= 1e-13 * joint[-10.0].max()
+    for phi, wrapped in ((180.0, 180.0), (-180.0, 180.0), (-190.0, 170.0),
+                         (540.0, 180.0), (0.1 + 0.2, 0.1 + 0.2)):
+        params = profiles.ProfileParams((90.0, phi), base.mean_ue,
+                                        base.sigma, base.corr)
+        assert params.mean_bs[1] == wrapped
+    # the caller's array is left alone
+    mean = np.array([90.0, 350.0])
+    profiles.ProfileParams(mean, base.mean_ue, base.sigma, base.corr)
+    assert mean[1] == 350.0
+
+
+def test_params_reject_azimuth_spread_past_the_image_cut():
+    # exp(-(3 pi - |mu|)^2 / (2 sigma^2)) <= 1e-10 holds up to ~79.6 deg at
+    # mu = 0 and to ~75.2 deg at mu = 30 deg
+    base = profiles.baseline_params()
+    for mean_ue, sigma_u in (((90.0, 0.0), 79.0), ((90.0, 30.0), 75.0)):
+        profiles.ProfileParams(base.mean_bs, mean_ue,
+                               (4.0, 21.0, 11.0, sigma_u), base.corr)
+    for mean_ue, sigma_u in (((90.0, 0.0), 80.0), ((90.0, 30.0), 76.0)):
+        with pytest.raises(ValueError, match=r"ue azimuth: .*1e-10"):
+            profiles.ProfileParams(base.mean_bs, mean_ue,
+                                   (4.0, 21.0, 11.0, sigma_u), base.corr)
+    with pytest.raises(ValueError, match=r"bs azimuth: sigma 85 deg"):
+        profiles.ProfileParams(base.mean_bs, base.mean_ue,
+                               (4.0, 85.0, 11.0, 48.0), base.corr)
+
+
 def test_joint_density_normalized(desk_profile):
     total = desk_profile.bs_grid.weights \
         @ desk_profile.joint_matrix @ desk_profile.ue_grid.weights

@@ -304,6 +304,90 @@ def test_obpb_rank_adaptation_runs_once_per_family(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def _reachable(obj):
+    """Every object reachable from obj through attributes and containers."""
+    seen, stack, out = set(), [obj], []
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        out.append(item)
+        if isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple, set)):
+            stack.extend(item)
+        elif hasattr(item, "__dict__") and not isinstance(item, type):
+            stack.extend(vars(item).values())
+    return out
+
+
+def test_obpb_bundle_keeps_only_what_points_read(tmp_path):
+    # after construction the bundle holds beams and M x M correlations, no
+    # J x J mode correlation and no projector, and its correlations are
+    # those of independent optimizer runs and projections bit for bit
+    import yaml
+    from obpb import correlation, optimizer, profiles, surfaces
+    tree = yaml.safe_load(SMOKE_YAML.format(out=tmp_path / "out"))
+    scn = scenario.Scenario(tree)
+    profile = profiles.JointProfile(
+        scn.profile_params, profiles.make_grid(*scn.quadrature["bs"]),
+        profiles.make_grid(*scn.quadrature["ue"]))
+    bundle = scenario._ObpbBundle(scn, profile)
+    j_bs = bundle.modes_bs.mode_count
+    held = _reachable(bundle)
+    assert not [o for o in held if isinstance(
+        o, (surfaces.ProjectionOperator, surfaces.SurfaceSampling,
+            optimizer.ObpbResult))]
+    arrays = [o for o in held if isinstance(o, np.ndarray)]
+    assert arrays and all(a.shape != (j_bs, j_bs) for a in arrays)
+    assert set(bundle.families) == {"plane", "optimal"}
+
+    seed = optimizer.seed_correlation(profile, bundle.modes_bs,
+                                      bundle.modes_ue)
+    op = surfaces.build_z(bundle.modes_bs, surfaces.sample_surface(
+        surfaces.named_surface("plane", scn.bs_radius), scn.surface_density),
+        rtol=scn.surface_rtol)
+    assert bundle.shapes["plane"]["rank"] == op.rank
+    for m in range(1, scn.obpb_m_max + 1):
+        run = optimizer.run(scn.obpb_config, profile, bundle.modes_bs,
+                            bundle.modes_ue, m, r_seed=seed)
+        q_plane = surfaces.project(op, run.q_bs)
+        for name, q in (("optimal", run.q_bs), ("plane", q_plane)):
+            kept_q, kept_r = bundle.families[name][m]
+            assert np.array_equal(kept_q, q), (name, m)
+            assert np.array_equal(
+                kept_r, correlation.beam_correlation(q, run.r_bs)), (name, m)
+        assert np.array_equal(bundle.q_ue[m], run.q_ue)
+        assert bundle.histories[m]["objective_history"] == \
+            run.objective_history
+
+
+def test_m_max_above_surface_rank_fails_before_any_file(tmp_path, capsys,
+                                                        monkeypatch):
+    # the 1-wavelength plane radiates 24 of the 48 BS modes; 30 streams pass
+    # validation (the mode counts allow them) but must stop the run at the
+    # projector, before the optimizer runs and before anything is written
+    from obpb import optimizer
+    runs = []
+    monkeypatch.setattr(optimizer, "run", lambda *a, **k: runs.append(a))
+    cfg = tmp_path / "deep.yaml"
+    out = tmp_path / "out"
+    cfg.write_text(
+        f"output_dir: {out}\nmethods: [obpb:optimal, obpb:plane]\n"
+        "n_ue: [4]\nreport_m: 30\n"
+        "quadrature: {bs: [24, 48], ue: [24, 48]}\n"
+        "antenna: {bs_aperture_side: 1.0, ue_aperture_side: 1.0}\n"
+        "obpb: {m_max: 30}\n")
+    assert cli.main(["validate", str(cfg)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: obpb: m_max: 30 exceeds the "
+                          "radiatable rank 24 of surface 'plane'")
+    assert not out.exists() and not runs
+
+
 def test_conventional_patterns_match_direct_evaluation(smoke_run):
     # each point's stream columns are the dB patterns of the first report_m
     # beams of its own chain, whatever text the run reused for them
