@@ -164,7 +164,10 @@ def element_correlation(profile, config, n_ue=1):
     grid = profile.bs_grid
     ue = profile.ue_grid
     ue_power = element_amplitude(ue.theta, ue.phi) ** 2
-    marginal = profile.marginal_bs(ue_power)
+    # the dense joint matrix, assembled for this one product, rather than
+    # profile.marginal_bs: the greedy chains built on this correlation break
+    # ties in the last bit, and the contracted marginal rounds differently
+    marginal = profile.joint_matrix @ (ue.weights * ue_power)
     a = steering_matrix(config, grid.theta, grid.phi)
     wm = np.maximum(grid.weights * marginal, 0.0)
     keep = np.flatnonzero(wm > 1e-15 * wm.max())
@@ -269,22 +272,33 @@ class ConventionalSelection:
         return len(self.chain)
 
 
-def _selection(weights, r_elem, m_max, metric, group_of=None):
-    """Greedy chain of m_max candidate beams under the given metric."""
+def _selections(weights, r_elem, m_max, metrics, group_of=None):
+    """Greedy chains of m_max candidate beams, one per metric, all read
+    from one Gram of the candidates; returns {metric: selection}."""
     gram = candidate_gram(weights, r_elem)
-    select = greedy_select_power if metric == "power" else greedy_select_det
-    return ConventionalSelection(weights, gram, select(gram, m_max, group_of))
+    chains = {}
+    for metric in metrics:
+        select = (greedy_select_power if metric == "power"
+                  else greedy_select_det)
+        chains[metric] = ConventionalSelection(
+            weights, gram, select(gram, m_max, group_of))
+    return chains
+
+
+def full_array_selections(r_elem, config, m_max, metrics):
+    """Greedy chains of m_max full-array DFT beams under each metric."""
+    return _selections(dft_codebook(config), r_elem, m_max, metrics)
 
 
 def full_array_selection(r_elem, config, m_max, metric="power"):
     """Greedy chain of m_max full-array DFT beams under the given metric."""
-    return _selection(dft_codebook(config), r_elem, m_max, metric)
+    return full_array_selections(r_elem, config, m_max, (metric,))[metric]
 
 
 def subarray_selection(r_elem, config, sub_shape, m_max, metric="power"):
     """Greedy chain of embedded sub-array beams, at most one per group."""
     weights, group_of = subarray_codebook(config, sub_shape)
-    return _selection(weights, r_elem, m_max, metric, group_of)
+    return _selections(weights, r_elem, m_max, (metric,), group_of)[metric]
 
 
 def tiling_shapes(config, candidates=SUBARRAY_SHAPES):

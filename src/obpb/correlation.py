@@ -120,8 +120,7 @@ def siso_reference(profile):
     the SNR calibration pins this link to a prescribed mean SNR.
     """
     pb = profile.bs_grid.weights * omni_power(profile.bs_grid)
-    pu = profile.ue_grid.weights * omni_power(profile.ue_grid)
-    return float(pb @ profile.joint_matrix @ pu)
+    return float(pb @ profile.marginal_bs(omni_power(profile.ue_grid)))
 
 
 def calibrated_snr(profile, siso_snr_db=-12.0):

@@ -18,6 +18,14 @@ mu_phi = 0); the widest benchmark profile (sigma_phi <= 50.5 deg, |mu_phi| <=
 
 The normalization constant is computed numerically on the construction
 grids, so the discrete integral of the joint density is exactly 1 there.
+
+On a pair of product grids the density is never stored as a matrix.  Its
+BS-UE coupling exp(-v_b^T A_bu v_u) is a product of four 1-D kernels over
+the theta and phi nodes of the two ends, and the nine images are a rank-9
+factor, so `JointProfile` keeps those (under 2 MB on the default grids)
+and contracts them for every marginal.  The dense (n_bs, n_ue) matrix,
+~680 MB on the default grids, is assembled only on request, or held by a
+profile too narrow and off-centre for its factors to stay in float range.
 """
 
 import numpy as np
@@ -35,9 +43,24 @@ UE_GRID = (48, 96)
 # largest share of the peak a dropped +-2 azimuth image may carry
 _IMAGE_CUT = 1e-10
 
-# row-block size for assembling the joint matrix; keeps the exp temporaries
-# near 150 MB while the full 18432 x 4608 matrix is ~680 MB
-_CHUNK_ROWS = 2048
+# row-block size for assembling the dense joint matrix (the oracle behind
+# JointProfile.joint_matrix); keeps the image-sum temporary near 19 MB while
+# the full 18432 x 4608 matrix is ~680 MB.  Every entry comes from its own
+# row's and column's factors alone, so the block size changes no bit of it
+_CHUNK_ROWS = 512
+
+# image factors and weighted contraction operands of magnitude below this are
+# set to 0.  Anything kept times a kernel entry down to ~2e-19 stays a normal
+# float; smaller operands would make subnormal products, which slow each
+# matrix product they enter several times over, and they sit some 290 orders
+# below the profile's peak
+_FLOOR = 2.0 ** -960
+
+# largest sum of the kernels' and image factors' log maxima that the
+# contractions take: a partial product then stays below e^600, which leaves
+# e^109 for the sums and the input powers before a float overflows.  A
+# narrower or more off-centre profile holds the dense matrix instead
+_LOG_RANGE = 600.0
 
 
 class DirectionGrid:
@@ -138,13 +161,34 @@ def baseline_params():
 
 
 class JointProfile:
-    """A joint profile discretized on a pair of direction grids.
+    """A joint profile discretized on a pair of direction grids, held in
+    factored form.
 
-    The heavy object is ``joint_matrix``: the normalized density evaluated on
-    (every BS node) x (every UE node).  It is assembled once, in row blocks,
-    through a rank-9 factorization of the azimuth wrapping: each of the nine
-    image pairs contributes a separable exp() column, so only the base
-    cross-term needs a full-size exp.
+    The unnormalized density is exp(-v_b A_bu v_u^T) (fb @ fu^T) with v the
+    centered (theta, phi) offsets and A_bu the BS-UE block of the precision
+    matrix.  On product grids the coupling splits into four 1-D cross
+    kernels over the angle nodes, exp(-A_bu[i, j] v_b,i v_u,j) for (theta_b,
+    theta_u), (theta_b, phi_u), (phi_b, theta_u) and (phi_b, phi_u); the
+    nine azimuth images are the per-node factors fb (n_bs, 9) and fu (n_ue,
+    9) of `_image_terms`.  Those are all the profile keeps: the marginals,
+    the normalization and `correlation.siso_reference` contract them
+    exactly, one real matrix product per theta row of the end the result
+    lives on (about 765 M multiply-adds on the default grids), and the
+    dense (n_bs, n_ue) matrix is never stored.
+
+    Image factors and weighted operands below ``_FLOOR`` (about 1e-289)
+    are set to 0, so no subnormal number enters a matrix product.
+
+    The factors' exponents cancel only in their product.  When a profile is
+    narrow and off-centre enough that the sum of their log maxima passes
+    ``_LOG_RANGE`` (no benchmark profile comes within 500 of it), a
+    partial product could overflow, so the profile holds the dense
+    normalized matrix and takes its marginals as products with it.
+
+    ``joint_matrix`` assembles the dense normalized matrix on each access.
+    It is the oracle the tests compare against, and the pipeline reads it
+    in one place, `conventional.element_correlation`, whose greedy chains
+    break ties in the last bit.
     """
 
     def __init__(self, params, bs_grid=None, ue_grid=None):
@@ -152,14 +196,58 @@ class JointProfile:
         self.bs_grid = bs_grid if bs_grid is not None else make_grid(*BS_GRID)
         self.ue_grid = ue_grid if ue_grid is not None else make_grid(*UE_GRID)
         self._precision = np.linalg.inv(params.covariance())
-        raw = self._assemble(self.bs_grid, self.ue_grid)
-        wb = self.bs_grid.weights
-        wu = self.ue_grid.weights
-        self.total_power = float(wb @ raw @ wu)
+        mu = params.mean
+        a = self._precision
+        tb = self.bs_grid.theta_nodes - mu[0]
+        pb = self.bs_grid.phi_nodes - mu[1]
+        tu = self.ue_grid.theta_nodes - mu[2]
+        pu = self.ue_grid.phi_nodes - mu[3]
+        with np.errstate(over="ignore"):
+            self._k_tt = np.exp(-a[0, 2] * np.outer(tb, tu))
+            self._k_tp = np.exp(-a[0, 3] * np.outer(tb, pu))
+            self._k_pt = np.exp(-a[1, 2] * np.outer(pb, tu))
+            self._k_pp = np.exp(-a[1, 3] * np.outer(pb, pu))
+            fb, fu = self._image_terms(_offsets(self.bs_grid, mu[:2]),
+                                       _offsets(self.ue_grid, mu[2:]))
+        # both as (image, theta, phi)
+        self._fb = np.ascontiguousarray(_flush(fb).T).reshape(
+            9, *self.bs_grid.shape)
+        self._fu = np.ascontiguousarray(_flush(fu).T).reshape(
+            9, *self.ue_grid.shape)
+        self._dense = None
+        factors = (self._k_tt, self._k_tp, self._k_pt, self._k_pp, fb, fu)
+        if sum(max(0.0, np.log(f.max())) for f in factors) > _LOG_RANGE:
+            self._dense, self.total_power = self._normalized_dense()
+        else:
+            self.total_power = float(self.bs_grid.weights
+                                     @ self._contract_bs(self.ue_grid.weights))
+        if not np.isfinite(self.total_power):
+            raise ValueError("profile density overflows a float on these "
+                             "grids: the spreads are too narrow for the "
+                             "nodes' offsets from the means")
         if self.total_power <= 0:
             raise ValueError("profile has no power on the grid")
-        raw *= 1.0 / self.total_power
-        self.joint_matrix = raw
+
+    @property
+    def joint_matrix(self):
+        """The dense normalized density on (every BS node) x (every UE node).
+
+        Assembled on each access (~680 MB on the default grids) and
+        normalized by its own discrete double integral, so it is the matrix
+        the contractions are checked against.  A profile that holds it (see
+        the class docstring) returns the held matrix.
+        """
+        if self._dense is not None:
+            return self._dense
+        return self._normalized_dense()[0]
+
+    def _normalized_dense(self):
+        """The assembled matrix divided by its double integral, and that
+        integral."""
+        raw = self._assemble(self.bs_grid, self.ue_grid)
+        total = float(self.bs_grid.weights @ raw @ self.ue_grid.weights)
+        raw *= 1.0 / total
+        return raw, total
 
     def _image_terms(self, vb, vu):
         """Per-node image factors for the rank-9 wrapped-Gaussian expansion.
@@ -192,20 +280,29 @@ class JointProfile:
 
     def _assemble(self, bs_grid, ue_grid):
         mu = self.params.mean
-        vb = np.stack([bs_grid.theta - mu[0], bs_grid.phi - mu[1]], axis=1)
-        vu = np.stack([ue_grid.theta - mu[2], ue_grid.phi - mu[3]], axis=1)
+        vb = _offsets(bs_grid, mu[:2])
+        vu = _offsets(ue_grid, mu[2:])
         fb, fu = self._image_terms(vb, vu)
         Abu = self._precision[:2, 2:]
         cu = Abu @ vu.T                                    # (2, nu)
         out = np.empty((vb.shape[0], vu.shape[0]))
         for lo in range(0, vb.shape[0], _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, vb.shape[0])
-            cross = vb[lo:hi] @ cu
+            cross = np.matmul(vb[lo:hi], cu, out=out[lo:hi])
             np.negative(cross, out=cross)
             np.exp(cross, out=cross)
             cross *= fb[lo:hi] @ fu.T
-            out[lo:hi] = cross
         return out
+
+    def _contract_bs(self, x):
+        """sum_u raw[b, u] x[u] for every BS node b (raw: unnormalized)."""
+        return _contract(x, self._fu, self._fb, self._k_tt, self._k_tp,
+                         self._k_pt, self._k_pp)
+
+    def _contract_ue(self, x):
+        """sum_b raw[b, u] x[b] for every UE node u (raw: unnormalized)."""
+        return _contract(x, self._fb, self._fu, self._k_tt.T, self._k_pt.T,
+                         self._k_tp.T, self._k_pp.T)
 
     def density(self, psi_bs, psi_ue):
         """Pointwise joint density, normalized like ``joint_matrix``.
@@ -233,11 +330,50 @@ class JointProfile:
         the result is P(psi_b) = integral ProfileDensity * ue_power dpsi_u,
         one value per BS grid node.
         """
-        return self.joint_matrix @ (self.ue_grid.weights * ue_power)
+        x = self.ue_grid.weights * ue_power
+        if self._dense is not None:
+            return self._dense @ x
+        return self._contract_bs(x) * (1.0 / self.total_power)
 
     def marginal_ue(self, bs_power):
         """UE-side marginal; mirror image of marginal_bs."""
-        return self.joint_matrix.T @ (self.bs_grid.weights * bs_power)
+        x = self.bs_grid.weights * bs_power
+        if self._dense is not None:
+            return self._dense.T @ x
+        return self._contract_ue(x) * (1.0 / self.total_power)
+
+
+def _contract(x, f_in, f_out, k_tt, k_tp, k_pt, k_pp):
+    """sum over the input end's nodes of raw * x, for every output node.
+
+    f_in, f_out: the two ends' image factors as (image, theta, phi); k_ab:
+    the cross kernel of the output end's angle a and the input end's angle
+    b, as (output nodes, input nodes).  One matrix product per output theta
+    row t: the (phi, phi) kernel, scaled by row t of the (theta, phi)
+    kernel, times the operand x f_in laid out as (input phi, (image, input
+    theta)) that every row shares; the product is weighted by the (phi,
+    theta) kernel and row t of the (theta, theta) kernel and reduced over
+    the input theta, then over the images against f_out.
+    """
+    n_t, n_p = f_in.shape[1:]
+    y = _flush(f_in * np.reshape(x, (n_t, n_p))).reshape(-1, n_p).T
+    out = np.empty(f_out.shape[1:])
+    for t in range(len(out)):
+        h = (k_pp * k_tp[t]) @ y
+        s = np.einsum("pkt,pt->pk", h.reshape(-1, 9, n_t), k_pt * k_tt[t])
+        out[t] = np.einsum("pk,kp->p", s, f_out[:, t])
+    return out.ravel()
+
+
+def _flush(a):
+    """Set entries of magnitude below _FLOOR to 0, in place; returns a."""
+    a[np.abs(a) < _FLOOR] = 0.0
+    return a
+
+
+def _offsets(grid, mean):
+    """(n_nodes, 2) offsets of a grid's nodes from a (theta, phi) mean."""
+    return np.stack([grid.theta - mean[0], grid.phi - mean[1]], axis=1)
 
 
 def joint_density(profile, psi_bs, psi_ue):

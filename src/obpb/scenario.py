@@ -6,25 +6,29 @@ shipped ``paper_baseline`` file carries the reference values; anything omitted
 falls back to the same defaults the library modules use.
 
 Scenario points (method x N_UE) each write only into their own directory.
-The runner follows the structure the sweep already has.  What points share
-is built once up front, reduced to what the points read, and only read
-afterwards.  The surface projectors are built first (a stream count above a
-surface's rank fails there, before the optimizer runs); then the optimizer
-runs once per M, all started from one dipole-seeded BS correlation, and each
-run is reduced as it returns to every OBPB family's BS beams and M x M beam
-correlation plus the UE beams and the history.  The full-array greedy
-chains (selection is scale-invariant, so one chain at N_UE = 1 serves every
-N_UE) keep only their beams and Gram block, and once the joint profile is
+The runner follows the structure the sweep already has.  What points share is
+built once up front, reduced to what the points read, and only read
+afterwards.  The joint profile holds only its factors (under 2 MB) unless it
+is too narrow for them.  The codebook work goes first, right after the SNR
+calibration: its element correlation is the one step that reads the dense
+joint matrix (about 680 MB on the default grids, assembled and freed within
+the step), which then meets nothing else.  The full-array greedy chains
+(selection is scale-invariant, so one chain at N_UE = 1 serves every N_UE)
+are all read from one Gram and keep only their beams and Gram block.  For
+OBPB the surface projectors are built first (a stream count above a surface's
+rank fails there, before the optimizer runs); then the optimizer runs once
+per M, all started from one dipole-seeded BS correlation, and each run is
+reduced as it returns to every OBPB family's BS beams and M x M beam
+correlation plus the UE beams and the history.  Once the joint profile is
 gone one steering matrix per BS artifact table is built.  Nothing an OBPB
 family reports depends on N_UE, so each family's point (rank adaptation,
-report-M correlation, det_db and pattern tables) is computed once and
-written under every ``n_ue_<k>`` directory.  A codebook point is computed
-per N_UE: the full-array family scales the shared chain's Gram block by
-N_UE, and the sub-array partition search runs at the true scale.  A
-method's tables are let go once its points are written.  The joint profile
-is let go before the first point, once the manifest has taken its
-normalization and SISO reference: its joint matrix is the run's largest
-array and no point reads it.
+report-M correlation, det_db and pattern tables) is computed once and written
+under every ``n_ue_<k>`` directory.  A codebook point is computed per N_UE:
+the full-array family scales the shared chain's Gram block by N_UE, and the
+sub-array partition search runs at the true scale.  A method's tables are let
+go once its points are written.  The joint profile is let go before the first
+point, once the manifest has taken its normalization and SISO reference; no
+point reads it.
 
 Numeric tables are rendered a whole column at a time, and the text of every
 distinct column is kept for the rest of the run.  That text is the run's
@@ -557,18 +561,17 @@ class _ConventionalBundle:
 
     Selection is independent of N_UE because the element correlation scales
     linearly with it, so the chains are built once at the deepest stream
-    count the sweep can reach.
+    count the sweep can reach, every metric's from one Gram.
     """
 
     def __init__(self, scenario, profile):
         self.config = scenario.array_config
         self.r_unit = conventional.element_correlation(profile, self.config)
         depth = min(self.config.n_elements, max(scenario.n_ue))
-        self.full = {}
-        for metric in {mm["metric"] for mm in scenario.methods
-                       if mm["kind"] == "full_array"}:
-            self.full[metric] = conventional.full_array_selection(
-                self.r_unit, self.config, depth, metric)
+        metrics = sorted({mm["metric"] for mm in scenario.methods
+                          if mm["kind"] == "full_array"})
+        self.full = (conventional.full_array_selections(
+            self.r_unit, self.config, depth, metrics) if metrics else {})
 
 
 class _Point:
@@ -669,19 +672,21 @@ def run_scenario(scenario, echo=None):
     say(f"profile on {scenario.quadrature['bs']} x "
         f"{scenario.quadrature['ue']} grids, snr = {snr:.6g}")
 
+    # the codebook bundle goes first: its element correlation is the one
+    # reader of the dense joint matrix, and that transient should meet
+    # nothing but the profile's factors
+    conv_bundle = None
+    if scenario.needs_conventional():
+        conv_bundle = _ConventionalBundle(scenario, profile)
+        say("conventional chains ready "
+            f"(codebook {conv_bundle.config.n_beams} beams)")
     obpb_bundle = None
     if scenario.needs_obpb():
         obpb_bundle = _ObpbBundle(scenario, profile)
         say(f"optimizer: {scenario.obpb_m_max} stream counts, converged="
             f"{obpb_bundle.converged}; surface ranks "
             + str({k: s["rank"] for k, s in obpb_bundle.shapes.items()}))
-    conv_bundle = None
-    if scenario.needs_conventional():
-        conv_bundle = _ConventionalBundle(scenario, profile)
-        say("conventional chains ready "
-            f"(codebook {conv_bundle.config.n_beams} beams)")
-    # the last read of the profile: its joint matrix is the run's largest
-    # array, and no point needs it
+    # the last read of the profile: no point needs it
     resolved = _resolved_parameters(scenario, profile, snr, obpb_bundle,
                                     conv_bundle)
     del profile

@@ -3,13 +3,16 @@
 The profile checks are integral identities: the grid weights carry the full
 surface measure (sum 4*pi), the normalized joint density integrates to one,
 and marginalization against a far-side power pattern commutes with that
-normalization.  Desk-size grids keep everything under a second.
+normalization.  The profile keeps only its factors; the dense joint matrix,
+assembled on access, is the oracle its contractions are held to.  Desk-size
+grids keep everything under a second.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from obpb import profiles
+from obpb import correlation, profiles
 from obpb.modes import ModeSet, flat_index
 
 
@@ -109,6 +112,16 @@ def test_joint_density_normalized(desk_profile):
     assert desk_profile.joint_matrix.min() >= 0
 
 
+def test_dense_assembly_does_not_depend_on_the_row_block(desk_profile,
+                                                         monkeypatch):
+    # the oracle is assembled in row blocks; the block size is a memory
+    # bound only and must not move a bit of the matrix
+    joint = desk_profile.joint_matrix
+    for rows in (7, 512, joint.shape[0]):
+        monkeypatch.setattr(profiles, "_CHUNK_ROWS", rows)
+        assert np.array_equal(desk_profile.joint_matrix, joint)
+
+
 def test_joint_density_wraps_in_azimuth(desk_profile):
     # shift invariance holds up to the +/- one-period image truncation; with
     # the widest sigma at 48 degrees the dropped image is below 1e-10 relative
@@ -151,3 +164,136 @@ def test_profile_fields_theta_polarization_drops_phi(desk_profile):
     kth, kph = profiles.profile_fields(desk_profile, "ue", ms)
     assert kph is None
     assert kth.shape == (ms.mode_count, desk_profile.ue_grid.n_nodes)
+
+
+def _random_params(rng, wide, mean_phi_deg):
+    """A profile with every correlation, theta-phi cross terms included,
+    drawn from +-0.32: each row's off-diagonal sum stays below 1, so the
+    matrix is positive definite."""
+    off = rng.uniform(-0.32, 0.32, 6)
+    corr = np.eye(4)
+    corr[np.triu_indices(4, 1)] = off
+    corr = np.triu(corr) + np.triu(corr, 1).T
+    lo, hi = ((12.0, 40.0, 25.0, 40.0), (20.0, 50.0, 35.0, 50.0)) if wide \
+        else ((2.0, 10.0, 6.0, 20.0), (5.0, 25.0, 12.0, 40.0))
+    sigma = rng.uniform(lo, hi)
+    return profiles.ProfileParams(
+        (rng.uniform(60.0, 120.0), mean_phi_deg[0]),
+        (rng.uniform(60.0, 120.0), mean_phi_deg[1]), sigma, corr)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.booleans(),
+       st.tuples(st.floats(min_value=170.0, max_value=180.0),
+                 st.floats(min_value=-180.0, max_value=-170.0)),
+       st.booleans())
+@example(1487750884, False, (170.3275123375482, -173.20233813998212), True)
+def test_contractions_match_dense_oracle(seed, wide, near_pi, swap):
+    # narrow and wide spreads, mean azimuths next to +-180 deg (where the
+    # +-1 images carry the most) and nonzero theta-phi cross-correlations
+    rng = np.random.default_rng(seed)
+    params = _random_params(rng, wide, near_pi[::-1] if swap else near_pi)
+    grids = (profiles.make_grid(12, 24), profiles.make_grid(8, 16))
+    try:
+        profile = profiles.JointProfile(params, *grids)
+    except ValueError as err:
+        # about one draw in 2000 is so narrow and off-centre that the
+        # density overflows a float on the nodes: then it must say so, and
+        # the dense assembly must indeed be non-finite
+        assert "overflows a float" in str(err)
+        bare = object.__new__(profiles.JointProfile)
+        bare.params = params
+        bare._precision = np.linalg.inv(params.covariance())
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(bare._assemble(*grids)).all()
+        return
+    joint = profile.joint_matrix
+    wb, wu = profile.bs_grid.weights, profile.ue_grid.weights
+    pu = rng.random(wu.size) * (rng.random(wu.size) > 0.2)
+    pb = rng.random(wb.size) * (rng.random(wb.size) > 0.2)
+    for got, want in ((profile.marginal_bs(pu), joint @ (wu * pu)),
+                      (profile.marginal_ue(pb), joint.T @ (wb * pb))):
+        assert np.abs(got - want).max() <= 1e-13 * want.max()
+    raw = profile._assemble(profile.bs_grid, profile.ue_grid)
+    assert abs(profile.total_power - wb @ raw @ wu) \
+        <= 1e-13 * profile.total_power
+    omni_b = wb * correlation.omni_power(profile.bs_grid)
+    omni_u = wu * correlation.omni_power(profile.ue_grid)
+    want = omni_b @ joint @ omni_u
+    assert abs(correlation.siso_reference(profile) - want) <= 1e-13 * want
+
+
+def test_profile_past_the_log_range_holds_the_dense_matrix():
+    # a narrow, off-centre profile whose factors span more than _LOG_RANGE:
+    # their partial products could overflow, so the profile keeps the
+    # dense matrix and its marginals are products with it
+    corr = np.array([[1.0, 0.308, 0.0003, 0.279],
+                     [0.308, 1.0, -0.298, -0.231],
+                     [0.0003, -0.298, 1.0, -0.295],
+                     [0.279, -0.231, -0.295, 1.0]])
+    params = profiles.ProfileParams((71.1, -174.1), (63.1, 172.0),
+                                    (2.96, 14.55, 9.36, 24.95), corr)
+    profile = profiles.JointProfile(params, profiles.make_grid(12, 24),
+                                    profiles.make_grid(8, 16))
+    assert profile._dense is not None
+    joint = profile.joint_matrix
+    raw = profile._assemble(profile.bs_grid, profile.ue_grid)
+    wb, wu = profile.bs_grid.weights, profile.ue_grid.weights
+    assert np.array_equal(joint, raw * (1.0 / (wb @ raw @ wu)))
+    assert profile.total_power == wb @ raw @ wu
+    rng = np.random.default_rng(5)
+    pu, pb = rng.random(wu.size), rng.random(wb.size)
+    assert np.array_equal(profile.marginal_bs(pu), joint @ (wu * pu))
+    assert np.array_equal(profile.marginal_ue(pb), joint.T @ (wb * pb))
+
+
+def test_marginals_are_nonnegative_exactly():
+    # every factor and weight is nonnegative, so no marginal entry may be
+    # negative, not even by roundoff; a narrow profile driven by power far
+    # from its mean reaches 100 orders below the peak and, on the BS side,
+    # underflow
+    params = profiles.ProfileParams((90.0, 179.0), (90.0, -179.0),
+                                    (2.0, 8.0, 5.0, 15.0),
+                                    profiles.baseline_params().corr)
+    profile = profiles.JointProfile(params, profiles.make_grid(32, 64),
+                                    profiles.make_grid(16, 32))
+    rng = np.random.default_rng(3)
+    tails = []
+    for grid, marginal in ((profile.ue_grid, profile.marginal_bs),
+                           (profile.bs_grid, profile.marginal_ue)):
+        far = (np.abs(grid.phi) < 0.5) & (np.abs(grid.theta - 0.5) < 0.3)
+        for power in (far.astype(float), rng.random(grid.n_nodes),
+                      np.zeros(grid.n_nodes)):
+            assert marginal(power).min() >= 0.0
+        out = marginal(far.astype(float))
+        tails.append(out.min() < 1e-100 * out.max())
+    assert all(tails)
+
+
+def _held_arrays(obj):
+    """Every ndarray reachable from obj through attributes and containers."""
+    seen, stack, out = set(), [obj], []
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            out.append(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif hasattr(item, "__dict__") and not isinstance(item, type):
+            stack.extend(vars(item).values())
+    return out
+
+
+def test_baseline_profile_holds_no_dense_matrix(baseline_profile):
+    # on the default grids the dense joint matrix has 18432 x 4608 entries
+    # (~680 MB); the profile keeps only its 1-D kernels and image factors
+    n_dense = baseline_profile.bs_grid.n_nodes \
+        * baseline_profile.ue_grid.n_nodes
+    held = _held_arrays(baseline_profile)
+    assert held and all(a.size < n_dense for a in held)
+    assert sum(a.nbytes for a in held) < 0.01 * 8 * n_dense

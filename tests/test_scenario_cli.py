@@ -363,6 +363,41 @@ def test_obpb_bundle_keeps_only_what_points_read(tmp_path):
             run.objective_history
 
 
+def test_conventional_bundle_builds_one_gram_for_both_metrics(monkeypatch):
+    # full_array:power and full_array:det select from the same codebook and
+    # element correlation: one Gram serves both chains, and each chain is
+    # the one a separate selection gives, bit for bit
+    import yaml
+    from obpb import conventional, profiles
+    tree = yaml.safe_load(SMOKE_YAML.format(out="unused"))
+    tree["methods"] = ["full_array:power", "full_array:det"]
+    scn = scenario.Scenario(tree)
+    profile = profiles.JointProfile(
+        scn.profile_params, profiles.make_grid(*scn.quadrature["bs"]),
+        profiles.make_grid(*scn.quadrature["ue"]))
+    grams = []
+    real_gram = conventional.candidate_gram
+
+    def counting_gram(*args):
+        grams.append(real_gram(*args))
+        return grams[-1]
+
+    monkeypatch.setattr(conventional, "candidate_gram", counting_gram)
+    bundle = scenario._ConventionalBundle(scn, profile)
+    assert len(grams) == 1
+    monkeypatch.undo()
+    depth = min(scn.array_config.n_elements, max(scn.n_ue))
+    assert set(bundle.full) == {"power", "determinant"}
+    for metric, sel in bundle.full.items():
+        alone = conventional.full_array_selection(
+            bundle.r_unit, scn.array_config, depth, metric)
+        assert sel.chain == alone.chain
+        assert np.array_equal(sel.beam_weights(depth),
+                              alone.beam_weights(depth))
+        assert np.array_equal(sel.beam_correlation(depth),
+                              alone.beam_correlation(depth))
+
+
 def test_m_max_above_surface_rank_fails_before_any_file(tmp_path, capsys,
                                                         monkeypatch):
     # the 1-wavelength plane radiates 24 of the 48 BS modes; 30 streams pass
