@@ -45,9 +45,9 @@ def main():
     print(f"element correlation: trace {np.trace(r_elem).real:.4f}, "
           f"lam1 {np.linalg.eigvalsh(r_elem)[-1]:.4f}")
 
-    for metric in ("power", "determinant"):
-        sel = conventional.full_array_selection(r_elem, config, M_SHOW,
-                                                metric)
+    metrics = ("power", "determinant")
+    for metric, sel in conventional.full_array_selections(
+            r_elem, config, M_SHOW, metrics).items():
         g = correlation.normalize_correlation(sel.beam_correlation(M_SHOW))
         off = np.abs(g - np.eye(M_SHOW)).max()
         labels = " ".join(beam_label(config, i) for i in sel.chain)
@@ -82,12 +82,11 @@ def main():
     # rank adaptation on the full-array chains at the largest user count
     n_ue = N_UE_SWEEP[-1]
     print(f"\nfull-array rank adaptation at N_UE = {n_ue}:")
-    for metric in ("power", "determinant"):
-        sel = conventional.full_array_selection(r_elem, config,
-                                                min(config.n_elements, n_ue),
-                                                metric)
+    m_max = min(config.n_elements, n_ue)
+    for metric, sel in conventional.full_array_selections(
+            r_elem, config, m_max, metrics).items():
         rep = capacity.rank_adapt(lambda m: n_ue * sel.beam_correlation(m),
-                                  min(config.n_elements, n_ue), snr)
+                                  m_max, snr)
         print(f"  {metric:<12} M_opt = {rep.m_opt:>2}, "
               f"C = {rep.total:.3f} bit/s/Hz")
 

@@ -153,13 +153,15 @@ def subarray_codebook(config, sub_shape):
     return weights, group_of
 
 
-def element_correlation(profile, config, n_ue=1):
-    """Element-space correlation of the base-station array.
+def element_correlation(profile, config):
+    """Element-space correlation of the base-station array for one user
+    element.
 
-    R[i, j] = N_UE * integral P_BS,marg(psi) a_i(psi) a_j(psi)^* dpsi, where
-    the marginal weights the joint profile by the user elements' summed
-    pattern power (their positions cancel in the power sum, so N_UE enters
-    only as the prefactor and never changes a beam selection).
+    R[i, j] = integral P_BS,marg(psi) a_i(psi) a_j(psi)^* dpsi, where the
+    marginal weights the joint profile by the user element's pattern power.
+    N_UE user elements sum their powers (their positions cancel in the power
+    sum), so the correlation for N_UE of them is N_UE * R, and that factor
+    never changes a beam selection.
     """
     grid = profile.bs_grid
     ue = profile.ue_grid
@@ -173,7 +175,7 @@ def element_correlation(profile, config, n_ue=1):
     keep = np.flatnonzero(wm > 1e-15 * wm.max())
     block = np.ascontiguousarray(a[:, keep] * np.sqrt(wm[keep]))
     r = block @ block.conj().T
-    return n_ue * 0.5 * (r + r.conj().T)
+    return 0.5 * (r + r.conj().T)
 
 
 def candidate_gram(weights, r_elem):
@@ -290,33 +292,27 @@ def full_array_selections(r_elem, config, m_max, metrics):
     return _selections(dft_codebook(config), r_elem, m_max, metrics)
 
 
-def full_array_selection(r_elem, config, m_max, metric="power"):
-    """Greedy chain of m_max full-array DFT beams under the given metric."""
-    return full_array_selections(r_elem, config, m_max, (metric,))[metric]
-
-
 def subarray_selection(r_elem, config, sub_shape, m_max, metric="power"):
     """Greedy chain of embedded sub-array beams, at most one per group."""
     weights, group_of = subarray_codebook(config, sub_shape)
     return _selections(weights, r_elem, m_max, (metric,), group_of)[metric]
 
 
-def tiling_shapes(config, candidates=SUBARRAY_SHAPES):
-    """The candidate sub-array shapes that tile the array, in listed order."""
-    return [tuple(s) for s in candidates
+def tiling_shapes(config):
+    """The SUBARRAY_SHAPES that tile the array, in listed order."""
+    return [s for s in SUBARRAY_SHAPES
             if config.n_v % s[0] == 0 and config.n_h % s[1] == 0]
 
 
-def best_subarray_partition(r_elem, config, n_ue, snr,
-                            candidates=SUBARRAY_SHAPES, metric="power"):
+def best_subarray_partition(r_elem, config, n_ue, snr, metric="power"):
     """Pick the sub-array shape maximizing rank-adapted average capacity.
 
-    Each candidate shape that tiles the array gets its own greedy chain up
+    Each of SUBARRAY_SHAPES that tiles the array gets its own greedy chain up
     to min(n_groups, N_UE) streams; the shape whose best stream count yields
     the highest capacity wins (first listed wins ties).
     """
     best = None
-    for shape in tiling_shapes(config, candidates):
+    for shape in tiling_shapes(config):
         n_groups = config.n_elements // (shape[0] * shape[1])
         m_max = min(n_groups, int(n_ue))
         sel = subarray_selection(r_elem, config, shape, m_max, metric)
@@ -324,5 +320,5 @@ def best_subarray_partition(r_elem, config, n_ue, snr,
         if best is None or report.total > best[2].total * (1.0 + 1e-12):
             best = (shape, sel, report)
     if best is None:
-        raise ValueError("no candidate partition tiles this array")
+        raise ValueError("no sub-array shape tiles this array")
     return best

@@ -53,6 +53,10 @@ def truncation_order(r0):
     return int(np.floor(2.0 * np.pi * r0))
 
 
+# ModeSet's parameter of the same name shadows truncation_order inside it
+_order_for_radius = truncation_order
+
+
 def mode_count_for_radius(r0):
     """Number of spherical modes J = 2 N (N + 2) kept for enclosing radius r0."""
     n = truncation_order(r0)
@@ -101,11 +105,10 @@ class ModeSet:
         if truncation_order is None:
             if enclosing_radius is None:
                 raise ValueError("give truncation_order or enclosing_radius")
-            truncation_order = globals()["truncation_order"](enclosing_radius)
+            truncation_order = _order_for_radius(enclosing_radius)
         if truncation_order < 1:
             raise ValueError("truncation order must be >= 1")
         self.truncation_order = int(truncation_order)
-        self.enclosing_radius = enclosing_radius
         j = np.arange(1, 2 * self.truncation_order * (self.truncation_order + 2) + 1)
         self.s = 2 - (j % 2)
         t = (j - self.s) // 2 + 1
@@ -115,12 +118,6 @@ class ModeSet:
     @property
     def mode_count(self):
         return self.s.size
-
-    def __len__(self):
-        return self.s.size
-
-    def __iter__(self):
-        return zip(self.s, self.m, self.n)
 
 
 def normalized_legendre(nmax, m, theta):

@@ -77,13 +77,11 @@ class DirectionGrid:
         x, w = np.polynomial.legendre.leggauss(n_theta)
         order = np.argsort(-x)           # theta ascending
         self.theta_nodes = np.arccos(x[order])
-        self.theta_weights = w[order]
         self.phi_nodes = -np.pi + (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
-        self.phi_weight = 2.0 * np.pi / n_phi
         self.shape = (n_theta, n_phi)
         self.theta = np.repeat(self.theta_nodes, n_phi)
         self.phi = np.tile(self.phi_nodes, n_theta)
-        self.weights = np.repeat(self.theta_weights * self.phi_weight, n_phi)
+        self.weights = np.repeat(w[order] * (2.0 * np.pi / n_phi), n_phi)
 
     @property
     def n_nodes(self):
@@ -217,7 +215,9 @@ class JointProfile:
         self._dense = None
         factors = (self._k_tt, self._k_tp, self._k_pt, self._k_pp, fb, fu)
         if sum(max(0.0, np.log(f.max())) for f in factors) > _LOG_RANGE:
-            self._dense, self.total_power = self._normalized_dense()
+            # an overflow is reported by the finiteness check below
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._dense, self.total_power = self._normalized_dense()
         else:
             self.total_power = float(self.bs_grid.weights
                                      @ self._contract_bs(self.ue_grid.weights))
@@ -376,11 +376,6 @@ def _offsets(grid, mean):
     return np.stack([grid.theta - mean[0], grid.phi - mean[1]], axis=1)
 
 
-def joint_density(profile, psi_bs, psi_ue):
-    """Module-level alias for JointProfile.density."""
-    return profile.density(psi_bs, psi_ue)
-
-
 def beam_power(q, modeset, theta_nodes, phi_nodes, polarization="theta"):
     """Radiated power |q^T K|^2 of each beam on a theta x phi product.
 
@@ -410,22 +405,6 @@ def pattern_power(q, modeset, grid, polarization="theta"):
     the beam sum of `beam_power`, per node in the grid's flat order."""
     return np.sum(beam_power(q, modeset, grid.theta_nodes, grid.phi_nodes,
                              polarization), axis=0).ravel()
-
-
-def marginal_profile_bs(profile, q_ue, modes_ue):
-    """BS marginal produced by a set of UE beams.
-
-    q_ue: (J_ue, M) mode coefficients over modes_ue.  The UE beams' total
-    radiated pattern power on the UE grid weights the joint profile.
-    """
-    return profile.marginal_bs(pattern_power(
-        q_ue, modes_ue, profile.ue_grid, profile.params.polarization))
-
-
-def marginal_profile_ue(profile, q_bs, modes_bs):
-    """UE marginal produced by a set of BS beams."""
-    return profile.marginal_ue(pattern_power(
-        q_bs, modes_bs, profile.bs_grid, profile.params.polarization))
 
 
 def profile_fields(profile, side, modeset, polarization=None):

@@ -52,7 +52,8 @@ import yaml
 
 from . import __version__, capacity, conventional, correlation, optimizer
 from . import profiles, surfaces
-from .modes import DIPOLE_SMN, ModeSet, mode_count_for_radius
+from .modes import (DIPOLE_SMN, ModeSet, mode_count_for_radius,
+                    truncation_order)
 from .profiles import JointProfile, ProfileParams, make_grid
 
 DB_FLOOR = 1e-20          # pattern power floor before 10*log10
@@ -137,7 +138,9 @@ def parse_method(spec, where="methods"):
     """One method string -> descriptor dict with a filesystem-safe label.
 
     Accepted forms: ``obpb:<optimal|plane|one_32_sphere|hemisphere>``,
-    ``full_array:<power|det>`` and ``sub_array[:<power|det>]``.
+    ``full_array:<power|det>`` and ``sub_array[:<power|det>]``.  Labels are
+    ``obpb_<surface>``, ``full_array_power``, ``full_array_det``,
+    ``sub_array`` (the power rule) and ``sub_array_det``.
     """
     if not isinstance(spec, str):
         raise ScenarioError(f"{where}: method entries are strings")
@@ -157,8 +160,9 @@ def parse_method(spec, where="methods"):
         if metric is None:
             raise ScenarioError(f"{where}: {kind} metric is "
                                 f"'power' or 'det', got '{arg}'")
-        label = ("sub_array" if kind == "sub_array" else "full_array_"
-                 + ("det" if metric == "determinant" else "power"))
+        suffix = "det" if metric == "determinant" else "power"
+        label = ("sub_array" if kind == "sub_array" and suffix == "power"
+                 else f"{kind}_{suffix}")
         return {"kind": kind, "metric": metric, "label": label}
     raise ScenarioError(f"{where}: unknown method kind '{kind}' "
                         "(obpb, full_array, sub_array)")
@@ -256,6 +260,16 @@ class Scenario:
                     raise ScenarioError(
                         f"{where}: antenna: {side}_aperture_side: too small "
                         "for one spherical mode (needs >= 0.2251 wavelengths)")
+                # Gauss-Legendre in cos(theta) and the n_phi-point trapezoid
+                # integrate every product of two modes of order <= N exactly
+                # from N + 1 and 2N + 1 nodes on
+                n = truncation_order(r0)
+                n_theta, n_phi = self.quadrature[side]
+                if n_theta < n + 1 or n_phi < 2 * n + 1:
+                    raise ScenarioError(
+                        f"{where}: quadrature: {side}: [{n_theta}, {n_phi}] "
+                        f"is too coarse for its modes (N = {n}): needs "
+                        f"n_theta >= {n + 1} and n_phi >= {2 * n + 1}")
             if self.obpb_m_max > min(counts.values()):
                 raise ScenarioError(
                     f"{where}: obpb: m_max: {self.obpb_m_max} exceeds the "
@@ -339,23 +353,6 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _jsonify(obj):
-    """Numpy-free copy of a nested structure, ready for json.dumps."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    return obj
-
-
 def _write_text(path, text):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -399,8 +396,9 @@ class _ColumnText:
 
 
 def _write_json(path, obj):
-    _write_text(path, json.dumps(_jsonify(obj), indent=2, sort_keys=True)
-                + "\n")
+    # numpy arrays and scalars go in as the plain values of their tolist()
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True,
+                                 default=lambda value: value.tolist()) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +546,8 @@ class _ObpbBundle:
                      else surfaces.project(ops[name], run.q_bs))
                 family[m] = q, correlation.beam_correlation(q, run.r_bs)
             self.q_ue[m] = run.q_ue
-            self.histories[m] = {
+            # text keys: the manifest sorts its keys, and these as text
+            self.histories[str(m)] = {
                 "objective_history": list(run.objective_history),
                 "converged": bool(run.converged),
                 "iterations": int(run.iterations)}
@@ -660,14 +659,17 @@ def run_scenario(scenario, echo=None):
     with converged=false).  Configuration problems raise ScenarioError
     before anything is written.
     """
-    if isinstance(scenario, (str, Path)):
-        scenario = load_scenario(scenario)
     say = echo if echo is not None else (lambda msg: None)
 
     out_dir = scenario.resolved_output_dir()
-    profile = JointProfile(scenario.profile_params,
-                           make_grid(*scenario.quadrature["bs"]),
-                           make_grid(*scenario.quadrature["ue"]))
+    try:
+        profile = JointProfile(scenario.profile_params,
+                               make_grid(*scenario.quadrature["bs"]),
+                               make_grid(*scenario.quadrature["ue"]))
+    except ValueError as exc:
+        # a profile too narrow for float arithmetic on these grids passes
+        # validation, which builds no grid
+        raise ScenarioError(f"{scenario.source}: profile: {exc}") from None
     snr = correlation.calibrated_snr(profile, scenario.snr_db_siso)
     say(f"profile on {scenario.quadrature['bs']} x "
         f"{scenario.quadrature['ue']} grids, snr = {snr:.6g}")

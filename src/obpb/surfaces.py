@@ -271,22 +271,21 @@ def build_z(modeset, sampling, rtol=RANK_RTOL):
     return ProjectionOperator(z, rtol=rtol)
 
 
-def project(op, q, normalize=True):
+def project(op, q):
     """Project beam coefficients onto a surface's radiatable subspace.
 
     Returns q_semi = P_op q for one coefficient vector or a (J, M) matrix,
-    by default re-normalized to unit power per column; zero projections are
-    returned as-is rather than normalized.  P_op q equals Z Z^+ q exactly in
-    real arithmetic, but evaluating it through the currents loses
-    ~sigma_0/sigma_r digits to cancellation (the currents on weakly-coupled
-    modes are huge and mostly cancel), while the projector form keeps
-    re-projection idempotent to machine precision.
+    re-normalized to unit power per column; zero projections are returned
+    as-is rather than normalized (``op.p_op @ q`` is the projection before
+    normalization).  P_op q equals Z Z^+ q exactly in real arithmetic, but
+    evaluating it through the currents loses ~sigma_0/sigma_r digits to
+    cancellation (the currents on weakly-coupled modes are huge and mostly
+    cancel), while the projector form keeps re-projection idempotent to
+    machine precision.
     """
     q_semi = op.p_op @ np.asarray(q, dtype=complex)
-    if normalize:
-        norms = np.linalg.norm(q_semi, axis=0)
-        q_semi = q_semi / np.where(norms > 0, norms, 1.0)
-    return q_semi
+    norms = np.linalg.norm(q_semi, axis=0)
+    return q_semi / np.where(norms > 0, norms, 1.0)
 
 
 def currents(op, q):

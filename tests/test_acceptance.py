@@ -284,7 +284,7 @@ def test_criterion_8_desk_oracles(capsys):
     j = modeset.mode_count
     r_brute = np.zeros((j, j), dtype=complex)
     fns = [far_field_function(s, m, n, grid.theta, grid.phi)[0]
-           for (s, m, n) in modeset]
+           for (s, m, n) in zip(modeset.s, modeset.m, modeset.n)]
     wm = grid.weights * marginal
     for a in range(j):
         for b in range(j):

@@ -107,8 +107,16 @@ def test_subarray_codebook_is_zero_padded(small_config):
 
 
 def test_element_correlation_scales_with_n_ue(desk_profile, small_config):
+    # five user elements sum their pattern powers (their position phases
+    # cancel in |a_n|^2), so the correlation they produce is 5 x the one
+    # element correlation; the runner applies that factor to it
     r1 = conventional.element_correlation(desk_profile, small_config)
-    r5 = conventional.element_correlation(desk_profile, small_config, n_ue=5)
+    ue, bs = desk_profile.ue_grid, desk_profile.bs_grid
+    a_ue = conventional.steering_matrix(conventional.ArrayConfig(n_v=1, n_h=5),
+                                        ue.theta, ue.phi)
+    wm = bs.weights * desk_profile.marginal_bs(np.sum(np.abs(a_ue) ** 2, 0))
+    a = conventional.steering_matrix(small_config, bs.theta, bs.phi)
+    r5 = (a * wm) @ a.conj().T
     assert np.abs(r5 - 5.0 * r1).max() < 1e-12 * np.abs(r5).max()
     assert np.abs(r1 - r1.conj().T).max() < 1e-14 * np.abs(r1).max()
     lam = np.linalg.eigvalsh(r1)
@@ -195,8 +203,8 @@ def test_det_metric_rejects_rank_exhaustion():
 
 def test_selection_chain_object(desk_profile, small_config):
     r = conventional.element_correlation(desk_profile, small_config)
-    sel = conventional.full_array_selection(r, small_config, 6,
-                                            metric="determinant")
+    sel = conventional.full_array_selections(r, small_config, 6,
+                                             ("determinant",))["determinant"]
     assert sel.m_max == 6
     assert sel.beam_weights(3).shape == (16, 3)
     rb = sel.beam_correlation(3)
@@ -229,8 +237,8 @@ def test_selection_keeps_only_the_chain(desk_profile, small_config):
     r = conventional.element_correlation(desk_profile, small_config)
     n_beams = small_config.n_beams
     cases = [(conventional.dft_codebook(small_config),
-              lambda metric: conventional.full_array_selection(
-                  r, small_config, 6, metric))]
+              lambda metric: conventional.full_array_selections(
+                  r, small_config, 6, (metric,))[metric])]
     for shape in ((2, 2), (1, 4)):
         cases.append((conventional.subarray_codebook(small_config, shape)[0],
                       lambda metric, shape=shape:
@@ -253,17 +261,18 @@ def test_selection_is_scale_invariant(desk_profile, small_config):
     # scaling R by N_UE must not change any greedy choice
     r = conventional.element_correlation(desk_profile, small_config)
     for metric in ("power", "determinant"):
-        a = conventional.full_array_selection(r, small_config, 5, metric)
-        b = conventional.full_array_selection(9.0 * r, small_config, 5,
-                                              metric)
+        a = conventional.full_array_selections(r, small_config, 5,
+                                               (metric,))[metric]
+        b = conventional.full_array_selections(9.0 * r, small_config, 5,
+                                               (metric,))[metric]
         assert a.chain == b.chain
 
 
 def test_best_subarray_partition(desk_profile, small_config):
     r = conventional.element_correlation(desk_profile, small_config)
-    shapes = ((1, 4), (2, 2), (4, 1))
+    shapes = conventional.tiling_shapes(small_config)
     shape, sel, report = conventional.best_subarray_partition(
-        4.0 * r, small_config, 4, snr=0.03, candidates=shapes)
+        4.0 * r, small_config, 4, snr=0.03)
     assert shape in shapes
     assert sel.m_max == min(16 // (shape[0] * shape[1]), 4)
     assert report.m_opt <= sel.m_max
@@ -277,19 +286,26 @@ def test_best_subarray_partition(desk_profile, small_config):
         totals.append(capacity.rank_adapt(s.beam_correlation, m_max,
                                           0.03).total)
     assert report.total == pytest.approx(max(totals))
+    three = conventional.ArrayConfig(n_v=3, n_h=3, beam_interval=2)
     with pytest.raises(ValueError):
-        conventional.best_subarray_partition(r, small_config, 4, 0.03,
-                                             candidates=())
+        conventional.best_subarray_partition(
+            conventional.element_correlation(desk_profile, three), three, 4,
+            0.03)
 
 
 def test_partition_search_skips_shapes_that_do_not_tile(desk_profile,
                                                         small_config):
-    # (2, 8) cannot tile a 4 x 4 array; the search must pass over it instead
-    # of failing, so the default candidate list works for any array size
+    # four of the ten shapes cannot tile a 4 x 4 array; the search must pass
+    # over them instead of failing, so the shape list works for any array
+    # size, and an array no shape tiles is an error
     r = conventional.element_correlation(desk_profile, small_config)
+    tiling = conventional.tiling_shapes(small_config)
+    assert tiling == [(1, 4), (2, 2), (4, 1), (2, 4), (4, 2), (4, 4)]
     shape, _, _ = conventional.best_subarray_partition(
-        r, small_config, 4, snr=0.03, candidates=((2, 8), (2, 2)))
-    assert shape == (2, 2)
-    with pytest.raises(ValueError):
-        conventional.best_subarray_partition(r, small_config, 4, snr=0.03,
-                                             candidates=((2, 8),))
+        r, small_config, 4, snr=0.03)
+    assert shape in tiling
+    three = conventional.ArrayConfig(n_v=3, n_h=3, beam_interval=2)
+    with pytest.raises(ValueError, match="no sub-array shape tiles"):
+        conventional.best_subarray_partition(
+            conventional.element_correlation(desk_profile, three), three, 4,
+            snr=0.03)

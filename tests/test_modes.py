@@ -56,9 +56,9 @@ def test_flat_index_rejects_bad_modes():
 
 def test_modeset_orders_match_flat_index():
     ms = modes.ModeSet(truncation_order=5)
-    for i, (s, m, n) in enumerate(ms):
+    for i, (s, m, n) in enumerate(zip(ms.s, ms.m, ms.n)):
         assert modes.flat_index(s, m, n) == i + 1
-    assert ms.mode_count == 2 * 5 * 7 == len(ms)
+    assert ms.mode_count == 2 * 5 * 7 == ms.s.size
 
 
 # ---------------------------------------------------------------------------
@@ -181,5 +181,5 @@ def test_te_regular_waves_have_no_radial_component():
     theta = np.linspace(0.2, 3.0, 7)
     phi = np.linspace(-3.0, 3.0, 7)
     Fr, _, _ = modes.regular_wave_matrix(ms, r, theta, phi)
-    te_rows = np.array([s == 1 for (s, _, _) in ms])
+    te_rows = ms.s == 1
     assert np.abs(Fr[te_rows]).max() == 0.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obpb import correlation, optimizer, profiles
 from obpb.modes import ModeSet
@@ -107,14 +107,14 @@ def test_run_monotone_and_converged(desk, m):
     drops = h[:-1] - h[1:]
     assert drops.max(initial=0.0) <= eps * max(h.max(), 1.0)
     assert res.converged and res.iterations <= 200
-    assert res.objective == h[-1]
     # coefficient matrices keep orthonormal columns on both sides
     for q in (res.q_bs, res.q_ue):
         assert q.shape[1] == m
         assert np.abs(q.conj().T @ q - np.eye(m)).max() < 1e-10
     # the cached BS correlation matches a fresh evaluation against q_ue
     r_check = correlation.mode_correlation(
-        modeset, profiles.marginal_profile_bs(profile, res.q_ue, modeset),
+        modeset, profile.marginal_bs(profiles.pattern_power(
+            res.q_ue, modeset, profile.ue_grid, profile.params.polarization)),
         profile.bs_grid)
     assert np.abs(res.r_bs - r_check).max() < 1e-12 * np.abs(r_check).max()
 
@@ -130,7 +130,8 @@ def test_seed_beam_is_the_lowest_tm_mode(desk):
     q_seed = np.zeros((modeset.mode_count, 1), dtype=complex)
     q_seed[flat_index(2, 0, 1) - 1, 0] = 1.0
     r0 = correlation.mode_correlation(
-        modeset, profiles.marginal_profile_bs(profile, q_seed, modeset),
+        modeset, profile.marginal_bs(profiles.pattern_power(
+            q_seed, modeset, profile.ue_grid, profile.params.polarization)),
         profile.bs_grid)
     lam0 = np.linalg.eigvalsh(r0)[-1]
     assert abs(res.objective_history[0] - lam0) < 1e-10 * lam0
@@ -229,6 +230,7 @@ def test_dominant_beams_repeated_eigenvalue(j, m, seed, multiplicity):
 
 @settings(max_examples=10, deadline=None)
 @given(_J, _SEED)
+@example(j=125, seed=157173)
 def test_dominant_beams_extreme_m(j, seed):
     # m = 1 runs the Krylov solver; m = J - 2, J - 1 and J run dense eigh
     rng = np.random.default_rng(seed)
@@ -250,7 +252,7 @@ def test_dominant_beams_falls_back_to_eigh(monkeypatch):
     q, lam = optimizer.dominant_beams(r, m)
     # the fallback is the dense solve, bit for bit
     vals, vecs = optimizer._order_descending(
-        *scipy.linalg.eigh(r, subset_by_index=[j - m, j - 1]))
+        *scipy.linalg.eigh(r, subset_by_index=[j - m, j - 1], driver="evx"))
     assert np.array_equal(lam, vals)
     assert np.array_equal(q, optimizer._phase_fix(vecs).conj())
     assert not np.array_equal(q, krylov_q)

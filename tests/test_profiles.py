@@ -127,11 +127,9 @@ def test_joint_density_wraps_in_azimuth(desk_profile):
     # the widest sigma at 48 degrees the dropped image is below 1e-10 relative
     theta_b, phi_b = 1.4, 0.3
     theta_u, phi_u = 1.6, -0.3
-    base = profiles.joint_density(desk_profile, (theta_b, phi_b),
-                                  (theta_u, phi_u))
-    wrapped = profiles.joint_density(desk_profile,
-                                     (theta_b, phi_b + 2.0 * np.pi),
-                                     (theta_u, phi_u - 2.0 * np.pi))
+    base = desk_profile.density((theta_b, phi_b), (theta_u, phi_u))
+    wrapped = desk_profile.density((theta_b, phi_b + 2.0 * np.pi),
+                                   (theta_u, phi_u - 2.0 * np.pi))
     assert abs(base - wrapped) < 1e-6 * abs(base)
 
 

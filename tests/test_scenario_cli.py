@@ -359,7 +359,7 @@ def test_obpb_bundle_keeps_only_what_points_read(tmp_path):
             assert np.array_equal(
                 kept_r, correlation.beam_correlation(q, run.r_bs)), (name, m)
         assert np.array_equal(bundle.q_ue[m], run.q_ue)
-        assert bundle.histories[m]["objective_history"] == \
+        assert bundle.histories[str(m)]["objective_history"] == \
             run.objective_history
 
 
@@ -389,8 +389,8 @@ def test_conventional_bundle_builds_one_gram_for_both_metrics(monkeypatch):
     depth = min(scn.array_config.n_elements, max(scn.n_ue))
     assert set(bundle.full) == {"power", "determinant"}
     for metric, sel in bundle.full.items():
-        alone = conventional.full_array_selection(
-            bundle.r_unit, scn.array_config, depth, metric)
+        alone = conventional.full_array_selections(
+            bundle.r_unit, scn.array_config, depth, (metric,))[metric]
         assert sel.chain == alone.chain
         assert np.array_equal(sel.beam_weights(depth),
                               alone.beam_weights(depth))
@@ -421,6 +421,67 @@ def test_m_max_above_surface_rank_fails_before_any_file(tmp_path, capsys,
     assert err.startswith(f"error: {cfg}: obpb: m_max: 30 exceeds the "
                           "radiatable rank 24 of surface 'plane'")
     assert not out.exists() and not runs
+
+
+def test_sub_array_rules_run_side_by_side(tmp_path):
+    # the power and det rules of the sub-array search carry their own
+    # labels, so one scenario runs both and compare can tell their rows apart
+    cfg = tmp_path / "both.yaml"
+    out = tmp_path / "out"
+    cfg.write_text(
+        f"output_dir: {out}\nmethods: [sub_array, sub_array:det]\n"
+        "n_ue: [2]\nquadrature: {bs: [24, 48], ue: [24, 48]}\n"
+        "conventional: {n_v: 4, n_h: 4, beam_interval: 2}\n")
+    assert cli.main(["run", "--quiet", str(cfg)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert [p["method"] for p in man["points"]] == ["sub_array",
+                                                    "sub_array_det"]
+    for label in ("sub_array", "sub_array_det"):
+        assert (out / label / "n_ue_2" / "capacity.json").is_file()
+
+
+def test_profile_overflow_is_a_scenario_error(tmp_path, capsys):
+    # sigma = 0.5 deg on all four angles passes validation, which builds no
+    # grid, but its density overflows a float on the run's grids: the run
+    # reports it like any configuration error and writes nothing
+    cfg = tmp_path / "narrow.yaml"
+    out = tmp_path / "out"
+    cfg.write_text(
+        f"output_dir: {out}\nmethods: [full_array:power]\nn_ue: [2]\n"
+        "quadrature: {bs: [24, 48], ue: [24, 48]}\n"
+        "profile: {sigma: [0.5, 0.5, 0.5, 0.5]}\n"
+        "conventional: {n_v: 4, n_h: 4, beam_interval: 2}\n")
+    assert cli.main(["validate", str(cfg)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {cfg}: profile: profile density overflows a float")
+    assert not out.exists()
+
+
+def test_quadrature_too_coarse_for_the_modes(tmp_path):
+    # Gauss-Legendre in cos(theta) and the trapezoid in phi integrate every
+    # product of two modes of order <= N exactly from N + 1 and 2N + 1 nodes
+    # on; coarser grids gave wrong numbers (obpb_plane read 3.56 bits on
+    # [2, 2] grids against 1.07 bits on [24, 48] / [12, 24])
+    bad = tmp_path / "coarse.yaml"
+    obpb = "methods: [obpb:plane]\nn_ue: [4]\n"      # N = 17 / 4
+    bad.write_text(obpb + "quadrature: {bs: [2, 2], ue: [2, 2]}\n")
+    with pytest.raises(scenario.ScenarioError,
+                       match=r"quadrature: bs: \[2, 2\] .*\(N = 17\): "
+                             r"needs n_theta >= 18 and n_phi >= 35$"):
+        scenario.load_scenario(bad)
+    bad.write_text(obpb + "quadrature: {bs: [18, 35], ue: [5, 8]}\n")
+    with pytest.raises(scenario.ScenarioError,
+                       match=r"quadrature: ue: \[5, 8\] .*\(N = 4\): "
+                             r"needs n_theta >= 5 and n_phi >= 9$"):
+        scenario.load_scenario(bad)
+    bad.write_text(obpb + "quadrature: {bs: [18, 35], ue: [5, 9]}\n")
+    assert scenario.load_scenario(bad).quadrature["ue"] == (5, 9)
+    # the codebook methods use no modes
+    bad.write_text("methods: [full_array:power]\nn_ue: [4]\n"
+                   "quadrature: {bs: [2, 2], ue: [2, 2]}\n")
+    assert scenario.load_scenario(bad).quadrature["bs"] == (2, 2)
 
 
 def test_conventional_patterns_match_direct_evaluation(smoke_run):

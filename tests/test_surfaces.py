@@ -136,7 +136,7 @@ def test_projection_never_amplifies(seed):
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(modeset.mode_count) \
         + 1j * rng.standard_normal(modeset.mode_count)
-    q_semi = surfaces.project(op, q, normalize=False)
+    q_semi = op.p_op @ q
     assert np.linalg.norm(q_semi) <= np.linalg.norm(q) * (1.0 + 1e-12)
 
 
@@ -171,13 +171,14 @@ def test_project_zero_vector_stays_zero(small_plane_op):
 
 
 def test_projection_is_pop_application(small_plane_op):
-    # project() and the explicit projector agree before normalization
+    # project() is the explicit projector's image, normalized
     rng = np.random.default_rng(4)
     j = small_plane_op.mode_count
     q = rng.standard_normal(j) + 1j * rng.standard_normal(j)
-    q_semi = surfaces.project(small_plane_op, q, normalize=False)
+    q_semi = surfaces.project(small_plane_op, q)
     ref = small_plane_op.p_op @ q
-    assert np.abs(q_semi - ref).max() < 1e-10 * np.linalg.norm(q)
+    ref /= np.linalg.norm(ref)
+    assert np.abs(q_semi - ref).max() < 1e-10
 
 
 def test_custom_rtol_trims_rank(small_plane_op):
