@@ -135,11 +135,13 @@ def subarray_groups(config, sub_shape):
 
 
 def subarray_codebook(config, sub_shape):
-    """Embedded per-group DFT beams.
+    """Embedded per-group DFT beams: the dense oracle of `subarray_selection`.
 
     Returns (weights, group_of): weights (N, n_groups * a^2 N_sub) with each
     group's codebook zero-padded to full length, and the owning group index
     per column.  Total candidate count is a^2 N regardless of the shape.
+    The search never forms these weights or their Gram; tests compare its
+    chains with greedy chains on ``candidate_gram(weights, R)``.
     """
     groups = subarray_groups(config, sub_shape)
     local = dft_codebook(config, sub_shape)
@@ -180,12 +182,17 @@ def element_correlation(profile, config):
 
 def candidate_gram(weights, r_elem):
     """Beam-space Gram G = W^T R W^* of all candidate beams (Hermitian PSD)."""
-    g = weights.T @ r_elem @ weights.conj()
-    # 0.5 (G + G^H) by the same operations, in place, so two B x B
-    # temporaries fewer: the partition search builds and frees one Gram per
-    # shape, and freed temporaries go back to the system and are faulted in
-    # again for the next shape
-    g += g.conj().T
+    return _hermitian_part(weights.T @ r_elem @ weights.conj())
+
+
+def _hermitian_part(g, h=None):
+    """0.5 (G + H^H), in place in G; H is G itself unless given.
+
+    Every Gram entry the selections read goes through these two operations,
+    so an entry assembled from the products G_gh and G_hg of two groups
+    equals the dense Gram's entry to the last bit.
+    """
+    g += (g if h is None else h).conj().T
     g *= 0.5
     return g
 
@@ -199,11 +206,14 @@ def greedy_select_power(gram, m, group_of=None):
     chains scale-invariant, but it moves sub_array det_db values that
     bench/reference.json pins.  Returns the indices in selection order.
     """
-    power = np.real(np.diag(gram)).copy()
-    order = np.argsort(-power, kind="stable")
+    return _power_chain(np.real(np.diag(gram)), m, group_of)
+
+
+def _power_chain(power, m, group_of):
+    """greedy_select_power on the candidates' diagonal powers alone."""
     chosen = []
     used = set()
-    for c in order:
+    for c in np.argsort(-power, kind="stable"):
         if group_of is not None:
             if group_of[c] in used:
                 continue
@@ -221,9 +231,18 @@ def greedy_select_det(gram, m, group_of=None):
     current selection, det(G_{S+c}) = det(G_S) (g_cc - g_cS G_S^-1 g_Sc),
     at most one per group, lowest index on ties.
     """
-    n = gram.shape[0]
-    diag = np.real(np.diag(gram))
+    return _det_chain(np.real(np.diag(gram)), gram.__getitem__, m,
+                      group_of)[0]
+
+
+def _det_chain(diag, gram_row, m, group_of):
+    """greedy_select_det reading G through its diagonal and gram_row(c),
+    the Gram row of candidate c, called once per chosen beam.
+
+    Returns (chain, rows): the chain and its Gram rows (m, n_candidates).
+    """
     chosen = []
+    rows = []
     used = set()
     schur = diag.copy()
     for _ in range(m):
@@ -238,30 +257,32 @@ def greedy_select_det(gram, m, group_of=None):
         cands = np.flatnonzero(score >= best - _TIE_REL * abs(best))
         c = int(cands.min())
         chosen.append(c)
+        rows.append(gram_row(c))
         if group_of is not None:
             used.add(group_of[c])
         # Schur complements of every candidate against the whole selection,
         # from a fresh Cholesky factor of the chosen block
-        gs = gram[np.ix_(chosen, np.arange(n))]
-        l = scipy.linalg.cholesky(gram[np.ix_(chosen, chosen)], lower=True)
+        gs = np.array(rows)
+        l = scipy.linalg.cholesky(gs[:, chosen], lower=True)
         x = scipy.linalg.solve_triangular(l, gs, lower=True)
         schur = diag - np.sum(np.abs(x) ** 2, axis=0)
-    return chosen
+    return chosen, np.array(rows)
 
 
 class ConventionalSelection:
     """A greedy chain over one codebook, reduced to what rank adaptation and
-    the pattern tables read: the chain's weight columns and its Gram block.
+    the pattern tables read: the chain's weight columns (N, m) and its Gram
+    block (m, m).
 
     Both greedy rules are nested (the length-m selection is the prefix of
     the length-M chain), so every m is a leading slice of those two arrays;
     the codebook and its full Gram are not kept.
     """
 
-    def __init__(self, weights, gram, chain):
+    def __init__(self, chain, weights, gram):
         self.chain = list(chain)
-        self._weights = weights[:, self.chain]
-        self._gram = gram[np.ix_(self.chain, self.chain)]
+        self._weights = weights
+        self._gram = gram
 
     def beam_weights(self, m):
         return self._weights[:, :m]
@@ -274,28 +295,75 @@ class ConventionalSelection:
         return len(self.chain)
 
 
-def _selections(weights, r_elem, m_max, metrics, group_of=None):
-    """Greedy chains of m_max candidate beams, one per metric, all read
-    from one Gram of the candidates; returns {metric: selection}."""
+def full_array_selections(r_elem, config, m_max, metrics):
+    """Greedy chains of m_max full-array DFT beams under each metric, all
+    read from one Gram of the codebook; returns {metric: selection}."""
+    weights = dft_codebook(config)
     gram = candidate_gram(weights, r_elem)
     chains = {}
     for metric in metrics:
         select = (greedy_select_power if metric == "power"
                   else greedy_select_det)
+        chain = select(gram, m_max)
         chains[metric] = ConventionalSelection(
-            weights, gram, select(gram, m_max, group_of))
+            chain, weights[:, chain], gram[np.ix_(chain, chain)])
     return chains
 
 
-def full_array_selections(r_elem, config, m_max, metrics):
-    """Greedy chains of m_max full-array DFT beams under each metric."""
-    return _selections(dft_codebook(config), r_elem, m_max, metrics)
-
-
 def subarray_selection(r_elem, config, sub_shape, m_max, metric="power"):
-    """Greedy chain of embedded sub-array beams, at most one per group."""
-    weights, group_of = subarray_codebook(config, sub_shape)
-    return _selections(weights, r_elem, m_max, (metric,), group_of)[metric]
+    """Greedy chain of embedded sub-array beams, at most one per group.
+
+    The chain is the one greedy_select_* picks on the Gram of
+    `subarray_codebook`, but that 1024 x 1024 Gram (8 x 8 array, beam
+    interval 4) is never formed.  Each embedded column is nonzero on its
+    group only, so with L the shape's local codebook and X_g = L^T R[g, :]
+    (the group's rows of W^T R) the Gram splits into group-pair blocks
+    G_gh = X_g[:, h] L^*.  The power rule reads the diagonal blocks, the
+    determinant rule the row blocks of the groups it picks, and the chain's
+    Gram block is gathered from the same blocks.  Each entry is taken from
+    a whole block product and Hermitized as 0.5 (G_gh + G_hg^H), which
+    reproduces the dense Gram's entries to the last bit (a row or column
+    slice product would not: it rounds differently).
+    """
+    groups = subarray_groups(config, sub_shape)
+    local = dft_codebook(config, sub_shape)
+    n_loc = local.shape[1]
+    n_groups = len(groups)
+    group_of = np.repeat(np.arange(n_groups), n_loc)
+    panels = [local.T @ r_elem[idx, :] for idx in groups]
+    local_conj = local.conj()
+
+    def block(g, h):
+        """G_gh before Hermitization, from one whole product."""
+        return panels[g][:, groups[h]] @ local_conj
+
+    def gram_row(c):
+        # row b of every G_gh and column b of every G_hg; copied out, so at
+        # most one block is alive at a time
+        g, b = divmod(c, n_loc)
+        row, col = np.empty((2, n_groups, n_loc), dtype=complex)
+        for h in range(n_groups):
+            row[h] = block(g, h)[b]
+            col[h] = block(h, g)[:, b]
+        return _hermitian_part(row.ravel(), col.ravel())
+
+    power = np.empty((n_groups, n_loc))
+    for g in range(n_groups):
+        power[g] = np.real(_hermitian_part(np.diag(block(g, g)).copy()))
+    if metric == "power":
+        chain = _power_chain(power.ravel(), m_max, group_of)
+        at = [divmod(c, n_loc) for c in chain]
+        gram = _hermitian_part(np.array([[block(g, h)[b, d] for h, d in at]
+                                         for g, b in at]))
+    else:
+        chain, rows = _det_chain(power.ravel(), gram_row, m_max,
+                                 group_of)
+        gram = rows[:, chain]
+    weights = np.zeros((config.n_elements, len(chain)), dtype=complex)
+    for k, c in enumerate(chain):
+        g, b = divmod(c, n_loc)
+        weights[groups[g], k] = local[:, b]
+    return ConventionalSelection(chain, weights, gram)
 
 
 def tiling_shapes(config):
@@ -309,7 +377,9 @@ def best_subarray_partition(r_elem, config, n_ue, snr, metric="power"):
 
     Each of SUBARRAY_SHAPES that tiles the array gets its own greedy chain up
     to min(n_groups, N_UE) streams; the shape whose best stream count yields
-    the highest capacity wins (first listed wins ties).
+    the highest capacity wins (first listed wins ties).  Every chain is read
+    from group-pair blocks of its shape's Gram (`subarray_selection`), so the
+    search forms no N x a^2 N codebook and no a^2 N x a^2 N Gram.
     """
     best = None
     for shape in tiling_shapes(config):

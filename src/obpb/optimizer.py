@@ -204,9 +204,13 @@ def run(config, profile, modes_bs, modes_ue, m, r_seed=None):
     beam correlation matrix, re-evaluated after user-side updates as well:
     the two sides' determinants coincide only when the link is dual, and a
     cross-correlated profile leaves a permanent gap between them, while the
-    single objective both increases monotonically and settles.  The user
-    update's effect on the objective arrives for free, since the refreshed
-    BS mode correlation is needed by the next half-step anyway.
+    single objective settles.  It is not monotone: the BS half-step is the
+    exact maximizer of the objective, but the user half-step maximizes the
+    user side's determinant instead, and the reading right after it can
+    drop (by 3.60e-8, 7.63e-7 and 4.72e-5 relative at M = 2, 4 and 8 on
+    the baseline profile; ROADMAP item 2).  The user update's effect on the
+    objective arrives for free, since the refreshed BS mode correlation is
+    needed by the next half-step anyway.
 
     Every marginal comes from the far beams' pattern power on the profile's
     product grids (`profiles.pattern_power`); no dense field matrix is

@@ -25,7 +25,10 @@ family reports depends on N_UE, so each family's point (rank adaptation,
 report-M correlation, det_db and pattern tables) is computed once and written
 under every ``n_ue_<k>`` directory.  A codebook point is computed per N_UE:
 the full-array family scales the shared chain's Gram block by N_UE, and the
-sub-array partition search runs at the true scale.  A method's tables are let
+sub-array partition search runs at the true scale.  The search reads each
+tiling shape's Gram in group-pair blocks (under 3 MB alive at a time on the
+8 x 8 array) and never forms the 1024 x 1024 Gram of the zero-padded
+codebook; its chains equal that Gram's bit for bit.  A method's tables are let
 go once its points are written.  The joint profile is let go before the first
 point, once the manifest has taken its normalization and SISO reference; no
 point reads it.
@@ -260,16 +263,8 @@ class Scenario:
                     raise ScenarioError(
                         f"{where}: antenna: {side}_aperture_side: too small "
                         "for one spherical mode (needs >= 0.2251 wavelengths)")
-                # Gauss-Legendre in cos(theta) and the n_phi-point trapezoid
-                # integrate every product of two modes of order <= N exactly
-                # from N + 1 and 2N + 1 nodes on
-                n = truncation_order(r0)
-                n_theta, n_phi = self.quadrature[side]
-                if n_theta < n + 1 or n_phi < 2 * n + 1:
-                    raise ScenarioError(
-                        f"{where}: quadrature: {side}: [{n_theta}, {n_phi}] "
-                        f"is too coarse for its modes (N = {n}): needs "
-                        f"n_theta >= {n + 1} and n_phi >= {2 * n + 1}")
+                self._check_quadrature(where, side, "its modes",
+                                       truncation_order(r0))
             if self.obpb_m_max > min(counts.values()):
                 raise ScenarioError(
                     f"{where}: obpb: m_max: {self.obpb_m_max} exceeds the "
@@ -287,10 +282,30 @@ class Scenario:
             raise ScenarioError(
                 f"{where}: conventional: n_v/n_h: no sub-array shape tiles a "
                 f"{self.array_config.n_v} x {self.array_config.n_h} array")
+        if self.needs_conventional():
+            # an element's phase exp(j 2 pi r^ . x_n) holds spherical
+            # harmonics up to order 2 pi |x_n| only, so the element
+            # correlation obeys the mode rule at the outermost element
+            cfg = self.array_config
+            r_max = np.linalg.norm(cfg.positions(), axis=1).max()
+            self._check_quadrature(
+                where, "bs", f"the {cfg.n_v} x {cfg.n_h} array",
+                truncation_order(r_max) if r_max > 0 else 0)
 
         art = _section(tree, "artifacts", where)
         self.cut_step_deg = art["cut_step_deg"]
         self.grid_step_deg = art["grid_step_deg"]
+
+    def _check_quadrature(self, where, side, what, n):
+        """Gauss-Legendre in cos(theta) and the n_phi-point trapezoid
+        integrate every product of two order-<= N harmonics exactly from
+        N + 1 and 2N + 1 nodes on; coarser grids give wrong numbers."""
+        n_theta, n_phi = self.quadrature[side]
+        if n_theta < n + 1 or n_phi < 2 * n + 1:
+            raise ScenarioError(
+                f"{where}: quadrature: {side}: [{n_theta}, {n_phi}] is too "
+                f"coarse for {what} (N = {n}): needs n_theta >= {n + 1} "
+                f"and n_phi >= {2 * n + 1}")
 
     # -- derived geometry ---------------------------------------------------
 

@@ -4,9 +4,12 @@ The determinant-greedy oracle re-scores every admissible candidate with a
 dense determinant at each step; the fast Schur-complement chain must pick
 the same beam every time.  Selection scale-invariance (N_UE only rescales
 the element correlation) is what lets the runner build each chain once.
+The sub-array search reads its Gram block by block; the dense Gram of the
+zero-padded codebook is its oracle, bit for bit.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,3 +312,83 @@ def test_partition_search_skips_shapes_that_do_not_tile(desk_profile,
         conventional.best_subarray_partition(
             conventional.element_correlation(desk_profile, three), three, 4,
             snr=0.03)
+
+
+# (n_v, n_h, beam_interval) of the arrays the block search is checked on
+BLOCK_ARRAYS = ((4, 4, 2), (4, 8, 3), (8, 8, 4), (8, 8, 1))
+
+
+def _assert_block_search_is_the_dense_search(r, config, n_ue):
+    # every tiling shape and both metrics: subarray_selection against the
+    # greedy rules on the dense Gram of the zero-padded codebook
+    for shape in conventional.tiling_shapes(config):
+        weights, group_of = conventional.subarray_codebook(config, shape)
+        gram = conventional.candidate_gram(weights, r)
+        m = min(config.n_elements // (shape[0] * shape[1]), n_ue)
+        for metric, select in (("power", conventional.greedy_select_power),
+                               ("determinant",
+                                conventional.greedy_select_det)):
+            try:
+                chain = select(gram, m, group_of)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    conventional.subarray_selection(r, config, shape, m,
+                                                    metric)
+                continue
+            sel = conventional.subarray_selection(r, config, shape, m, metric)
+            assert sel.chain == chain, (shape, metric)
+            assert (sel.beam_weights(m).tobytes()
+                    == weights[:, chain].tobytes()), (shape, metric)
+            assert (sel.beam_correlation(m).tobytes()
+                    == gram[np.ix_(chain, chain)].tobytes()), (shape, metric)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(BLOCK_ARRAYS), st.sampled_from((1.0, 0.5, 0.0)),
+       st.sampled_from((1, 4, 9, 36, 49)),
+       st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_subarray_search_is_the_dense_gram_search_bit_for_bit(
+        array, rank_frac, n_ue, seed):
+    # random PSD correlations, full rank down to rank 1, at the scales the
+    # runner applies; the det rule may exhaust a low-rank R, and then both
+    # searches must refuse
+    n_v, n_h, interval = array
+    config = conventional.ArrayConfig(n_v=n_v, n_h=n_h,
+                                      beam_interval=interval)
+    n = config.n_elements
+    rank = max(1, int(rank_frac * n))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    _assert_block_search_is_the_dense_search(
+        float(n_ue) * (x @ x.conj().T), config, n_ue)
+
+
+def test_subarray_search_matches_the_dense_gram_on_near_ties(desk_profile):
+    # the element correlation of the 8 x 8 array: for every tiling shape,
+    # 4 to 64 of the 1024 candidates lie within 1e-12 of the largest power,
+    # so the power chains order by the last bits of the Gram diagonal
+    config = conventional.ArrayConfig()
+    r = conventional.element_correlation(desk_profile, config)
+    for n_ue in (4, 49):
+        _assert_block_search_is_the_dense_search(float(n_ue) * r, config,
+                                                 n_ue)
+
+
+def test_partition_search_forms_no_dense_gram(desk_profile, monkeypatch):
+    # the 8 x 8 search builds no 1024 x 1024 Gram (16 MB), which the dense
+    # search allocated at least twice per shape
+    config = conventional.ArrayConfig()
+    r = conventional.element_correlation(desk_profile, config)
+    calls = []
+    monkeypatch.setattr(conventional, "candidate_gram",
+                        lambda *args: calls.append(args))
+    for metric in ("power", "determinant"):
+        tracemalloc.start()
+        try:
+            conventional.best_subarray_partition(16.0 * r, config, 16, 0.03,
+                                                 metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 16 * 2 ** 20 / 4, metric

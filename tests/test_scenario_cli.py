@@ -478,10 +478,36 @@ def test_quadrature_too_coarse_for_the_modes(tmp_path):
         scenario.load_scenario(bad)
     bad.write_text(obpb + "quadrature: {bs: [18, 35], ue: [5, 9]}\n")
     assert scenario.load_scenario(bad).quadrature["ue"] == (5, 9)
-    # the codebook methods use no modes
+    # the codebook methods use no modes, but their element correlation
+    # needs the same rule (a [2, 2] grid gave 0.0005 bits against 5.396)
     bad.write_text("methods: [full_array:power]\nn_ue: [4]\n"
                    "quadrature: {bs: [2, 2], ue: [2, 2]}\n")
-    assert scenario.load_scenario(bad).quadrature["bs"] == (2, 2)
+    with pytest.raises(scenario.ScenarioError,
+                       match=r"quadrature: bs: \[2, 2\] .* 8 x 8 array "
+                             r"\(N = 15\): needs n_theta >= 16 and "
+                             r"n_phi >= 31$"):
+        scenario.load_scenario(bad)
+
+
+def test_quadrature_too_coarse_for_the_array(tmp_path):
+    # the element phases exp(j 2 pi r^ . x_n) reach harmonic order
+    # N = floor(2 pi |x_n|): 6 at the corner of a 4 x 4 half-wavelength
+    # array, 15 for 8 x 8; only the BS grid integrates them
+    path = tmp_path / "array.yaml"
+    small = ("methods: [full_array:power, sub_array]\nn_ue: [4]\n"
+             "conventional: {n_v: 4, n_h: 4}\n")
+    for grid, ok in (([7, 13], True), ([6, 13], False), ([7, 12], False)):
+        path.write_text(small + f"quadrature: {{bs: {grid}, ue: [2, 2]}}\n")
+        if ok:
+            assert scenario.load_scenario(path).quadrature["bs"] == (7, 13)
+            continue
+        with pytest.raises(scenario.ScenarioError,
+                           match=r"quadrature: bs: .* 4 x 4 array \(N = 6\)"
+                                 r": needs n_theta >= 7 and n_phi >= 13$"):
+            scenario.load_scenario(path)
+    path.write_text("methods: [sub_array]\nn_ue: [4]\n"
+                    "quadrature: {bs: [16, 31], ue: [2, 2]}\n")
+    assert scenario.load_scenario(path).quadrature["bs"] == (16, 31)
 
 
 def test_conventional_patterns_match_direct_evaluation(smoke_run):
