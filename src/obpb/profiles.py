@@ -26,9 +26,12 @@ factor, so `JointProfile` keeps those (under 2 MB on the default grids)
 and contracts them for every marginal.  The dense (n_bs, n_ue) matrix,
 ~680 MB on the default grids, is assembled only on request, or held by a
 profile too narrow and off-centre for its factors to stay in float range.
+The one product the pipeline takes with it, in the element correlation, is
+streamed through cache-sized row blocks with the whole matrix's bits.
 """
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 
 from . import modes
 
@@ -43,11 +46,14 @@ UE_GRID = (48, 96)
 # largest share of the peak a dropped +-2 azimuth image may carry
 _IMAGE_CUT = 1e-10
 
-# row-block size for assembling the dense joint matrix (the oracle behind
-# JointProfile.joint_matrix); keeps the image-sum temporary near 19 MB while
-# the full 18432 x 4608 matrix is ~680 MB.  Every entry comes from its own
-# row's and column's factors alone, so the block size changes no bit of it
-_CHUNK_ROWS = 512
+# BS rows per block of the dense joint matrix: about 1.2 MB on the default
+# grids, which stays in cache between its assembly and its product, while the
+# whole 18432 x 4608 matrix is ~680 MB.  Every entry comes from its own row's
+# and column's factors alone, so the block size moves no bit of the matrix.
+# The streamed products of `JointProfile.dense_product_bs` match the whole
+# matrix's only for a multiple of 4: OpenBLAS's gemv kernels take a matrix's
+# rows in groups of 4, and a block edge inside a group rounds differently
+_CHUNK_ROWS = 32
 
 # image factors and weighted contraction operands of magnitude below this are
 # set to 0.  Anything kept times a kernel entry down to ~2e-19 stays a normal
@@ -184,9 +190,11 @@ class JointProfile:
     normalized matrix and takes its marginals as products with it.
 
     ``joint_matrix`` assembles the dense normalized matrix on each access.
-    It is the oracle the tests compare against, and the pipeline reads it
-    in one place, `conventional.element_correlation`, whose greedy chains
-    break ties in the last bit.
+    It is the oracle the tests compare against, and the pipeline never
+    reads it.  `dense_product_bs` returns its product with a UE-side vector
+    to the last bit from ``_CHUNK_ROWS`` rows at a time, for
+    `conventional.element_correlation`, whose greedy chains break ties in
+    the last bit.
     """
 
     def __init__(self, params, bs_grid=None, ue_grid=None):
@@ -278,21 +286,61 @@ class JointProfile:
                 col += 1
         return fb, fu
 
-    def _assemble(self, bs_grid, ue_grid):
+    def _raw_blocks(self, bs_grid, ue_grid):
+        """The unnormalized density in blocks of ``_CHUNK_ROWS`` BS nodes.
+
+        Yields (lo, hi, rows): the density on BS nodes lo:hi times every UE
+        node, a fresh array per block.
+        """
         mu = self.params.mean
         vb = _offsets(bs_grid, mu[:2])
         vu = _offsets(ue_grid, mu[2:])
         fb, fu = self._image_terms(vb, vu)
         Abu = self._precision[:2, 2:]
         cu = Abu @ vu.T                                    # (2, nu)
-        out = np.empty((vb.shape[0], vu.shape[0]))
-        for lo in range(0, vb.shape[0], _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, vb.shape[0])
-            cross = np.matmul(vb[lo:hi], cu, out=out[lo:hi])
-            np.negative(cross, out=cross)
-            np.exp(cross, out=cross)
-            cross *= fb[lo:hi] @ fu.T
+        for lo in range(0, len(vb), _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, len(vb))
+            rows = vb[lo:hi] @ cu
+            np.negative(rows, out=rows)
+            np.exp(rows, out=rows)
+            rows *= fb[lo:hi] @ fu.T
+            yield lo, hi, rows
+
+    def _assemble(self, bs_grid, ue_grid):
+        out = np.empty((bs_grid.n_nodes, ue_grid.n_nodes))
+        for lo, hi, rows in self._raw_blocks(bs_grid, ue_grid):
+            out[lo:hi] = rows
         return out
+
+    def dense_product_bs(self, x):
+        """``joint_matrix @ x`` to the last bit, without holding the matrix.
+
+        Two passes over the row blocks of `_raw_blocks`: the first takes the
+        matrix's double integral (`_streamed_total`), the second scales each
+        block by 1 / integral, as the dense matrix is scaled, and multiplies
+        it by x.  A profile that holds the dense matrix (see the class
+        docstring) multiplies that.
+        """
+        if self._dense is not None:
+            return self._dense @ x
+        scale = 1.0 / self._streamed_total()
+        out = np.empty(self.bs_grid.n_nodes)
+        for lo, hi, rows in self._raw_blocks(self.bs_grid, self.ue_grid):
+            rows *= scale
+            # gemv even for a 1-row block, which numpy would take as a dot
+            out[lo:hi] = dgemv(1.0, rows.T, x, trans=1)
+        return out
+
+    def _streamed_total(self):
+        """wb @ raw @ wu of the assembled matrix, to the last bit, from its
+        row blocks: gemv adds each block's weighted rows into the running
+        wb @ raw in the order one gemv over the whole matrix adds them."""
+        wb = self.bs_grid.weights
+        acc = np.zeros(self.ue_grid.n_nodes)
+        for lo, hi, rows in self._raw_blocks(self.bs_grid, self.ue_grid):
+            acc = dgemv(1.0, rows.T, wb[lo:hi], beta=1.0, y=acc,
+                        overwrite_y=1)
+        return float(acc @ self.ue_grid.weights)
 
     def _contract_bs(self, x):
         """sum_u raw[b, u] x[u] for every BS node b (raw: unnormalized)."""

@@ -9,10 +9,9 @@ Scenario points (method x N_UE) each write only into their own directory.
 The runner follows the structure the sweep already has.  What points share is
 built once up front, reduced to what the points read, and only read
 afterwards.  The joint profile holds only its factors (under 2 MB) unless it
-is too narrow for them.  The codebook work goes first, right after the SNR
-calibration: its element correlation is the one step that reads the dense
-joint matrix (about 680 MB on the default grids, assembled and freed within
-the step), which then meets nothing else.  The full-array greedy chains
+is too narrow for them.  The codebook element correlation takes its one
+product with the dense joint matrix from row blocks of about 1.2 MB, so
+the 680 MB matrix is never formed.  The full-array greedy chains
 (selection is scale-invariant, so one chain at N_UE = 1 serves every N_UE)
 are all read from one Gram and keep only their beams and Gram block.  For
 OBPB the surface projectors are built first (a stream count above a surface's
@@ -34,12 +33,12 @@ point, once the manifest has taken its normalization and SISO reference; no
 point reads it.
 
 Numeric tables are rendered a whole column at a time, and the text of every
-distinct column is kept for the rest of the run.  That text is the run's
-only memo.  On the benchmark workloads at seed 0 it serves 86%
-(``paper_baseline``), 23% (``obpb_wide``) and 71% (``codebook_sweep``) of
-the rendered cells: the angle columns of every table, an OBPB family's
-streams at each further N_UE, full-array beams that recur across N_UE at a
-fixed ``report_m`` and sub-array winners that recur.
+distinct column is kept for the rest of the run, as one string per column.
+That text is the run's only memo.  On the benchmark workloads at seed 0 it
+serves 86% (``paper_baseline``), 23% (``obpb_wide``) and 71%
+(``codebook_sweep``) of the rendered cells: the angle columns of every
+table, an OBPB family's streams at each further N_UE, full-array beams that
+recur across N_UE at a fixed ``report_m`` and sub-array winners that recur.
 
 All artifacts are plain CSV/JSON, written with round-trip float formatting and
 fixed key order and without timestamps, so a rerun of the same scenario on the
@@ -391,6 +390,8 @@ class _ColumnText:
     column that recurs anywhere in the run (the angle columns of every
     table, an OBPB family's streams at every N_UE, a greedy chain's beams at
     every prefix that evaluates them to the same bits) is formatted once.
+    Each is kept as one newline-joined string and split into cells on use:
+    the cells as separate strings take some four times the memory.
     """
 
     def __init__(self):
@@ -401,8 +402,8 @@ class _ColumnText:
         key = (values.dtype.str, values.tobytes())
         text = self._text.get(key)
         if text is None:
-            text = self._text[key] = list(map(repr, values.tolist()))
-        return text
+            text = self._text[key] = "\n".join(map(repr, values.tolist()))
+        return text.split("\n") if values.size else []
 
     def write(self, path, header, columns):
         lines = [",".join(header)]
@@ -689,9 +690,6 @@ def run_scenario(scenario, echo=None):
     say(f"profile on {scenario.quadrature['bs']} x "
         f"{scenario.quadrature['ue']} grids, snr = {snr:.6g}")
 
-    # the codebook bundle goes first: its element correlation is the one
-    # reader of the dense joint matrix, and that transient should meet
-    # nothing but the profile's factors
     conv_bundle = None
     if scenario.needs_conventional():
         conv_bundle = _ConventionalBundle(scenario, profile)

@@ -109,6 +109,20 @@ def test_subarray_codebook_is_zero_padded(small_config):
     assert np.abs(np.linalg.norm(weights, axis=0) - 1.0).max() < 1e-12
 
 
+def test_element_correlation_streams_the_joint_matrix(baseline_profile):
+    # on the default grids the dense joint matrix takes ~680 MB; its one
+    # product is taken from row blocks, and the steering matrix (19 MB)
+    # and its weighted copy are the step's largest arrays
+    tracemalloc.start()
+    try:
+        conventional.element_correlation(baseline_profile,
+                                         conventional.ArrayConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
 def test_element_correlation_scales_with_n_ue(desk_profile, small_config):
     # five user elements sum their pattern powers (their position phases
     # cancel in |a_n|^2), so the correlation they produce is 5 x the one
