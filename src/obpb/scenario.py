@@ -13,16 +13,20 @@ is too narrow for them.  The codebook element correlation takes its one
 product with the dense joint matrix from row blocks of about 1.2 MB, so
 the 680 MB matrix is never formed.  The full-array greedy chains
 (selection is scale-invariant, so one chain at N_UE = 1 serves every N_UE)
-are all read from one Gram and keep only their beams and Gram block.  For
-OBPB the surface projectors are built first (a stream count above a surface's
-rank fails there, before the optimizer runs); then the optimizer runs once
-per M, all started from one dipole-seeded BS correlation, and each run is
-reduced as it returns to every OBPB family's BS beams and M x M beam
-correlation plus the UE beams and the history.  Once the joint profile is
-gone one steering matrix per BS artifact table is built.  Nothing an OBPB
-family reports depends on N_UE, so each family's point (rank adaptation,
-report-M correlation, det_db and pattern tables) is computed once and written
-under every ``n_ue_<k>`` directory.  A codebook point is computed per N_UE:
+are all read from one Gram and keep only their beams and Gram block.  The
+OBPB bundle is built before the codebook bundle, so the heap the codebook
+step frees does not sit under the surface factorizations.  Its surface
+projectors are built first (a stream count above a surface's rank fails
+there, before the optimizer runs), one at a time: each surface keeps only
+its J x J projector P, and its transfer matrix Z goes before the next
+surface's is built.  Then the optimizer runs once per M, all started from
+one dipole-seeded BS correlation, and each run is reduced as it returns to
+every OBPB family's BS beams and M x M beam correlation plus the UE beams
+and the history.  Once the joint profile is gone one steering matrix per BS
+artifact table is built.  Nothing an OBPB family reports depends on N_UE,
+so each family's point (rank adaptation, report-M correlation, det_db and
+pattern tables) is computed once and written under every ``n_ue_<k>``
+directory.  A codebook point is computed per N_UE:
 the full-array family scales the shared chain's Gram block by N_UE, and the
 sub-array partition search runs at the true scale.  The search reads each
 tiling shape's Gram in group-pair blocks (under 3 MB alive at a time on the
@@ -521,13 +525,16 @@ class _ObpbBundle:
     """Each OBPB family's beams and beam correlations at every candidate M.
 
     The surface projectors are built first, so a stream count above a
-    surface's radiatable rank fails before the optimizer runs.  Each
-    optimizer run is reduced as soon as it returns: every family keeps its
-    BS beams (projected, for a surface) and their M x M correlation against
-    the run's BS mode correlation, and the run's UE beams and history are
-    kept.  The projectors, the samplings and every J x J mode correlation
-    are let go when construction ends; ``shapes`` keeps each surface's
-    sample count, rank and kind for the manifest.
+    surface's radiatable rank fails before the optimizer runs.  Only one
+    ProjectionOperator is alive at a time: each surface keeps its projector
+    matrix P, and the operator (with its transfer matrix Z) is let go before
+    the next surface's is built.  Each optimizer run is reduced as soon as
+    it returns: every family keeps its BS beams (projected, for a surface)
+    and their M x M correlation against the run's BS mode correlation, and
+    the run's UE beams and history are kept.  The projectors, the samplings
+    and every J x J mode correlation are let go when construction ends;
+    ``shapes`` keeps each surface's sample count, rank and kind for the
+    manifest.
     """
 
     def __init__(self, scenario, profile):
@@ -536,19 +543,22 @@ class _ObpbBundle:
         m_max = scenario.obpb_m_max
         names = [mm["surface"] for mm in scenario.methods
                  if mm["kind"] == "obpb"]
-        ops, self.shapes = {}, {}
+        projectors, self.shapes = {}, {}
         for name in sorted(set(names) - {"optimal"}):
             samp = surfaces.sample_surface(
                 surfaces.named_surface(name, scenario.bs_radius),
                 scenario.surface_density)
-            op = ops[name] = surfaces.build_z(self.modes_bs, samp,
-                                              rtol=scenario.surface_rtol)
+            op = surfaces.build_z(self.modes_bs, samp,
+                                  rtol=scenario.surface_rtol)
             if m_max > op.rank:
                 raise ScenarioError(
                     f"{scenario.source}: obpb: m_max: {m_max} exceeds the "
                     f"radiatable rank {op.rank} of surface '{name}'")
             self.shapes[name] = {"n_points": samp.n_points, "rank": op.rank,
                                  "kind": samp.surface.kind}
+            projectors[name] = op.p_op
+            # Z goes with its operator before the next surface's is built
+            del op
         seed = optimizer.seed_correlation(profile, self.modes_bs,
                                           self.modes_ue)
         # family -> M -> (BS beams, their beam correlation)
@@ -559,7 +569,7 @@ class _ObpbBundle:
                                 self.modes_ue, m, r_seed=seed)
             for name, family in self.families.items():
                 q = (run.q_bs if name == "optimal"
-                     else surfaces.project(ops[name], run.q_bs))
+                     else surfaces.project(projectors[name], run.q_bs))
                 family[m] = q, correlation.beam_correlation(q, run.r_bs)
             self.q_ue[m] = run.q_ue
             # text keys: the manifest sorts its keys, and these as text
@@ -690,17 +700,19 @@ def run_scenario(scenario, echo=None):
     say(f"profile on {scenario.quadrature['bs']} x "
         f"{scenario.quadrature['ue']} grids, snr = {snr:.6g}")
 
-    conv_bundle = None
-    if scenario.needs_conventional():
-        conv_bundle = _ConventionalBundle(scenario, profile)
-        say("conventional chains ready "
-            f"(codebook {conv_bundle.config.n_beams} beams)")
+    # OBPB first: the codebook step's freed heap would otherwise sit under
+    # the surface factorizations' transient
     obpb_bundle = None
     if scenario.needs_obpb():
         obpb_bundle = _ObpbBundle(scenario, profile)
         say(f"optimizer: {scenario.obpb_m_max} stream counts, converged="
             f"{obpb_bundle.converged}; surface ranks "
             + str({k: s["rank"] for k, s in obpb_bundle.shapes.items()}))
+    conv_bundle = None
+    if scenario.needs_conventional():
+        conv_bundle = _ConventionalBundle(scenario, profile)
+        say("conventional chains ready "
+            f"(codebook {conv_bundle.config.n_beams} beams)")
     # the last read of the profile: no point needs it
     resolved = _resolved_parameters(scenario, profile, snr, obpb_bundle,
                                     conv_bundle)

@@ -211,13 +211,24 @@ RANK_RTOL = 1e-14
 def _left_singular(z):
     """(U, sigma) of z (J x n), economy size, singular values descending.
 
-    A wide z (n > J) is first reduced to the J x J triangular factor of a QR
-    of z^H, which has the same left singular vectors and singular values
+    A wide z (n > J) is first reduced to the J x J triangular factor R of a
+    QR of z^H, which has the same left singular vectors and singular values
     (Golub & Van Loan, section 5.4), so neither the long right singular
-    vectors nor the QR's orthogonal factor is formed.
+    vectors nor the QR's orthogonal factor is formed.  The QR is taken of
+    z^T, a view, and R^H is read as qr(z^T).R^T: Householder QR commutes
+    with conjugation to the last bit (every reflector and every update of
+    the conjugated input is the conjugate of the original's, and IEEE
+    negation is exact), so qr(z^T).R = conj(qr(z^H).R) without a conjugated
+    copy of z.  Only the sign of zero imaginary parts differs.
+
+    A narrow z (the plane, the 1/32-sphere) goes straight to the SVD.  Do
+    not refactor that factorization: the 1/32-sphere keeps singular values
+    down to 4.8e-13 sigma_0, so its projector is fixed only to ~2e-5, and
+    any change of its last bits moves results pinned by the benchmark
+    reference (the FOUND line on `ProjectionOperator` in CHANGES.md).
     """
     if z.shape[1] > z.shape[0]:
-        z = np.linalg.qr(z.conj().T, mode="r").conj().T
+        z = np.linalg.qr(z.T, mode="r").T
     u, s, _ = np.linalg.svd(z, full_matrices=False)
     return u, s
 
@@ -249,31 +260,49 @@ class ProjectionOperator:
         return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
 
 
+# Points per block of `build_z`.  A block's regular waves and Cartesian
+# components are J x 128 complex arrays (1.3 MB each at J = 646), where the
+# hemisphere's whole-surface arrays took 8.6 MB each, six at a time.  Every
+# operation on them is elementwise per point, so the block size moves no bit
+# of Z.  Each block repeats the per-order Legendre set-up, whose cost shows
+# in the build time below about 128 points.
+_POINT_BLOCK = 128
+
+
 def build_z(modeset, sampling, rtol=RANK_RTOL):
     """Transfer matrix from surface currents to spherical modes.
 
     Z[j, 2p + d] is the regular wave of mode j at point p dotted with the
     point's d-th tangent direction (plain bilinear dot, no conjugation).
-    Returns a ProjectionOperator.
+    Z's columns are filled ``_POINT_BLOCK`` points at a time: the regular
+    waves, their Cartesian components and the tangent dots of a block are
+    formed from its own points only, so no whole-surface field array is
+    held next to Z.  Returns a ProjectionOperator.
     """
-    fr, fth, fph = modes_mod.regular_wave_matrix(
-        modeset, sampling.r, sampling.theta, sampling.phi)
-    u, that, phat = _local_frame(sampling.theta, sampling.phi)
-    # Cartesian field components per (mode, point)
-    fx = fr * u[:, 0] + fth * that[:, 0] + fph * phat[:, 0]
-    fy = fr * u[:, 1] + fth * that[:, 1] + fph * phat[:, 1]
-    fz = fr * u[:, 2] + fth * that[:, 2] + fph * phat[:, 2]
-    J, P = fr.shape
-    z = np.empty((J, 2 * P), dtype=complex)
-    for d in (0, 1):
-        tau = sampling.tangents[:, d, :]
-        z[:, d::2] = fx * tau[:, 0] + fy * tau[:, 1] + fz * tau[:, 2]
+    n_points = sampling.n_points
+    z = np.empty((modeset.mode_count, 2 * n_points), dtype=complex)
+    for lo in range(0, n_points, _POINT_BLOCK):
+        pts = slice(lo, min(lo + _POINT_BLOCK, n_points))
+        theta, phi = sampling.theta[pts], sampling.phi[pts]
+        fr, fth, fph = modes_mod.regular_wave_matrix(
+            modeset, sampling.r[pts], theta, phi)
+        u, that, phat = _local_frame(theta, phi)
+        # Cartesian field components per (mode, point)
+        fx = fr * u[:, 0] + fth * that[:, 0] + fph * phat[:, 0]
+        fy = fr * u[:, 1] + fth * that[:, 1] + fph * phat[:, 1]
+        fz = fr * u[:, 2] + fth * that[:, 2] + fph * phat[:, 2]
+        for d in (0, 1):
+            tau = sampling.tangents[pts, d, :]
+            z[:, 2 * pts.start + d:2 * pts.stop:2] = (
+                fx * tau[:, 0] + fy * tau[:, 1] + fz * tau[:, 2])
     return ProjectionOperator(z, rtol=rtol)
 
 
 def project(op, q):
     """Project beam coefficients onto a surface's radiatable subspace.
 
+    `op` is a ProjectionOperator or its projector matrix ``op.p_op``, which
+    is all a caller that lets the operator (and its Z) go needs to keep.
     Returns q_semi = P_op q for one coefficient vector or a (J, M) matrix,
     re-normalized to unit power per column; zero projections are returned
     as-is rather than normalized (``op.p_op @ q`` is the projection before
@@ -283,7 +312,8 @@ def project(op, q):
     cancel), while the projector form keeps re-projection idempotent to
     machine precision.
     """
-    q_semi = op.p_op @ np.asarray(q, dtype=complex)
+    p_op = op.p_op if isinstance(op, ProjectionOperator) else op
+    q_semi = p_op @ np.asarray(q, dtype=complex)
     norms = np.linalg.norm(q_semi, axis=0)
     return q_semi / np.where(norms > 0, norms, 1.0)
 

@@ -9,6 +9,7 @@ writing, exit codes).
 
 import json
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +362,34 @@ def test_obpb_bundle_keeps_only_what_points_read(tmp_path):
         assert np.array_equal(bundle.q_ue[m], run.q_ue)
         assert bundle.histories[str(m)]["objective_history"] == \
             run.objective_history
+
+
+def test_obpb_bundle_holds_one_projection_operator_at_a_time(tmp_path,
+                                                             monkeypatch):
+    # the bundle keeps each surface's projector matrix only, so an operator
+    # and its transfer matrix Z are gone before the next surface's is built
+    import yaml
+    from obpb import profiles, surfaces
+    tree = yaml.safe_load(SMOKE_YAML.format(out=tmp_path / "out"))
+    tree["methods"] = ["obpb:plane", "obpb:one_32_sphere", "obpb:hemisphere"]
+    scn = scenario.Scenario(tree)
+    profile = profiles.JointProfile(
+        scn.profile_params, profiles.make_grid(*scn.quadrature["bs"]),
+        profiles.make_grid(*scn.quadrature["ue"]))
+    built, alive_at_build = [], []
+    build_z = surfaces.build_z
+
+    def tracked(*args, **kwargs):
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        op = build_z(*args, **kwargs)
+        built.append(weakref.ref(op))
+        return op
+
+    monkeypatch.setattr(surfaces, "build_z", tracked)
+    bundle = scenario._ObpbBundle(scn, profile)
+    assert alive_at_build == [0, 0, 0]
+    assert all(ref() is None for ref in built)
+    assert set(bundle.shapes) == {"plane", "one_32_sphere", "hemisphere"}
 
 
 def test_conventional_bundle_builds_one_gram_for_both_metrics(monkeypatch):

@@ -8,11 +8,13 @@ current sheet radiates only the half of the modes that are even under the
 x-reflection, so its rank must be exactly J/2.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obpb import surfaces
+from obpb import modes, surfaces
 from obpb.modes import ModeSet
 
 R0_BS = 4.0 / np.sqrt(2.0)
@@ -221,3 +223,88 @@ def test_projector_matches_full_svd(name, rank):
     q = rng.standard_normal((modeset.mode_count, 3)) \
         + 1j * rng.standard_normal((modeset.mode_count, 3))
     assert np.array_equal(surfaces.currents(op, q), pinv @ q)
+
+
+def _z_one_shot(modeset, sampling):
+    """Z assembled from whole-surface field arrays in one pass (oracle)."""
+    fr, fth, fph = modes.regular_wave_matrix(
+        modeset, sampling.r, sampling.theta, sampling.phi)
+    u, that, phat = surfaces._local_frame(sampling.theta, sampling.phi)
+    fx = fr * u[:, 0] + fth * that[:, 0] + fph * phat[:, 0]
+    fy = fr * u[:, 1] + fth * that[:, 1] + fph * phat[:, 1]
+    fz = fr * u[:, 2] + fth * that[:, 2] + fph * phat[:, 2]
+    J, P = fr.shape
+    z = np.empty((J, 2 * P), dtype=complex)
+    for d in (0, 1):
+        tau = sampling.tangents[:, d, :]
+        z[:, d::2] = fx * tau[:, 0] + fy * tau[:, 1] + fz * tau[:, 2]
+    return z
+
+
+def _projector_one_shot(z, rtol=surfaces.RANK_RTOL):
+    """(sigma, rank, P) with a wide z reduced by a QR of its conjugate
+    transpose, formed as a copy (oracle)."""
+    if z.shape[1] > z.shape[0]:
+        z = np.linalg.qr(z.conj().T, mode="r").conj().T
+    u, s, _ = np.linalg.svd(z, full_matrices=False)
+    rank = int(np.sum(s > rtol * s[0]))
+    return s, rank, u[:, :rank] @ u[:, :rank].conj().T
+
+
+@pytest.mark.parametrize("name", ["small_plane", "plane", "one_32_sphere",
+                                  "hemisphere"])
+def test_blocked_z_is_the_one_shot_z_bit_for_bit(name, monkeypatch):
+    # every operation on the fields is elementwise per point, so Z does not
+    # depend on the point blocks, ragged tail included; the projector built
+    # from it equals the one-shot path's to the last bit
+    if name == "small_plane":
+        modeset = ModeSet(truncation_order=3)
+        samp = surfaces.sample_surface(
+            surfaces.plane_surface(1.0 / np.sqrt(2.0)))
+    else:
+        modeset = ModeSet(enclosing_radius=R0_BS)
+        samp = surfaces.sample_surface(surfaces.named_surface(name, R0_BS))
+    z_ref = _z_one_shot(modeset, samp)
+    s_ref, rank_ref, p_ref = _projector_one_shot(z_ref)
+    op = surfaces.build_z(modeset, samp)
+    assert op.z.tobytes() == z_ref.tobytes()
+    assert op.singular_values.tobytes() == s_ref.tobytes()
+    assert op.rank == rank_ref
+    assert op.p_op.tobytes() == p_ref.tobytes()
+    monkeypatch.setattr(surfaces, "_POINT_BLOCK", 7)
+    assert samp.n_points % 7
+    assert surfaces.build_z(modeset, samp).z.tobytes() == z_ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=160),
+       st.integers(min_value=1, max_value=200),
+       st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_qr_of_the_transpose_is_the_conjugate_qr(rows, extra, seed):
+    # `_left_singular` reads R^H of a QR of z^H as qr(z^T).R^T, with no
+    # conjugated copy of z.  It relies on this LAPACK property: Householder
+    # QR of conj(A) yields conj(R) to the last bit, since each reflector and
+    # each update of the conjugated input is the conjugate of the original's.
+    # Only zero imaginary parts (R's real diagonal, its zero triangle) may
+    # differ, in sign, and -0.0 == 0.0
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((rows, rows + extra)) \
+        + 1j * rng.standard_normal((rows, rows + extra))
+    r_t = np.linalg.qr(z.T, mode="r").T
+    r_h = np.linalg.qr(z.conj().T, mode="r").conj().T
+    assert np.array_equal(r_t, r_h)
+
+
+def test_build_z_allocation_on_the_hemisphere():
+    # on the 4-wavelength hemisphere (646 x 1664 Z, 17 MB) whole-surface
+    # field arrays (six of 8.6 MB) and a conjugated copy of Z for the QR
+    # would take ~105 MB; blocked fields and the QR of z^T stay near 44 MB
+    modeset = ModeSet(enclosing_radius=R0_BS)
+    samp = surfaces.sample_surface(surfaces.hemisphere_surface(R0_BS))
+    tracemalloc.start()
+    try:
+        surfaces.build_z(modeset, samp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
