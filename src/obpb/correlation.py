@@ -21,8 +21,10 @@ product per polarization component,
 
     R[a, :] = T_a (D[:, m_a - m] * T^*)^T,
 
-with T the (J, n_theta) fields at phi = 0 and the column m_a - m_j of D
-picked for every mode j: 2N + 1 matrix products fill R.
+with T the (J, n_theta) fields at phi = 0 (a `modes.FieldTable`) and the
+column m_a - m_j of D picked for every mode j.  R is Hermitian, so each of
+the 2N + 1 products takes only the columns of order m_j >= m_a, and the
+blocks below the diagonal are their mirrors.
 """
 
 import numpy as np
@@ -41,7 +43,7 @@ def _hermitize(r):
 
 
 def mode_correlation(modeset, marginal, grid, polarization="theta",
-                     prune_tol=1e-15):
+                     prune_tol=1e-15, table=None):
     """Spherical-mode correlation matrix for one link end.
 
     Parameters
@@ -52,6 +54,16 @@ def mode_correlation(modeset, marginal, grid, polarization="theta",
     polarization : 'theta' keeps only theta components, 'full' both
     prune_tol : nodes whose weighted power is at most prune_tol times the
         peak are given zero weight
+    table : the `modes.FieldTable` of modeset on the grid's theta nodes,
+        which a caller assembling many correlations holds; built here when
+        not given
+
+    Only the blocks of rows of order m_a and columns of order m_b >= m_a
+    are computed, about half of the matrix; each block below is the
+    conjugate transpose of its mirror above, and each diagonal block
+    (m_b = m_a) is replaced by its Hermitian part, so R comes out exactly
+    Hermitian with a real diagonal.  Blocks are written straight into R:
+    no other (J, J) array is formed.
 
     Returns the (J, J) Hermitian PSD matrix.
     """
@@ -61,19 +73,24 @@ def mode_correlation(modeset, marginal, grid, polarization="theta",
         raise ValueError("marginal profile has significantly negative values")
     wm = np.maximum(grid.weights * marginal, 0.0)
     wm[wm <= prune_tol * wm.max()] = 0.0
+    if table is None:
+        table = modes_mod.FieldTable(modeset, grid.theta_nodes)
 
     nmax = modeset.truncation_order
     k = np.arange(-2 * nmax, 2 * nmax + 1)
     d = wm.reshape(grid.shape) @ np.exp(1j * np.outer(grid.phi_nodes, k))
-    t = modes_mod.far_field_matrix(modeset, grid.theta_nodes,
-                                   np.zeros_like(grid.theta_nodes))
-    t = t if polarization == "full" else t[:1]
+    t = table.components(polarization)
     r = np.empty((modeset.mode_count,) * 2, dtype=complex)
     for m_a in range(-nmax, nmax + 1):
-        a = modeset.m == m_a
-        cols = m_a - modeset.m + 2 * nmax            # k = m_a - m_j per mode j
-        r[a] = sum(tc[a] @ (d[:, cols] * tc.conj().T) for tc in t)
-    return _hermitize(r)
+        a = np.flatnonzero(modeset.m == m_a)
+        above = np.flatnonzero(modeset.m > m_a)
+        b = np.concatenate((a, above))
+        cols = m_a - modeset.m[b] + 2 * nmax         # k = m_a - m_j per mode j
+        block = sum(tc[a] @ (d[:, cols] * tc[b].conj().T) for tc in t)
+        r[np.ix_(a, a)] = _hermitize(block[:, :a.size])
+        r[np.ix_(a, above)] = block[:, a.size:]
+        r[np.ix_(above, a)] = block[:, a.size:].conj().T
+    return r
 
 
 def beam_correlation(q, r_sph):

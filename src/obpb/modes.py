@@ -205,6 +205,36 @@ def far_field_matrix(modes, theta, phi):
     return _fields_by_order(modes, theta, phi)[:2]
 
 
+class FieldTable:
+    """A ModeSet's far fields at phi = 0 on a list of theta nodes.
+
+    Every mode separates as K_j(theta, phi) = K_j(theta, 0) e^(i m_j phi),
+    so this (J, n_theta) table and the azimuthal order of each row are all
+    that the pattern powers and mode correlations on a product grid over
+    those theta nodes read.  Nothing in it depends on the beams or the
+    profile, so one table per (ModeSet, theta nodes) serves a whole run.
+
+    Attributes: ``modeset``, ``k_theta`` and ``k_phi`` (each (J, n_theta),
+    from `far_field_matrix`) and ``per_order``, the (J, 2N + 1) map of each
+    mode to its order m_j in -N .. N.
+    """
+
+    def __init__(self, modeset, theta_nodes):
+        self.modeset = modeset
+        theta_nodes = np.asarray(theta_nodes, dtype=float)
+        self.k_theta, self.k_phi = far_field_matrix(
+            modeset, theta_nodes, np.zeros_like(theta_nodes))
+        nmax = modeset.truncation_order
+        self.per_order = modeset.m[:, None] == np.arange(-nmax, nmax + 1)
+
+    def components(self, polarization):
+        """The field components a polarization reads: theta only under
+        'theta', both under 'full'."""
+        if polarization == "full":
+            return self.k_theta, self.k_phi
+        return (self.k_theta,)
+
+
 def _fields_by_order(modes, theta, phi, radial=None):
     """K_theta, K_phi and, given the rows Rr of radial_factors, F_r.
 

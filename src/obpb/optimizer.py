@@ -15,8 +15,13 @@ current far side.
 The loop starts from a single electrically-small-dipole beam at the user
 side and stops once two consecutive half-step transitions (one ending at
 each side) change the figure of merit by less than a relative epsilon.  The
-BS mode correlation under that seed does not depend on M, so a sweep over M
-builds it once (`seed_correlation`) and hands it to every `run`.
+BS mode correlation under that seed does not depend on M, and neither do its
+eigenbeams: the top-M eigenvectors of a matrix are the first M of its top
+m_max whenever lambda_M > lambda_{M+1}.  So a sweep over M = 1 .. m_max
+builds one `Sweep`, which solves the seed's eigenproblem once at m_max, and
+hands it to every `run`; the first half-step at M takes the first M seed
+eigenbeams.  The sweep also holds each end's `FieldTable`, the phi = 0
+fields that every pattern power and mode correlation of the sweep reads.
 
 Only the M dominant eigenpairs of each correlation are read, and M is small
 against the mode count, so `dominant_beams` finds them by implicitly
@@ -31,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from . import correlation, profiles
-from .modes import DIPOLE_SMN, flat_index
+from .modes import DIPOLE_SMN, FieldTable, flat_index
 
 # eigenvalues closer than this (relatively) are treated as degenerate and
 # their vectors ordered by anchor-entry position, for run-to-run determinism
@@ -153,18 +158,33 @@ def dominant_beams(r_sph, m):
     return _phase_fix(vecs).conj(), vals
 
 
-def _side_correlation(q_far, profile, modes_near, modes_far, side):
-    """Mode correlation of `side` under the marginal profile that the far
-    beams' total radiated pattern power on the far grid weights."""
-    ends = {"bs": (profile.bs_grid, profile.ue_grid, profile.marginal_bs),
-            "ue": (profile.ue_grid, profile.bs_grid, profile.marginal_ue)}
-    if side not in ends:
-        raise ValueError("side is 'bs' or 'ue'")
-    grid, far_grid, marginal = ends[side]
-    pol = profile.params.polarization
-    power = profiles.pattern_power(q_far, modes_far, far_grid, pol)
-    return correlation.mode_correlation(modes_near, marginal(power), grid,
-                                        polarization=pol)
+class _End:
+    """One link end: its ModeSet, quadrature grid and marginal map, and the
+    ModeSet's `FieldTable` on the grid's theta nodes, which every pattern
+    power and mode correlation on that grid reads."""
+
+    def __init__(self, modeset, grid, marginal):
+        self.modeset = modeset
+        self.grid = grid
+        self.marginal = marginal
+        self.table = FieldTable(modeset, grid.theta_nodes)
+
+
+def _ends(profile, modes_bs, modes_ue):
+    """The (BS, UE) `_End` pair of a profile and its two mode sets."""
+    return (_End(modes_bs, profile.bs_grid, profile.marginal_bs),
+            _End(modes_ue, profile.ue_grid, profile.marginal_ue))
+
+
+def _correlation(q_far, near, far, polarization):
+    """Mode correlation of the `near` end under the marginal profile that
+    the far beams' total radiated pattern power on the far grid weights."""
+    power = profiles.pattern_power(q_far, far.modeset, far.grid,
+                                   polarization, table=far.table)
+    return correlation.mode_correlation(near.modeset,
+                                        near.marginal(power), near.grid,
+                                        polarization=polarization,
+                                        table=near.table)
 
 
 def optimize_side(q_far, profile, modes_near, modes_far, m, side):
@@ -174,8 +194,14 @@ def optimize_side(q_far, profile, modes_near, modes_far, m, side):
     modes_far; modes_near: the ModeSet of the side being refreshed.
     Returns (Q, lam) for the refreshed side.
     """
+    if side not in ("bs", "ue"):
+        raise ValueError("side is 'bs' or 'ue'")
+    if side == "bs":
+        near, far = _ends(profile, modes_near, modes_far)
+    else:
+        far, near = _ends(profile, modes_far, modes_near)
     return dominant_beams(
-        _side_correlation(q_far, profile, modes_near, modes_far, side), m)
+        _correlation(q_far, near, far, profile.params.polarization), m)
 
 
 def _converged(history, epsilon):
@@ -187,17 +213,43 @@ def _converged(history, epsilon):
             and d2 <= epsilon * abs(history[-3]))
 
 
+def _dipole_beam(modes_ue):
+    q_ue = np.zeros((modes_ue.mode_count, 1), dtype=complex)
+    q_ue[flat_index(*DIPOLE_SMN) - 1, 0] = 1.0
+    return q_ue
+
+
 def seed_correlation(profile, modes_bs, modes_ue):
     """BS mode correlation under the single dipole seed beam at the user.
 
     This is the first half-step's input at every M.
     """
-    q_ue = np.zeros((modes_ue.mode_count, 1), dtype=complex)
-    q_ue[flat_index(*DIPOLE_SMN) - 1, 0] = 1.0
-    return _side_correlation(q_ue, profile, modes_bs, modes_ue, "bs")
+    bs, ue = _ends(profile, modes_bs, modes_ue)
+    return _correlation(_dipole_beam(modes_ue), bs, ue,
+                        profile.params.polarization)
 
 
-def run(config, profile, modes_bs, modes_ue, m, r_seed=None):
+class Sweep:
+    """What every run of a sweep over M = 1 .. m_max shares.
+
+    Both ends' field tables, the dipole-seeded BS mode correlation
+    (`seed_correlation`, or r_seed when given, which is only read) and its
+    top m_max eigenbeams from one `dominant_beams` call.  Top-M eigenvectors
+    are nested when lambda_M > lambda_{M+1}, so the first m columns and
+    eigenvalues are the seed's top-m eigenbeams, and they start the run at
+    every m <= m_max.
+    """
+
+    def __init__(self, profile, modes_bs, modes_ue, m_max, r_seed=None):
+        self.bs, self.ue = _ends(profile, modes_bs, modes_ue)
+        self.r_seed = (r_seed if r_seed is not None else _correlation(
+            _dipole_beam(modes_ue), self.bs, self.ue,
+            profile.params.polarization))
+        self.m_max = m_max
+        self.q_seed, self.lam_seed = dominant_beams(self.r_seed, m_max)
+
+
+def run(config, profile, modes_bs, modes_ue, m, r_seed=None, sweep=None):
     """Alternating optimization at fixed rank M.
 
     The objective tracked per half-step is det(R_h/M) of the base-station
@@ -213,28 +265,39 @@ def run(config, profile, modes_bs, modes_ue, m, r_seed=None):
     needed by the next half-step anyway.
 
     Every marginal comes from the far beams' pattern power on the profile's
-    product grids (`profiles.pattern_power`); no dense field matrix is
-    formed.  r_seed, when given, is `seed_correlation` of the same
-    profile and mode sets, shared by runs at different M; it is only read.
+    product grids (`profiles.pattern_power`), and every pattern power and
+    mode correlation reads one `FieldTable` per end; no dense field matrix
+    is formed.  sweep, when given, is a `Sweep` of the same profile and
+    mode sets with m_max >= M, shared by the runs of a sweep over M: the
+    first half-step takes the first M of its seed eigenbeams, so the seed's
+    eigenproblem is solved once for every M.  Without it the run builds its
+    own, with r_seed (`seed_correlation` of the same profile and mode sets,
+    only read) as the seed correlation when given.
     Returns an ObpbResult.
     """
     if m < 1 or m > min(modes_bs.mode_count, modes_ue.mode_count):
         raise ValueError("need 1 <= M <= min mode count of the two ends")
+    if sweep is None:
+        sweep = Sweep(profile, modes_bs, modes_ue, m, r_seed=r_seed)
+    elif m > sweep.m_max:
+        raise ValueError("need M <= the sweep's m_max")
+    bs, ue, pol = sweep.bs, sweep.ue, profile.params.polarization
 
     history = []
     converged = False
     iterations = 0
     norm = float(m) ** m
-    r_bs = (r_seed if r_seed is not None
-            else seed_correlation(profile, modes_bs, modes_ue))
+    r_bs = sweep.r_seed
+    q_bs, lam_bs = sweep.q_seed[:, :m].copy(), sweep.lam_seed[:m].copy()
     for iterations in range(1, config.max_iterations + 1):
-        q_bs, lam_bs = dominant_beams(r_bs, m)
+        if iterations > 1:
+            q_bs, lam_bs = dominant_beams(r_bs, m)
         history.append(float(np.prod(lam_bs)) / norm)
         if _converged(history, config.epsilon):
             converged = True
             break
-        q_ue, _ = optimize_side(q_bs, profile, modes_ue, modes_bs, m, "ue")
-        r_bs = _side_correlation(q_ue, profile, modes_bs, modes_ue, "bs")
+        q_ue, _ = dominant_beams(_correlation(q_bs, ue, bs, pol), m)
+        r_bs = _correlation(q_ue, bs, ue, pol)
         r_h = correlation.beam_correlation(q_bs, r_bs)
         history.append(float(np.real(np.linalg.det(r_h))) / norm)
         if _converged(history, config.epsilon):

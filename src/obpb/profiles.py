@@ -424,35 +424,40 @@ def _offsets(grid, mean):
     return np.stack([grid.theta - mean[0], grid.phi - mean[1]], axis=1)
 
 
-def beam_power(q, modeset, theta_nodes, phi_nodes, polarization="theta"):
+def beam_power(q, table, phi_nodes, polarization="theta"):
     """Radiated power |q^T K|^2 of each beam on a theta x phi product.
 
-    q: (J,) or (J, M) beam coefficients; the nodes are 1-D angle lists in
-    radians.  Each mode separates as K_j(theta, phi) = K_j(theta, 0)
+    q: (J,) or (J, M) beam coefficients; table: the `modes.FieldTable` of
+    their ModeSet on the product's theta nodes; phi_nodes: a 1-D angle list
+    in radians.  Each mode separates as K_j(theta, phi) = K_j(theta, 0)
     e^(i m_j phi), so the beams are summed per azimuthal order on the theta
     nodes, a(theta, m) = sum_{m_j = m} q_j K_j(theta, 0), and expanded in
     azimuth as a @ e^(i m phi).  Under 'theta' polarization only the theta
     components count, under 'full' both.  Returns (M, n_theta, n_phi).
     """
     q = np.atleast_2d(np.asarray(q).T).T      # (J, M)
-    nmax = modeset.truncation_order
+    nmax = table.modeset.truncation_order
     orders = np.arange(-nmax, nmax + 1)
-    per_order = modeset.m[:, None] == orders              # (J, 2N + 1)
     azim = np.exp(1j * np.outer(orders, phi_nodes))       # (2N + 1, n_phi)
-    t = modes.far_field_matrix(modeset, theta_nodes,
-                               np.zeros_like(theta_nodes))
     power = 0.0
-    for tc in (t if polarization == "full" else t[:1]):
-        g = (np.einsum("jb,jt->btj", q, tc) @ per_order) @ azim
+    for tc in table.components(polarization):
+        g = (np.einsum("jb,jt->btj", q, tc) @ table.per_order) @ azim
         power = power + np.abs(g) ** 2
     return power
 
 
-def pattern_power(q, modeset, grid, polarization="theta"):
+def pattern_power(q, modeset, grid, polarization="theta", table=None):
     """Radiated power sum_beams |q^T K|^2 of a beam set on a product grid:
-    the beam sum of `beam_power`, per node in the grid's flat order."""
-    return np.sum(beam_power(q, modeset, grid.theta_nodes, grid.phi_nodes,
-                             polarization), axis=0).ravel()
+    the beam sum of `beam_power`, per node in the grid's flat order.
+
+    table: the `modes.FieldTable` of modeset on the grid's theta nodes,
+    which a caller evaluating many beam sets holds; built here when not
+    given.
+    """
+    if table is None:
+        table = modes.FieldTable(modeset, grid.theta_nodes)
+    return np.sum(beam_power(q, table, grid.phi_nodes, polarization),
+                  axis=0).ravel()
 
 
 def profile_fields(profile, side, modeset, polarization=None):

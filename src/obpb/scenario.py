@@ -14,27 +14,30 @@ product with the dense joint matrix from row blocks of about 1.2 MB, so
 the 680 MB matrix is never formed.  The full-array greedy chains
 (selection is scale-invariant, so one chain at N_UE = 1 serves every N_UE)
 are all read from one Gram and keep only their beams and Gram block.  The
-OBPB bundle is built before the codebook bundle, so the heap the codebook
-step frees does not sit under the surface factorizations.  Its surface
-projectors are built first (a stream count above a surface's rank fails
+codebook bundle is built before the OBPB bundle: the other way round, the
+codebook Gram finds no freed block of the surface step to reuse, and
+`paper_baseline` peaks 6 MB higher.  The OBPB surface projectors are built
+first (a stream count above a surface's rank fails
 there, before the optimizer runs), one at a time: each surface keeps only
 its J x J projector P, and its transfer matrix Z goes before the next
-surface's is built.  Then the optimizer runs once per M, all started from
-one dipole-seeded BS correlation, and each run is reduced as it returns to
-every OBPB family's BS beams and M x M beam correlation plus the UE beams
-and the history.  Once the joint profile is gone one steering matrix per BS
-artifact table is built.  Nothing an OBPB family reports depends on N_UE,
-so each family's point (rank adaptation, report-M correlation, det_db and
-pattern tables) is computed once and written under every ``n_ue_<k>``
-directory.  A codebook point is computed per N_UE:
-the full-array family scales the shared chain's Gram block by N_UE, and the
-sub-array partition search runs at the true scale.  The search reads each
-tiling shape's Gram in group-pair blocks (under 3 MB alive at a time on the
-8 x 8 array) and never forms the 1024 x 1024 Gram of the zero-padded
-codebook; its chains equal that Gram's bit for bit.  A method's tables are let
-go once its points are written.  The joint profile is let go before the first
-point, once the manifest has taken its normalization and SISO reference; no
-point reads it.
+surface's is built.  Then the optimizer runs once per M from one
+`optimizer.Sweep`: both ends' field tables, and the dipole-seeded BS
+correlation with its top-m_max eigenbeams, whose first M start the run at
+M.  Each run is reduced as it returns to every OBPB family's BS beams and
+M x M beam correlation plus the UE beams and the history.  Once the joint
+profile is gone one steering matrix per BS artifact table is built, and
+each end's field table on each artifact table's theta nodes.  Nothing an
+OBPB family reports depends on N_UE, so each family's point (rank
+adaptation, report-M correlation, det_db and pattern tables) is computed
+once and written under every ``n_ue_<k>`` directory.  A codebook point is
+computed per N_UE: the full-array family scales the shared chain's Gram
+block by N_UE, and the sub-array partition search runs at the true scale.
+The search reads each tiling shape's Gram in group-pair blocks (under 3 MB
+alive at a time on the 8 x 8 array) and never forms the 1024 x 1024 Gram of
+the zero-padded codebook; its chains equal that Gram's bit for bit.  A
+method's tables are let go once its points are written.  The joint profile
+is let go before the first point, once the manifest has taken its
+normalization and SISO reference; no point reads it.
 
 Numeric tables are rendered a whole column at a time, and the text of every
 distinct column is kept for the rest of the run, as one string per column.
@@ -58,7 +61,7 @@ import yaml
 
 from . import __version__, capacity, conventional, correlation, optimizer
 from . import profiles, surfaces
-from .modes import (DIPOLE_SMN, ModeSet, mode_count_for_radius,
+from .modes import (DIPOLE_SMN, FieldTable, ModeSet, mode_count_for_radius,
                     truncation_order)
 from .profiles import JointProfile, ProfileParams, make_grid
 
@@ -429,18 +432,26 @@ def _power_db(power):
     return 10.0 * np.log10(np.maximum(power, DB_FLOOR))
 
 
-def _mode_pattern_db(q, modeset, theta, phi):
-    """Per-stream radiated power in dB over a list of directions.
+class _ModeDirections:
+    """A ModeSet's fields over one artifact table's list of directions.
 
-    Both polarization components contribute.  `profiles.beam_power`
-    evaluates the product of the list's distinct theta and phi values, which
-    is gathered back to the list: every artifact table is nearly such a
-    product (a phi cut is 1 x n, a theta cut n x 2, the grid exactly one).
+    `profiles.beam_power` evaluates the product of the list's distinct theta
+    and phi values, which is gathered back to the list: every artifact table
+    is nearly such a product (a phi cut is 1 x n, a theta cut n x 2, the grid
+    exactly one).  The `FieldTable` on the distinct theta values is built
+    once and serves every point's beams.
     """
-    theta_nodes, it = np.unique(theta, return_inverse=True)
-    phi_nodes, ip = np.unique(phi, return_inverse=True)
-    power = profiles.beam_power(q, modeset, theta_nodes, phi_nodes, "full")
-    return _power_db(power[:, it, ip])
+
+    def __init__(self, modeset, theta, phi):
+        theta_nodes, self.it = np.unique(theta, return_inverse=True)
+        self.phi_nodes, self.ip = np.unique(phi, return_inverse=True)
+        self.table = FieldTable(modeset, theta_nodes)
+
+    def pattern_db(self, q):
+        """Per-stream radiated power in dB over the list; both polarization
+        components contribute."""
+        power = profiles.beam_power(q, self.table, self.phi_nodes, "full")
+        return _power_db(power[:, self.it, self.ip])
 
 
 def _element_pattern_db(weights, steering):
@@ -476,9 +487,14 @@ def _grid_directions(step_deg):
 
 class _ArtifactWriter:
     """Pattern and correlation tables of every point, over one set of
-    artifact directions and one column-text store for the whole run."""
+    artifact directions and one column-text store for the whole run.
 
-    def __init__(self, scenario):
+    For the OBPB families (given their bundle) it holds each table's
+    `_ModeDirections` per end, so each end's fields on a table's theta
+    nodes are built once per run.
+    """
+
+    def __init__(self, scenario, obpb_bundle=None):
         phi_cut, theta_cut = _cut_directions(scenario.cut_step_deg)
         # tables are (file name, leading header, leading columns, theta, phi)
         self.bs_tables, self.ue_tables = [], []
@@ -497,6 +513,12 @@ class _ArtifactWriter:
             scenario.array_config, theta, phi)
             for *_, theta, phi in self.bs_tables]
             if scenario.needs_conventional() else [])
+        self.bs_modes, self.ue_modes = [], []
+        if obpb_bundle is not None:
+            self.bs_modes = [_ModeDirections(obpb_bundle.modes_bs, theta, phi)
+                             for *_, theta, phi in self.bs_tables]
+            self.ue_modes = [_ModeDirections(obpb_bundle.modes_ue, theta, phi)
+                             for *_, theta, phi in self.ue_tables]
         self.text = _ColumnText()
 
     def correlation(self, path, r_norm):
@@ -559,14 +581,13 @@ class _ObpbBundle:
             projectors[name] = op.p_op
             # Z goes with its operator before the next surface's is built
             del op
-        seed = optimizer.seed_correlation(profile, self.modes_bs,
-                                          self.modes_ue)
+        sweep = optimizer.Sweep(profile, self.modes_bs, self.modes_ue, m_max)
         # family -> M -> (BS beams, their beam correlation)
         self.families = {name: {} for name in names}
         self.q_ue, self.histories = {}, {}
         for m in range(1, m_max + 1):
             run = optimizer.run(scenario.obpb_config, profile, self.modes_bs,
-                                self.modes_ue, m, r_seed=seed)
+                                self.modes_ue, m, sweep=sweep)
             for name, family in self.families.items():
                 q = (run.q_bs if name == "optimal"
                      else surfaces.project(projectors[name], run.q_bs))
@@ -639,11 +660,8 @@ def _obpb_point(scenario, method, bundle, snr, writer):
                                  snr)
     report_m = min(scenario.report_m or report.m_opt, scenario.obpb_m_max)
     q_bs, r_report = family[report_m]
-    dbs = ([_mode_pattern_db(q_bs, bundle.modes_bs, theta, phi)
-            for *_, theta, phi in writer.bs_tables]
-           + [_mode_pattern_db(bundle.q_ue[report_m], bundle.modes_ue,
-                               theta, phi)
-              for *_, theta, phi in writer.ue_tables])
+    dbs = ([d.pattern_db(q_bs) for d in writer.bs_modes]
+           + [d.pattern_db(bundle.q_ue[report_m]) for d in writer.ue_modes])
     return _Point(report, report_m, r_report,
                   writer.bs_tables + writer.ue_tables, dbs,
                   {"converged": bundle.converged})
@@ -700,25 +718,26 @@ def run_scenario(scenario, echo=None):
     say(f"profile on {scenario.quadrature['bs']} x "
         f"{scenario.quadrature['ue']} grids, snr = {snr:.6g}")
 
-    # OBPB first: the codebook step's freed heap would otherwise sit under
-    # the surface factorizations' transient
+    # codebook first: the hemisphere's 17 MB transfer matrix and its QR
+    # copies then come from fresh pages the allocator hands back, where
+    # after them the codebook Gram (16 MB) finds no freed block to reuse
+    conv_bundle = None
+    if scenario.needs_conventional():
+        conv_bundle = _ConventionalBundle(scenario, profile)
+        say("conventional chains ready "
+            f"(codebook {conv_bundle.config.n_beams} beams)")
     obpb_bundle = None
     if scenario.needs_obpb():
         obpb_bundle = _ObpbBundle(scenario, profile)
         say(f"optimizer: {scenario.obpb_m_max} stream counts, converged="
             f"{obpb_bundle.converged}; surface ranks "
             + str({k: s["rank"] for k, s in obpb_bundle.shapes.items()}))
-    conv_bundle = None
-    if scenario.needs_conventional():
-        conv_bundle = _ConventionalBundle(scenario, profile)
-        say("conventional chains ready "
-            f"(codebook {conv_bundle.config.n_beams} beams)")
     # the last read of the profile: no point needs it
     resolved = _resolved_parameters(scenario, profile, snr, obpb_bundle,
                                     conv_bundle)
     del profile
 
-    writer = _ArtifactWriter(scenario)
+    writer = _ArtifactWriter(scenario, obpb_bundle)
     points = []
     for method in scenario.methods:
         shared = (_obpb_point(scenario, method, obpb_bundle, snr, writer)

@@ -77,6 +77,25 @@ def test_mode_correlation_psd_for_random_marginals(seed):
     assert lam.min() > -1e-12 * max(lam.max(), 1e-30)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=4),
+       st.sampled_from(["theta", "full"]),
+       st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_mode_correlation_is_exactly_hermitian(n_tr, polarization, seed):
+    # only the blocks on and above the diagonal are computed; the rest are
+    # their mirrors and the diagonal blocks their Hermitian parts, so R
+    # equals its conjugate transpose bit for bit and its diagonal is real
+    modeset = ModeSet(truncation_order=n_tr)
+    grid = profiles.make_grid(n_tr + 2, 2 * n_tr + 3)
+    rng = np.random.default_rng(seed)
+    marginal = rng.uniform(0.0, 1.0, grid.n_nodes)
+    marginal *= rng.uniform(size=grid.n_nodes) < 0.7
+    r = correlation.mode_correlation(modeset, marginal, grid,
+                                     polarization=polarization)
+    assert np.array_equal(r, r.conj().T)
+    assert np.all(np.diag(r).imag == 0.0)
+
+
 # the separable theta x phi kernel against the dense on-grid reference
 
 @pytest.fixture(scope="module")

@@ -156,6 +156,33 @@ def test_shared_seed_matches_independent_runs(desk):
     assert np.array_equal(seed, seed_before)
 
 
+def test_seed_eigenbeam_prefixes_are_the_per_m_eigenbeams():
+    # a sweep solves the seed's eigenproblem once at m_max and starts the
+    # run at each M from the first M eigenbeams: top-M eigenvectors are
+    # nested while lambda_M > lambda_{M+1}.  On J = 96 (the Krylov path)
+    # each prefix equals dominant_beams at that M, eigenvalues to 1e-13 of
+    # lambda_0 and vectors to 1e-12 once each column's free phase is
+    # aligned: the phase fix anchors on the largest-magnitude entry, and
+    # this profile's eigenvectors carry pairs of entries of equal magnitude
+    # whose order the last bits decide
+    m_max = 10
+    modes_bs, modes_ue = ModeSet(truncation_order=6), ModeSet(
+        truncation_order=2)
+    profile = profiles.JointProfile(profiles.baseline_params(),
+                                    bs_grid=profiles.make_grid(16, 32),
+                                    ue_grid=profiles.make_grid(8, 16))
+    sweep = optimizer.Sweep(profile, modes_bs, modes_ue, m_max)
+    lam_all = np.linalg.eigvalsh(sweep.r_seed)[::-1]
+    assert np.all(lam_all[:m_max] - lam_all[1:m_max + 1] > 1e-6 * lam_all[0])
+    for m in range(1, m_max + 1):
+        q, lam = optimizer.dominant_beams(sweep.r_seed, m)
+        assert np.abs(sweep.lam_seed[:m] - lam).max() <= 1e-13 * lam[0]
+        prefix = sweep.q_seed[:, :m]
+        phase = np.sum(prefix.conj() * q, axis=0)
+        phase /= np.abs(phase)
+        assert np.abs(prefix * phase - q).max() <= 1e-12, m
+
+
 # ---------------------------------------------------------------------------
 # Krylov top-M solver against dense eigh
 # ---------------------------------------------------------------------------

@@ -326,7 +326,8 @@ def _reachable(obj):
 def test_obpb_bundle_keeps_only_what_points_read(tmp_path):
     # after construction the bundle holds beams and M x M correlations, no
     # J x J mode correlation and no projector, and its correlations are
-    # those of independent optimizer runs and projections bit for bit
+    # those of independent optimizer runs, started from the same seed
+    # eigenbeams, and projections bit for bit
     import yaml
     from obpb import correlation, optimizer, profiles, surfaces
     tree = yaml.safe_load(SMOKE_YAML.format(out=tmp_path / "out"))
@@ -344,15 +345,15 @@ def test_obpb_bundle_keeps_only_what_points_read(tmp_path):
     assert arrays and all(a.shape != (j_bs, j_bs) for a in arrays)
     assert set(bundle.families) == {"plane", "optimal"}
 
-    seed = optimizer.seed_correlation(profile, bundle.modes_bs,
-                                      bundle.modes_ue)
+    sweep = optimizer.Sweep(profile, bundle.modes_bs, bundle.modes_ue,
+                            scn.obpb_m_max)
     op = surfaces.build_z(bundle.modes_bs, surfaces.sample_surface(
         surfaces.named_surface("plane", scn.bs_radius), scn.surface_density),
         rtol=scn.surface_rtol)
     assert bundle.shapes["plane"]["rank"] == op.rank
     for m in range(1, scn.obpb_m_max + 1):
         run = optimizer.run(scn.obpb_config, profile, bundle.modes_bs,
-                            bundle.modes_ue, m, r_seed=seed)
+                            bundle.modes_ue, m, sweep=sweep)
         q_plane = surfaces.project(op, run.q_bs)
         for name, q in (("optimal", run.q_bs), ("plane", q_plane)):
             kept_q, kept_r = bundle.families[name][m]
@@ -362,6 +363,49 @@ def test_obpb_bundle_keeps_only_what_points_read(tmp_path):
         assert np.array_equal(bundle.q_ue[m], run.q_ue)
         assert bundle.histories[str(m)]["objective_history"] == \
             run.objective_history
+
+
+def test_obpb_run_builds_each_table_and_the_seed_eigenbeams_once(
+        tmp_path, monkeypatch):
+    # far_field_matrix runs once per (ModeSet, theta-node set): the two
+    # quadrature grids and each artifact table's theta nodes per end (the
+    # surfaces' build_z takes regular waves, not far fields), and the seed
+    # correlation's eigenproblem is solved once, at m_max, for every M
+    import yaml
+    from obpb import modes, optimizer, profiles
+    tables = []
+    far_field_matrix = modes.far_field_matrix
+
+    def spy_tables(modeset, theta, phi):
+        tables.append((modeset.truncation_order,
+                       np.asarray(theta, dtype=float).tobytes()))
+        return far_field_matrix(modeset, theta, phi)
+
+    solves = []
+    dominant_beams = optimizer.dominant_beams
+
+    def spy_solves(r_sph, m):
+        solves.append((r_sph.copy(), m))
+        return dominant_beams(r_sph, m)
+
+    monkeypatch.setattr(modes, "far_field_matrix", spy_tables)
+    monkeypatch.setattr(optimizer, "dominant_beams", spy_solves)
+    tree = yaml.safe_load(SMOKE_YAML.format(out=tmp_path / "out"))
+    scn = scenario.Scenario(tree)
+    scenario.run_scenario(scn)
+    monkeypatch.undo()
+    # 2 quadrature grids + (3 BS + 2 UE) artifact tables
+    assert len(tables) == len(set(tables)) == 7
+
+    profile = profiles.JointProfile(
+        scn.profile_params, profiles.make_grid(*scn.quadrature["bs"]),
+        profiles.make_grid(*scn.quadrature["ue"]))
+    modes_bs = modes.ModeSet(enclosing_radius=scn.bs_radius)
+    modes_ue = modes.ModeSet(enclosing_radius=scn.ue_radius)
+    seed = optimizer.seed_correlation(profile, modes_bs, modes_ue)
+    assert scn.obpb_m_max > 1
+    assert [m for r, m in solves if np.array_equal(r, seed)] == \
+        [scn.obpb_m_max]
 
 
 def test_obpb_bundle_holds_one_projection_operator_at_a_time(tmp_path,
@@ -592,8 +636,8 @@ def test_mode_patterns_match_dense_field_evaluation(steps, n_tr, m):
                        (grid_th, grid_ph)):
         kth, kph = far_field_matrix(modeset, theta, phi)
         want = np.abs(q.T @ kth) ** 2 + np.abs(q.T @ kph) ** 2
-        got = 10.0 ** (scenario._mode_pattern_db(q, modeset, theta, phi)
-                       / 10.0)
+        got = 10.0 ** (scenario._ModeDirections(modeset, theta, phi)
+                       .pattern_db(q) / 10.0)
         assert got.shape == want.shape == (m, theta.size)
         peak = want.max(axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-12 * peak), theta.size

@@ -225,6 +225,25 @@ def test_projector_matches_full_svd(name, rank):
     assert np.array_equal(surfaces.currents(op, q), pinv @ q)
 
 
+def test_full_rank_hemisphere_takes_its_rank_from_the_values_alone():
+    # the 4-wavelength hemisphere is full rank: its projector is I exactly,
+    # and the rank and singular values come from one values-only SVD of the
+    # QR factor.  Those match the values of an SVD with vectors to 2e-14
+    # sigma_0 (measured 3.7e-15 at 1-thread and 7.3e-15 at 2-thread
+    # OpenBLAS), far inside the gap between sigma_min = 4.4e-14 sigma_0 and
+    # the 1e-14 cut, so both give the same rank
+    modeset = ModeSet(enclosing_radius=R0_BS)
+    op = surfaces.build_z(modeset, surfaces.sample_surface(
+        surfaces.hemisphere_surface(R0_BS)))
+    j = modeset.mode_count
+    u, s, _ = np.linalg.svd(np.linalg.qr(op.z.T, mode="r").T,
+                            full_matrices=False)
+    assert np.abs(op.singular_values - s).max() <= 2e-14 * s[0]
+    assert op.rank == int(np.sum(s > surfaces.RANK_RTOL * s[0])) == j
+    assert np.array_equal(op.p_op, np.eye(j))
+    assert np.abs(u @ u.conj().T - np.eye(j)).max() <= 1e-14
+
+
 def _z_one_shot(modeset, sampling):
     """Z assembled from whole-surface field arrays in one pass (oracle)."""
     fr, fth, fph = modes.regular_wave_matrix(
@@ -243,11 +262,18 @@ def _z_one_shot(modeset, sampling):
 
 def _projector_one_shot(z, rtol=surfaces.RANK_RTOL):
     """(sigma, rank, P) with a wide z reduced by a QR of its conjugate
-    transpose, formed as a copy (oracle)."""
+    transpose, formed as a copy, whose sigma is a values-only SVD and whose
+    projector is I at full rank (oracle)."""
     if z.shape[1] > z.shape[0]:
         z = np.linalg.qr(z.conj().T, mode="r").conj().T
-    u, s, _ = np.linalg.svd(z, full_matrices=False)
-    rank = int(np.sum(s > rtol * s[0]))
+        s = np.linalg.svd(z, compute_uv=False)
+        rank = int(np.sum(s > rtol * s[0]))
+        if rank == z.shape[0]:
+            return s, rank, np.eye(rank, dtype=complex)
+        u = np.linalg.svd(z, full_matrices=False)[0]
+    else:
+        u, s, _ = np.linalg.svd(z, full_matrices=False)
+        rank = int(np.sum(s > rtol * s[0]))
     return s, rank, u[:, :rank] @ u[:, :rank].conj().T
 
 
