@@ -20,7 +20,8 @@ eigenbeams: the top-M eigenvectors of a matrix are the first M of its top
 m_max whenever lambda_M > lambda_{M+1}.  So a sweep over M = 1 .. m_max
 builds one `Sweep`, which solves the seed's eigenproblem once at m_max, and
 hands it to every `run`; the first half-step at M takes the first M seed
-eigenbeams.  The sweep also holds each end's `FieldTable`, the phi = 0
+eigenbeams, or solves at M itself where lambda_M and lambda_{M+1} are
+degenerate.  The sweep also holds each end's `FieldTable`, the phi = 0
 fields that every pattern power and mode correlation of the sweep reads.
 
 Only the M dominant eigenpairs of each correlation are read, and M is small
@@ -38,8 +39,9 @@ import scipy.linalg
 from . import correlation, profiles
 from .modes import DIPOLE_SMN, FieldTable, flat_index
 
-# eigenvalues closer than this (relatively) are treated as degenerate and
-# their vectors ordered by anchor-entry position, for run-to-run determinism
+# eigenvalues closer than this (relatively) are treated as degenerate: their
+# vectors are ordered by anchor-entry position, for run-to-run determinism,
+# and a sweep's seed eigenbeams are not cut between them (`Sweep.beams`)
 _DEGENERACY_TOL = 1e-10
 # seed of the fixed Krylov start vector
 _START_SEED = 0x0B9B
@@ -213,43 +215,43 @@ def _converged(history, epsilon):
             and d2 <= epsilon * abs(history[-3]))
 
 
-def _dipole_beam(modes_ue):
-    q_ue = np.zeros((modes_ue.mode_count, 1), dtype=complex)
-    q_ue[flat_index(*DIPOLE_SMN) - 1, 0] = 1.0
-    return q_ue
-
-
-def seed_correlation(profile, modes_bs, modes_ue):
-    """BS mode correlation under the single dipole seed beam at the user.
-
-    This is the first half-step's input at every M.
-    """
-    bs, ue = _ends(profile, modes_bs, modes_ue)
-    return _correlation(_dipole_beam(modes_ue), bs, ue,
-                        profile.params.polarization)
-
-
 class Sweep:
     """What every run of a sweep over M = 1 .. m_max shares.
 
-    Both ends' field tables, the dipole-seeded BS mode correlation
-    (`seed_correlation`, or r_seed when given, which is only read) and its
-    top m_max eigenbeams from one `dominant_beams` call.  Top-M eigenvectors
-    are nested when lambda_M > lambda_{M+1}, so the first m columns and
-    eigenvalues are the seed's top-m eigenbeams, and they start the run at
-    every m <= m_max.
+    Both ends' field tables, the BS mode correlation under the single
+    electrically-small-dipole beam at the user (``r_seed``, the first
+    half-step's input at every M) and its top m_max eigenbeams from one
+    `dominant_beams` call.  Top-M eigenvectors are nested when lambda_M >
+    lambda_{M+1}, so there the first M columns and eigenvalues are the
+    seed's top-M eigenbeams (`beams`).
     """
 
-    def __init__(self, profile, modes_bs, modes_ue, m_max, r_seed=None):
+    def __init__(self, profile, modes_bs, modes_ue, m_max):
         self.bs, self.ue = _ends(profile, modes_bs, modes_ue)
-        self.r_seed = (r_seed if r_seed is not None else _correlation(
-            _dipole_beam(modes_ue), self.bs, self.ue,
-            profile.params.polarization))
+        q_dipole = np.zeros((modes_ue.mode_count, 1), dtype=complex)
+        q_dipole[flat_index(*DIPOLE_SMN) - 1, 0] = 1.0
+        self.r_seed = _correlation(q_dipole, self.bs, self.ue,
+                                   profile.params.polarization)
         self.m_max = m_max
         self.q_seed, self.lam_seed = dominant_beams(self.r_seed, m_max)
 
+    def beams(self, m):
+        """The seed's top-m eigenbeams (Q, lam), m <= m_max.
 
-def run(config, profile, modes_bs, modes_ue, m, r_seed=None, sweep=None):
+        They are the first m of the m_max solve unless lambda_m and
+        lambda_{m+1} are degenerate (within _DEGENERACY_TOL of lambda_0),
+        as pairs of them are under 'full' polarization: the top-m space is
+        then no function of the matrix alone, and a prefix would pick its
+        m-th beam by the m_max solve.  Those m get their own solve at m, the
+        same as a run without a sweep.
+        """
+        lam = self.lam_seed
+        if m < self.m_max and lam[m - 1] - lam[m] <= _DEGENERACY_TOL * lam[0]:
+            return dominant_beams(self.r_seed, m)
+        return self.q_seed[:, :m].copy(), lam[:m].copy()
+
+
+def run(config, profile, modes_bs, modes_ue, m, sweep=None):
     """Alternating optimization at fixed rank M.
 
     The objective tracked per half-step is det(R_h/M) of the base-station
@@ -269,16 +271,16 @@ def run(config, profile, modes_bs, modes_ue, m, r_seed=None, sweep=None):
     mode correlation reads one `FieldTable` per end; no dense field matrix
     is formed.  sweep, when given, is a `Sweep` of the same profile and
     mode sets with m_max >= M, shared by the runs of a sweep over M: the
-    first half-step takes the first M of its seed eigenbeams, so the seed's
-    eigenproblem is solved once for every M.  Without it the run builds its
-    own, with r_seed (`seed_correlation` of the same profile and mode sets,
-    only read) as the seed correlation when given.
+    first half-step takes its seed eigenbeams at M (`Sweep.beams`), so the
+    seed's eigenproblem is solved once for every M with a clear eigenvalue
+    gap.  Such a run differs from one without a sweep, which solves at M
+    itself, only in the last bits and in each seed beam's unit phase.
     Returns an ObpbResult.
     """
     if m < 1 or m > min(modes_bs.mode_count, modes_ue.mode_count):
         raise ValueError("need 1 <= M <= min mode count of the two ends")
     if sweep is None:
-        sweep = Sweep(profile, modes_bs, modes_ue, m, r_seed=r_seed)
+        sweep = Sweep(profile, modes_bs, modes_ue, m)
     elif m > sweep.m_max:
         raise ValueError("need M <= the sweep's m_max")
     bs, ue, pol = sweep.bs, sweep.ue, profile.params.polarization
@@ -288,7 +290,7 @@ def run(config, profile, modes_bs, modes_ue, m, r_seed=None, sweep=None):
     iterations = 0
     norm = float(m) ** m
     r_bs = sweep.r_seed
-    q_bs, lam_bs = sweep.q_seed[:, :m].copy(), sweep.lam_seed[:m].copy()
+    q_bs, lam_bs = sweep.beams(m)
     for iterations in range(1, config.max_iterations + 1):
         if iterations > 1:
             q_bs, lam_bs = dominant_beams(r_bs, m)

@@ -208,15 +208,45 @@ def sample_surface(surface, density=4.0):
 RANK_RTOL = 1e-14
 
 
-def _left_singular(z):
-    """(U, sigma) of z, economy size, singular values descending."""
-    u, s, _ = np.linalg.svd(z, full_matrices=False)
-    return u, s
-
-
 def _rank(s, rtol):
     """Number of singular values above rtol * sigma_0."""
     return int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
+
+
+def _singular(z, rtol):
+    """(sigma, U) of z (J x n): every singular value, descending, and the
+    economy-size left singular vectors, or None in place of U when z is
+    wide and all J values lie above rtol * sigma_0, so that U U^H = I.
+
+    A wide z (n > J: the hemisphere) is first reduced to the J x J
+    triangular factor R of a QR of z^H, which has the same left singular
+    vectors and singular values (Golub & Van Loan, section 5.4), so neither
+    the long right singular vectors nor the QR's orthogonal factor is
+    formed.  The QR is taken of z^T, a view, and R^H is read as
+    qr(z^T).R^T: Householder QR commutes with conjugation to the last bit
+    (every reflector and every update of the conjugated input is the
+    conjugate of the original's, and IEEE negation is exact), so qr(z^T).R
+    = conj(qr(z^H).R) without a conjugated copy of z.  Only the sign of
+    zero imaginary parts differs.  sigma comes from one values-only SVD of
+    R, and the rank from sigma alone; the SVD of R is taken again with its
+    left vectors only below full rank.  The 4-wavelength hemisphere is full
+    rank, with sigma_min / sigma_0 = 4.4e-14 close above the 1e-14 cut, so
+    its rank must come from that one values-only call.
+
+    A narrow z (the plane, the 1/32-sphere) goes straight to the SVD.  Do
+    not refactor that factorization: the 1/32-sphere keeps singular values
+    down to 4.8e-13 sigma_0, so its projector is fixed only to ~2e-5, and
+    any change of its last bits moves results pinned by the benchmark
+    reference (the FOUND line on `ProjectionOperator` in CHANGES.md).
+    """
+    if z.shape[1] <= z.shape[0]:
+        u, s, _ = np.linalg.svd(z, full_matrices=False)
+        return s, u
+    r = np.linalg.qr(z.T, mode="r").T
+    s = np.linalg.svd(r, compute_uv=False)
+    if _rank(s, rtol) == z.shape[0]:
+        return s, None
+    return s, np.linalg.svd(r, full_matrices=False)[0]
 
 
 class ProjectionOperator:
@@ -225,47 +255,20 @@ class ProjectionOperator:
     P_op = Z Z^+ restricted to the numerical rank r, U_r U_r^H from the left
     singular vectors above rtol, is Hermitian and idempotent by
     construction.  ``singular_values`` holds every singular value of Z, in
-    descending order, and ``rank`` counts those above rtol * sigma_0.
-
-    A wide Z (2P > J: the hemisphere) is first reduced to the J x J
-    triangular factor R of a QR of Z^H, which has the same left singular
-    vectors and singular values (Golub & Van Loan, section 5.4), so neither
-    the long right singular vectors nor the QR's orthogonal factor is
-    formed.  The QR is taken of Z^T, a view, and R^H is read as
-    qr(Z^T).R^T: Householder QR commutes with conjugation to the last bit
-    (every reflector and every update of the conjugated input is the
-    conjugate of the original's, and IEEE negation is exact), so qr(Z^T).R
-    = conj(qr(Z^H).R) without a conjugated copy of Z.  Only the sign of
-    zero imaginary parts differs.  The rank comes from the singular values
-    of R alone (one values-only SVD, which ``singular_values`` holds).  At
-    full rank r = J, U_r is unitary and P_op = I exactly, so no singular
-    vector is formed; below it the SVD of R is taken again with its left
-    vectors.  The 4-wavelength hemisphere is full rank, with sigma_min /
-    sigma_0 = 4.4e-14 close above the 1e-14 cut, so its rank must come
-    from that one values-only call.
-
-    A narrow Z (the plane, the 1/32-sphere) goes straight to the SVD.  Do
-    not refactor that factorization: the 1/32-sphere keeps singular values
-    down to 4.8e-13 sigma_0, so its projector is fixed only to ~2e-5, and
-    any change of its last bits moves results pinned by the benchmark
-    reference (the FOUND line on `ProjectionOperator` in CHANGES.md).
+    descending order (from a values-only SVD when Z is wide), and ``rank``
+    counts those above rtol * sigma_0.  A wide Z of full rank r = J has a
+    unitary U_r, so P_op = I exactly and no singular vector is formed
+    (`_singular`).
 
     The pseudoinverse is built from a full SVD of Z on first use only.
     """
 
     def __init__(self, z, rtol=RANK_RTOL):
         self.z = z
-        j = z.shape[0]
-        if z.shape[1] > j:
-            r = np.linalg.qr(z.T, mode="r").T
-            self.singular_values = np.linalg.svd(r, compute_uv=False)
-            self.rank = _rank(self.singular_values, rtol)
-            u = None if self.rank == j else _left_singular(r)[0]
-        else:
-            u, self.singular_values = _left_singular(z)
-            self.rank = _rank(self.singular_values, rtol)
-        self.p_op = (np.eye(j, dtype=complex) if u is None
-                     else u[:, :self.rank] @ u[:, :self.rank].conj().T)
+        self.singular_values, u = _singular(z, rtol)
+        self.rank = r = _rank(self.singular_values, rtol)
+        self.p_op = (np.eye(z.shape[0], dtype=complex) if u is None
+                     else u[:, :r] @ u[:, :r].conj().T)
 
     @property
     def mode_count(self):

@@ -10,7 +10,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from obpb import correlation, optimizer, profiles
+from obpb import capacity, correlation, optimizer, profiles
 from obpb.modes import ModeSet
 
 
@@ -138,22 +138,74 @@ def test_seed_beam_is_the_lowest_tm_mode(desk):
 
 
 def test_shared_seed_matches_independent_runs(desk):
-    # a sweep over M builds the dipole-seeded BS correlation once; every run
-    # handed that matrix must reproduce its own independent run bit for bit
-    # and leave the shared matrix untouched
+    # a sweep over M builds the dipole-seeded BS correlation and its
+    # eigenbeams once; every run handed the shared sweep must reproduce a
+    # run on a fresh sweep bit for bit and leave the shared one untouched
     modeset, profile = desk
     config = optimizer.ObpbConfig()
-    seed = optimizer.seed_correlation(profile, modeset, modeset)
-    seed_before = seed.copy()
+    sweep = optimizer.Sweep(profile, modeset, modeset, 3)
+    before = [a.copy() for a in (sweep.r_seed, sweep.q_seed, sweep.lam_seed)]
     for m in (1, 2, 3):
-        alone = optimizer.run(config, profile, modeset, modeset, m)
         shared = optimizer.run(config, profile, modeset, modeset, m,
-                               r_seed=seed)
-        assert np.array_equal(alone.q_bs, shared.q_bs)
-        assert np.array_equal(alone.q_ue, shared.q_ue)
-        assert alone.objective_history == shared.objective_history
-        assert np.array_equal(alone.r_bs, shared.r_bs)
-    assert np.array_equal(seed, seed_before)
+                               sweep=sweep)
+        fresh = optimizer.run(config, profile, modeset, modeset, m,
+                              sweep=optimizer.Sweep(profile, modeset,
+                                                    modeset, 3))
+        assert np.array_equal(fresh.q_bs, shared.q_bs)
+        assert np.array_equal(fresh.q_ue, shared.q_ue)
+        assert fresh.objective_history == shared.objective_history
+        assert np.array_equal(fresh.r_bs, shared.r_bs)
+    after = (sweep.r_seed, sweep.q_seed, sweep.lam_seed)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def test_full_polarization_sweep_matches_per_m_runs():
+    # under 'full' polarization the seed's eigenvalues come in degenerate
+    # pairs (gaps below 1e-15 lambda_0 at odd M), where a prefix of the m_max
+    # solve would pick one vector of a 2-D eigenspace by the m_max solve.
+    # The sweep solves those M at M itself, so their runs are the runs
+    # without a sweep bit for bit; at the other M the runs agree in every
+    # phase-invariant output, and so in the rank adaptation's M_opt
+    m_max = 8
+    base = profiles.baseline_params()
+    params = profiles.ProfileParams(base.mean_bs, base.mean_ue, base.sigma,
+                                    base.corr, polarization="full")
+    modes_bs, modes_ue = ModeSet(truncation_order=6), ModeSet(
+        truncation_order=2)
+    profile = profiles.JointProfile(params,
+                                    bs_grid=profiles.make_grid(16, 32),
+                                    ue_grid=profiles.make_grid(8, 16))
+    config = optimizer.ObpbConfig(epsilon=1e-6)
+    sweep = optimizer.Sweep(profile, modes_bs, modes_ue, m_max)
+    lam = sweep.lam_seed
+    degenerate = [m for m in range(1, m_max)
+                  if lam[m - 1] - lam[m] <= 1e-10 * lam[0]]
+    assert degenerate == [1, 3, 5, 7]
+    r_h = {}, {}
+    for m in range(1, m_max + 1):
+        alone = optimizer.run(config, profile, modes_bs, modes_ue, m)
+        swept = optimizer.run(config, profile, modes_bs, modes_ue, m,
+                              sweep=sweep)
+        if m in degenerate:
+            assert np.array_equal(alone.q_bs, swept.q_bs)
+            assert np.array_equal(alone.q_ue, swept.q_ue)
+            assert alone.objective_history == swept.objective_history
+        assert (alone.iterations, alone.converged) == \
+            (swept.iterations, swept.converged)
+        h_a = np.array(alone.objective_history)
+        h_s = np.array(swept.objective_history)
+        assert np.abs(h_a - h_s).max() <= 1e-12 * h_a.max()
+        assert np.abs(alone.eigvals_bs - swept.eigvals_bs).max() \
+            <= 1e-12 * alone.eigvals_bs[0]
+        assert np.abs(alone.r_bs - swept.r_bs).max() \
+            <= 1e-12 * np.abs(alone.r_bs).max()
+        assert np.abs(alone.q_bs @ alone.q_bs.conj().T
+                      - swept.q_bs @ swept.q_bs.conj().T).max() <= 1e-12
+        for res, family in zip((alone, swept), r_h):
+            family[m] = correlation.beam_correlation(res.q_bs, res.r_bs)
+    for snr in (0.1, 1.0, 10.0):
+        assert capacity.rank_adapt(r_h[0].get, m_max, snr).m_opt == \
+            capacity.rank_adapt(r_h[1].get, m_max, snr).m_opt
 
 
 def test_seed_eigenbeam_prefixes_are_the_per_m_eigenbeams():

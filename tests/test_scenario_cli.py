@@ -402,7 +402,7 @@ def test_obpb_run_builds_each_table_and_the_seed_eigenbeams_once(
         profiles.make_grid(*scn.quadrature["ue"]))
     modes_bs = modes.ModeSet(enclosing_radius=scn.bs_radius)
     modes_ue = modes.ModeSet(enclosing_radius=scn.ue_radius)
-    seed = optimizer.seed_correlation(profile, modes_bs, modes_ue)
+    seed = optimizer.Sweep(profile, modes_bs, modes_ue, 1).r_seed
     assert scn.obpb_m_max > 1
     assert [m for r, m in solves if np.array_equal(r, seed)] == \
         [scn.obpb_m_max]
@@ -727,8 +727,9 @@ def _compare_artifact_trees(a, b):
 
 
 def test_artifacts_match_dense_solvers(tmp_path, monkeypatch):
-    # the Krylov eigensolver and the QR-reduced projector against dense eigh
-    # and a full SVD of every transfer matrix, on all four OBPB families
+    # the Krylov eigensolver and the QR-reduced projector (the identity at
+    # full rank) against dense eigh and a full SVD of every transfer matrix,
+    # on all four OBPB families
     import scipy.sparse.linalg
     from obpb import surfaces
     cfg = tmp_path / "desk.yaml"
@@ -751,13 +752,23 @@ def test_artifacts_match_dense_solvers(tmp_path, monkeypatch):
         raise scipy.sparse.linalg.ArpackNoConvergence(
             "forced", np.empty(0), np.empty((0, 0)))
 
+    factored = []
+
+    def full_svd(z, rtol):
+        factored.append(z.shape)
+        u, s, _ = np.linalg.svd(z, full_matrices=False)
+        return s, u
+
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    monkeypatch.setattr(surfaces, "_left_singular",
-                        lambda z: np.linalg.svd(z, full_matrices=False)[:2])
+    monkeypatch.setattr(surfaces, "_singular", full_svd)
     scn = scenario.load_scenario(cfg)
     scn.output_dir = str(tmp_path / "dense")
     dense = scenario.run_scenario(scn)
     assert krylov.exit_code == dense.exit_code == 0
+    # the dense run's projectors, the hemisphere's included, come from a
+    # full SVD of every Z, not the QR route or the identity at full rank
+    assert (man["resolved"]["modes"]["j_bs"], 2 * hemi["n_points"]) \
+        in factored
     worst = _compare_artifact_trees(dense.output_dir, krylov.output_dir)
     assert worst["history"] <= 1e-12
     assert worst["capacity"] <= 1e-12

@@ -307,7 +307,7 @@ def test_blocked_z_is_the_one_shot_z_bit_for_bit(name, monkeypatch):
        st.integers(min_value=1, max_value=200),
        st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_qr_of_the_transpose_is_the_conjugate_qr(rows, extra, seed):
-    # `_left_singular` reads R^H of a QR of z^H as qr(z^T).R^T, with no
+    # `surfaces._singular` reads R^H of a QR of z^H as qr(z^T).R^T, with no
     # conjugated copy of z.  It relies on this LAPACK property: Householder
     # QR of conj(A) yields conj(R) to the last bit, since each reflector and
     # each update of the conjugated input is the conjugate of the original's.
