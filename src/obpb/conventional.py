@@ -168,10 +168,10 @@ def element_correlation(profile, config):
     grid = profile.bs_grid
     ue = profile.ue_grid
     ue_power = element_amplitude(ue.theta, ue.phi) ** 2
-    # the dense joint matrix's product, streamed in row blocks, rather than
-    # profile.marginal_bs: the greedy chains built on this correlation break
-    # ties in the last bit, and the contracted marginal rounds differently
-    marginal = profile.dense_product_bs(ue.weights * ue_power)
+    # the nodal marginal, the dense joint matrix's product to the last bit:
+    # the greedy chains built on this correlation break ties in the last
+    # bit, so it keeps the matrix's +-1 images and trapezoid phi sums
+    marginal = profile.marginal_bs(ue_power)
     a = steering_matrix(config, grid.theta, grid.phi)
     wm = np.maximum(grid.weights * marginal, 0.0)
     keep = np.flatnonzero(wm > 1e-15 * wm.max())

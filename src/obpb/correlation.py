@@ -12,11 +12,15 @@ the beam-space correlation of a coefficient matrix Q is Q^T R Q^*.
 
 Assembly uses the separation of variables of the spherical modes on the
 product quadrature grid: K_j(theta, phi) = K_j(theta, 0) e^(i m_j phi).  The
-azimuth sum collapses into the Fourier coefficients of the weighted marginal,
+azimuth integral collapses into the Fourier coefficients of the weighted
+marginal, |k| <= 2N,
 
-    D[theta, k] = sum_phi w(theta, phi) P(theta, phi) e^(i k phi),
+    D[theta, k] = sum_phi w(theta, phi) P(theta, phi) e^(i k phi).
 
-and the rows of the modes with azimuthal order m_a form one theta-only
+`mode_correlation` forms them from a marginal on the grid's nodes; the
+optimizer takes them from `profiles.JointProfile.weighted_harmonics`, whose
+closed form is the exact phi integral.  From D, `harmonic_correlation`
+builds the rows of the modes with azimuthal order m_a as one theta-only
 product per polarization component,
 
     R[a, :] = T_a (D[:, m_a - m] * T^*)^T,
@@ -43,8 +47,9 @@ def _hermitize(r):
 
 
 def mode_correlation(modeset, marginal, grid, polarization="theta",
-                     prune_tol=1e-15, table=None):
-    """Spherical-mode correlation matrix for one link end.
+                     prune_tol=1e-15):
+    """Spherical-mode correlation matrix for one link end, from a marginal
+    on the grid's nodes.
 
     Parameters
     ----------
@@ -54,9 +59,32 @@ def mode_correlation(modeset, marginal, grid, polarization="theta",
     polarization : 'theta' keeps only theta components, 'full' both
     prune_tol : nodes whose weighted power is at most prune_tol times the
         peak are given zero weight
-    table : the `modes.FieldTable` of modeset on the grid's theta nodes,
-        which a caller assembling many correlations holds; built here when
-        not given
+
+    The phi sum of the weighted marginal gives its harmonics D, and
+    `harmonic_correlation` assembles R from them on a `modes.FieldTable`
+    of the grid's theta nodes.  Returns the (J, J) Hermitian PSD matrix.
+    """
+    marginal = np.asarray(marginal, dtype=float)
+    peak = marginal.max() if marginal.size else 0.0
+    if peak > 0 and marginal.min() < -_NEGATIVE_TOL * peak:
+        raise ValueError("marginal profile has significantly negative values")
+    wm = np.maximum(grid.weights * marginal, 0.0)
+    wm[wm <= prune_tol * wm.max()] = 0.0
+    nmax = modeset.truncation_order
+    k = np.arange(-2 * nmax, 2 * nmax + 1)
+    d = wm.reshape(grid.shape) @ np.exp(1j * np.outer(grid.phi_nodes, k))
+    table = modes_mod.FieldTable(modeset, grid.theta_nodes)
+    return harmonic_correlation(table, d, polarization)
+
+
+def harmonic_correlation(table, d, polarization="theta"):
+    """Spherical-mode correlation matrix from the azimuth harmonics of the
+    weighted marginal.
+
+    table: the `modes.FieldTable` of the ModeSet on the theta nodes; d: the
+    (n_theta, 4N + 1) harmonics D[theta, k + 2N], k = -2N .. 2N, from
+    `mode_correlation`'s phi sum or from
+    `profiles.JointProfile.weighted_harmonics`.
 
     Only the blocks of rows of order m_a and columns of order m_b >= m_a
     are computed, about half of the matrix; each block below is the
@@ -65,20 +93,10 @@ def mode_correlation(modeset, marginal, grid, polarization="theta",
     Hermitian with a real diagonal.  Blocks are written straight into R:
     no other (J, J) array is formed.
 
-    Returns the (J, J) Hermitian PSD matrix.
+    Returns the (J, J) Hermitian matrix.
     """
-    marginal = np.asarray(marginal, dtype=float)
-    peak = marginal.max() if marginal.size else 0.0
-    if peak > 0 and marginal.min() < -_NEGATIVE_TOL * peak:
-        raise ValueError("marginal profile has significantly negative values")
-    wm = np.maximum(grid.weights * marginal, 0.0)
-    wm[wm <= prune_tol * wm.max()] = 0.0
-    if table is None:
-        table = modes_mod.FieldTable(modeset, grid.theta_nodes)
-
+    modeset = table.modeset
     nmax = modeset.truncation_order
-    k = np.arange(-2 * nmax, 2 * nmax + 1)
-    d = wm.reshape(grid.shape) @ np.exp(1j * np.outer(grid.phi_nodes, k))
     t = table.components(polarization)
     r = np.empty((modeset.mode_count,) * 2, dtype=complex)
     for m_a in range(-nmax, nmax + 1):
@@ -134,10 +152,15 @@ def siso_reference(profile):
     """Mean channel power of the single-dipole link under a joint profile.
 
     r_omni = E|h|^2 for one unit-norm lowest-mode antenna at each end;
-    the SNR calibration pins this link to a prescribed mean SNR.
+    the SNR calibration pins this link to a prescribed mean SNR.  The
+    dipole's power does not depend on phi, so it has only the harmonic
+    k = 0, and the link power is the k = 0 column of the BS end's
+    `weighted_harmonics` against the UE dipole's power.
     """
-    pb = profile.bs_grid.weights * omni_power(profile.bs_grid)
-    return float(pb @ profile.marginal_bs(omni_power(profile.ue_grid)))
+    omni_b, omni_u = (omni_power(g).reshape(g.shape)[:, 0]
+                      for g in (profile.bs_grid, profile.ue_grid))
+    d = profile.weighted_harmonics(omni_u[:, None], "bs", 0)
+    return float(omni_b @ d[:, 0].real)
 
 
 def calibrated_snr(profile, siso_snr_db=-12.0):

@@ -1,10 +1,11 @@
 """Alternating eigenbeam optimization in spherical-mode space.
 
 Each side of the link keeps M beams described by mode coefficient matrices
-Q.  One half-step fixes the far side, forms the near-side marginal profile
-weighted by the far beams' radiated power, assembles the near-side mode
-correlation matrix and replaces the near beams with the conjugated dominant
-eigenvectors.  The figure of merit after every half-step is
+Q.  One half-step fixes the far side, forms the azimuth harmonics of the
+near-side marginal profile weighted by the far beams' radiated power,
+assembles the near-side mode correlation matrix and replaces the near beams
+with the conjugated dominant eigenvectors.  The figure of merit after every
+half-step is
 
     det( Rtilde / M ) = prod_m lambda_m / M^M,
 
@@ -22,7 +23,8 @@ builds one `Sweep`, which solves the seed's eigenproblem once at m_max, and
 hands it to every `run`; the first half-step at M takes the first M seed
 eigenbeams, or solves at M itself where lambda_M and lambda_{M+1} are
 degenerate.  The sweep also holds each end's `FieldTable`, the phi = 0
-fields that every pattern power and mode correlation of the sweep reads.
+fields that every pattern-power harmonic and mode correlation of the sweep
+reads.
 
 Only the M dominant eigenpairs of each correlation are read, and M is small
 against the mode count, so `dominant_beams` finds them by implicitly
@@ -161,32 +163,30 @@ def dominant_beams(r_sph, m):
 
 
 class _End:
-    """One link end: its ModeSet, quadrature grid and marginal map, and the
-    ModeSet's `FieldTable` on the grid's theta nodes, which every pattern
-    power and mode correlation on that grid reads."""
+    """One link end of a profile: its side ('bs' or 'ue'), its ModeSet and
+    the ModeSet's `FieldTable` on the end's grid's theta nodes, which every
+    pattern-power harmonic and mode correlation of that end reads."""
 
-    def __init__(self, modeset, grid, marginal):
+    def __init__(self, profile, side, modeset):
+        self.side = side
         self.modeset = modeset
-        self.grid = grid
-        self.marginal = marginal
+        grid = profile.bs_grid if side == "bs" else profile.ue_grid
         self.table = FieldTable(modeset, grid.theta_nodes)
 
 
-def _ends(profile, modes_bs, modes_ue):
-    """The (BS, UE) `_End` pair of a profile and its two mode sets."""
-    return (_End(modes_bs, profile.bs_grid, profile.marginal_bs),
-            _End(modes_ue, profile.ue_grid, profile.marginal_ue))
-
-
-def _correlation(q_far, near, far, polarization):
+def _correlation(profile, q_far, near, far):
     """Mode correlation of the `near` end under the marginal profile that
-    the far beams' total radiated pattern power on the far grid weights."""
-    power = profiles.pattern_power(q_far, far.modeset, far.grid,
-                                   polarization, table=far.table)
-    return correlation.mode_correlation(near.modeset,
-                                        near.marginal(power), near.grid,
-                                        polarization=polarization,
-                                        table=near.table)
+    the far beams' total radiated pattern power weights.
+
+    The far power's azimuth harmonics (`profiles.power_harmonics`) map
+    through the profile's closed form to the harmonics of the near end's
+    weighted marginal (`JointProfile.weighted_harmonics`), which
+    `correlation.harmonic_correlation` reads: no phi grid enters."""
+    pol = profile.params.polarization
+    d = profile.weighted_harmonics(
+        profiles.power_harmonics(q_far, far.table, pol), near.side,
+        2 * near.modeset.truncation_order)
+    return correlation.harmonic_correlation(near.table, d, pol)
 
 
 def optimize_side(q_far, profile, modes_near, modes_far, m, side):
@@ -198,12 +198,10 @@ def optimize_side(q_far, profile, modes_near, modes_far, m, side):
     """
     if side not in ("bs", "ue"):
         raise ValueError("side is 'bs' or 'ue'")
-    if side == "bs":
-        near, far = _ends(profile, modes_near, modes_far)
-    else:
-        far, near = _ends(profile, modes_far, modes_near)
-    return dominant_beams(
-        _correlation(q_far, near, far, profile.params.polarization), m)
+    far_side = "ue" if side == "bs" else "bs"
+    return dominant_beams(_correlation(
+        profile, q_far, _End(profile, side, modes_near),
+        _End(profile, far_side, modes_far)), m)
 
 
 def _converged(history, epsilon):
@@ -227,11 +225,11 @@ class Sweep:
     """
 
     def __init__(self, profile, modes_bs, modes_ue, m_max):
-        self.bs, self.ue = _ends(profile, modes_bs, modes_ue)
+        self.bs = _End(profile, "bs", modes_bs)
+        self.ue = _End(profile, "ue", modes_ue)
         q_dipole = np.zeros((modes_ue.mode_count, 1), dtype=complex)
         q_dipole[flat_index(*DIPOLE_SMN) - 1, 0] = 1.0
-        self.r_seed = _correlation(q_dipole, self.bs, self.ue,
-                                   profile.params.polarization)
+        self.r_seed = _correlation(profile, q_dipole, self.bs, self.ue)
         self.m_max = m_max
         self.q_seed, self.lam_seed = dominant_beams(self.r_seed, m_max)
 
@@ -266,10 +264,12 @@ def run(config, profile, modes_bs, modes_ue, m, sweep=None):
     objective arrives for free, since the refreshed BS mode correlation is
     needed by the next half-step anyway.
 
-    Every marginal comes from the far beams' pattern power on the profile's
-    product grids (`profiles.pattern_power`), and every pattern power and
-    mode correlation reads one `FieldTable` per end; no dense field matrix
-    is formed.  sweep, when given, is a `Sweep` of the same profile and
+    Every half-step reads the profile in azimuth harmonics (`_correlation`):
+    the far beams' pattern-power harmonics map in closed form to the
+    harmonics of the near end's weighted marginal, from which the near mode
+    correlation is assembled.  No phi grid and no dense field matrix enters,
+    and every pattern power and mode correlation reads one `FieldTable` per
+    end.  sweep, when given, is a `Sweep` of the same profile and
     mode sets with m_max >= M, shared by the runs of a sweep over M: the
     first half-step takes its seed eigenbeams at M (`Sweep.beams`), so the
     seed's eigenproblem is solved once for every M with a clear eigenvalue
@@ -283,7 +283,7 @@ def run(config, profile, modes_bs, modes_ue, m, sweep=None):
         sweep = Sweep(profile, modes_bs, modes_ue, m)
     elif m > sweep.m_max:
         raise ValueError("need M <= the sweep's m_max")
-    bs, ue, pol = sweep.bs, sweep.ue, profile.params.polarization
+    bs, ue = sweep.bs, sweep.ue
 
     history = []
     converged = False
@@ -298,8 +298,8 @@ def run(config, profile, modes_bs, modes_ue, m, sweep=None):
         if _converged(history, config.epsilon):
             converged = True
             break
-        q_ue, _ = dominant_beams(_correlation(q_bs, ue, bs, pol), m)
-        r_bs = _correlation(q_ue, bs, ue, pol)
+        q_ue, _ = dominant_beams(_correlation(profile, q_bs, ue, bs), m)
+        r_bs = _correlation(profile, q_ue, bs, ue)
         r_h = correlation.beam_correlation(q_bs, r_bs)
         history.append(float(np.real(np.linalg.det(r_h))) / norm)
         if _converged(history, config.epsilon):

@@ -7,27 +7,40 @@ as Sigma = D P D with D = diag(sigma) in radians.  The density is taken over
 the flat angle coordinates; the sin(theta) measure lives entirely in the
 quadrature weights.
 
-Azimuth is 2 pi periodic, so the Gaussian is wrapped by summing the +-1
-period images of both azimuths (nine terms).  Mean azimuths are wrapped into
-(-180, 180] deg, so every node's offset from the mean lies within 2 pi and
-the nearest dropped +-2 image is at least 3 pi - |mu_phi| away.
+Azimuth is 2 pi periodic, so the Gaussian is wrapped in both azimuths.  The
+optimizer reads the profile only through azimuth harmonics, and those are
+exact in closed form: integrating the sum of every period image over one
+period integrates the unwrapped Gaussian over the line, so at fixed theta =
+(theta_b, theta_u) the 2-D Fourier coefficients in (phi_b, phi_u) are the
+wrapped normal's characteristic function (Mardia & Jupp, Directional
+Statistics, sec. 3.5),
+
+    g(theta; k) = (2 pi / sqrt(det A_pp)) exp(-1/2 t^T Lambda t)
+                  exp(-1/2 k^T Sigma_p k) exp(i k^T mu(theta)),
+
+with A the precision matrix, t the theta offsets from the mean, A_pp its
+phi-phi block, Lambda the Schur complement of A_pp, Sigma_p = A_pp^-1 and
+mu(theta) = mu_phi - Sigma_p A_pt t the conditional mean azimuths.  No
+factor grows with the offsets, so nothing can overflow.
+`JointProfile.weighted_harmonics` maps the far end's pattern-power
+harmonics (`power_harmonics`) through it to the harmonics of the near end's
+weighted marginal, and `total_power`, the normalization, is its k = 0 term
+summed over the Gauss-Legendre theta nodes.  No azimuth node enters: the
+phi integrals are exact, where a trapezoid sum over n_phi nodes would fold
+the harmonics |k| >= n_phi - 2N back in, with a weight of about
+exp(-sigma_phi^2 (n_phi - 2N)^2 / 2).
+
+The nodal density (`joint_matrix`, the marginals and `density`) sums the
++-1 period images of both azimuths (nine terms).  Mean azimuths are wrapped
+into (-180, 180] deg, so every node's offset from the mean lies within 2 pi
+and the nearest dropped +-2 image is at least 3 pi - |mu_phi| away.
 `ProfileParams` rejects an end whose exp(-(3 pi - |mu_phi|)^2 / (2
 sigma_phi^2)) exceeds 1e-10 of the peak (sigma_phi above ~79 deg at
 mu_phi = 0); the widest benchmark profile (sigma_phi <= 50.5 deg, |mu_phi| <=
-5 deg) sits at e^-56.
-
-The normalization constant is computed numerically on the construction
-grids, so the discrete integral of the joint density is exactly 1 there.
-
-On a pair of product grids the density is never stored as a matrix.  Its
-BS-UE coupling exp(-v_b^T A_bu v_u) is a product of four 1-D kernels over
-the theta and phi nodes of the two ends, and the nine images are a rank-9
-factor, so `JointProfile` keeps those (under 2 MB on the default grids)
-and contracts them for every marginal.  The dense (n_bs, n_ue) matrix,
-~680 MB on the default grids, is assembled only on request, or held by a
-profile too narrow and off-centre for its factors to stay in float range.
-The one product the pipeline takes with it, in the element correlation, is
-streamed through cache-sized row blocks with the whole matrix's bits.
+5 deg) sits at e^-56.  The dense (n_bs, n_ue) matrix, ~680 MB on the
+default grids, is normalized by its own discrete double integral and never
+held: the marginals stream it through cache-sized row blocks with the whole
+matrix's bits.  The codebook element correlation reads `marginal_bs`.
 """
 
 import numpy as np
@@ -50,23 +63,10 @@ _IMAGE_CUT = 1e-10
 # grids, which stays in cache between its assembly and its product, while the
 # whole 18432 x 4608 matrix is ~680 MB.  Every entry comes from its own row's
 # and column's factors alone, so the block size moves no bit of the matrix.
-# The streamed products of `JointProfile.dense_product_bs` match the whole
-# matrix's only for a multiple of 4: OpenBLAS's gemv kernels take a matrix's
-# rows in groups of 4, and a block edge inside a group rounds differently
+# The streamed marginals match the whole matrix's products only for a
+# multiple of 4: OpenBLAS's gemv kernels take a matrix's rows in groups of
+# 4, and a block edge inside a group rounds differently
 _CHUNK_ROWS = 32
-
-# image factors and weighted contraction operands of magnitude below this are
-# set to 0.  Anything kept times a kernel entry down to ~2e-19 stays a normal
-# float; smaller operands would make subnormal products, which slow each
-# matrix product they enter several times over, and they sit some 290 orders
-# below the profile's peak
-_FLOOR = 2.0 ** -960
-
-# largest sum of the kernels' and image factors' log maxima that the
-# contractions take: a partial product then stays below e^600, which leaves
-# e^109 for the sums and the input powers before a float overflows.  A
-# narrower or more off-centre profile holds the dense matrix instead
-_LOG_RANGE = 600.0
 
 
 class DirectionGrid:
@@ -75,6 +75,8 @@ class DirectionGrid:
 
     Nodes are stored flattened in row-major (theta outer, phi inner) order;
     ``weights`` include the sin(theta) surface measure and sum to 4 pi.
+    ``theta_weights`` are the Gauss-Legendre weights of the theta nodes
+    alone (they sum to 2).
     """
 
     def __init__(self, n_theta, n_phi):
@@ -83,12 +85,12 @@ class DirectionGrid:
         x, w = np.polynomial.legendre.leggauss(n_theta)
         order = np.argsort(-x)           # theta ascending
         self.theta_nodes = np.arccos(x[order])
+        self.theta_weights = w[order]
         self.phi_nodes = -np.pi + (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
         self.shape = (n_theta, n_phi)
         self.theta = np.repeat(self.theta_nodes, n_phi)
         self.phi = np.tile(self.phi_nodes, n_theta)
         self.weights = np.repeat(w[order] * (2.0 * np.pi / n_phi), n_phi)
-
     @property
     def n_nodes(self):
         return self.theta.size
@@ -164,37 +166,30 @@ def baseline_params():
     )
 
 
+
 class JointProfile:
-    """A joint profile discretized on a pair of direction grids, held in
-    factored form.
+    """A joint profile on a pair of direction grids.
 
-    The unnormalized density is exp(-v_b A_bu v_u^T) (fb @ fu^T) with v the
-    centered (theta, phi) offsets and A_bu the BS-UE block of the precision
-    matrix.  On product grids the coupling splits into four 1-D cross
-    kernels over the angle nodes, exp(-A_bu[i, j] v_b,i v_u,j) for (theta_b,
-    theta_u), (theta_b, phi_u), (phi_b, theta_u) and (phi_b, phi_u); the
-    nine azimuth images are the per-node factors fb (n_bs, 9) and fu (n_ue,
-    9) of `_image_terms`.  Those are all the profile keeps: the marginals,
-    the normalization and `correlation.siso_reference` contract them
-    exactly, one real matrix product per theta row of the end the result
-    lives on (about 765 M multiply-adds on the default grids), and the
-    dense (n_bs, n_ue) matrix is never stored.
+    It keeps the precision matrix A of the 4-D Gaussian and its two grids,
+    and reads them two ways.
 
-    Image factors and weighted operands below ``_FLOOR`` (about 1e-289)
-    are set to 0, so no subnormal number enters a matrix product.
+    The optimizer's half-steps read `weighted_harmonics`, the closed-form
+    azimuth harmonics of the module docstring on the grids' theta nodes:
+    one product of a (theta_near, theta_far) kernel with the far end's
+    harmonics per call, with every azimuth image summed and every phi
+    integral exact.  ``total_power``, the normalization, and
+    `correlation.siso_reference` come from the same form.
 
-    The factors' exponents cancel only in their product.  When a profile is
-    narrow and off-centre enough that the sum of their log maxima passes
-    ``_LOG_RANGE`` (no benchmark profile comes within 500 of it), a
-    partial product could overflow, so the profile holds the dense
-    normalized matrix and takes its marginals as products with it.
-
-    ``joint_matrix`` assembles the dense normalized matrix on each access.
-    It is the oracle the tests compare against, and the pipeline never
-    reads it.  `dense_product_bs` returns its product with a UE-side vector
-    to the last bit from ``_CHUNK_ROWS`` rows at a time, for
+    The nodal marginals `marginal_bs` and `marginal_ue` are the products of
+    the dense normalized matrix ``joint_matrix`` (the +-1 images, normalized
+    by its own discrete double integral) to the last bit.  They assemble it
+    ``_CHUNK_ROWS`` rows at a time, twice (once for the integral), and never
+    hold it.  Its image factors overflow a float on a profile too narrow
+    and off-centre for the grid nodes, and then they raise ValueError.
     `conventional.element_correlation`, whose greedy chains break ties in
-    the last bit.
+    the last bit, reads `marginal_bs`.  ``joint_matrix`` assembles the
+    whole matrix on each access; it is the oracle the tests compare
+    against.
     """
 
     def __init__(self, params, bs_grid=None, ue_grid=None):
@@ -202,60 +197,90 @@ class JointProfile:
         self.bs_grid = bs_grid if bs_grid is not None else make_grid(*BS_GRID)
         self.ue_grid = ue_grid if ue_grid is not None else make_grid(*UE_GRID)
         self._precision = np.linalg.inv(params.covariance())
-        mu = params.mean
-        a = self._precision
-        tb = self.bs_grid.theta_nodes - mu[0]
-        pb = self.bs_grid.phi_nodes - mu[1]
-        tu = self.ue_grid.theta_nodes - mu[2]
-        pu = self.ue_grid.phi_nodes - mu[3]
-        with np.errstate(over="ignore"):
-            self._k_tt = np.exp(-a[0, 2] * np.outer(tb, tu))
-            self._k_tp = np.exp(-a[0, 3] * np.outer(tb, pu))
-            self._k_pt = np.exp(-a[1, 2] * np.outer(pb, tu))
-            self._k_pp = np.exp(-a[1, 3] * np.outer(pb, pu))
-            fb, fu = self._image_terms(_offsets(self.bs_grid, mu[:2]),
-                                       _offsets(self.ue_grid, mu[2:]))
-        # both as (image, theta, phi)
-        self._fb = np.ascontiguousarray(_flush(fb).T).reshape(
-            9, *self.bs_grid.shape)
-        self._fu = np.ascontiguousarray(_flush(fu).T).reshape(
-            9, *self.ue_grid.shape)
-        self._dense = None
-        factors = (self._k_tt, self._k_tp, self._k_pt, self._k_pp, fb, fu)
-        if sum(max(0.0, np.log(f.max())) for f in factors) > _LOG_RANGE:
-            # an overflow is reported by the finiteness check below
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._dense, self.total_power = self._normalized_dense()
-        else:
-            self.total_power = float(self.bs_grid.weights
-                                     @ self._contract_bs(self.ue_grid.weights))
-        if not np.isfinite(self.total_power):
-            raise ValueError("profile density overflows a float on these "
-                             "grids: the spreads are too narrow for the "
-                             "nodes' offsets from the means")
-        if self.total_power <= 0:
-            raise ValueError("profile has no power on the grid")
+        self.total_power = self._theta_total(self.bs_grid, self.ue_grid)
+
+    def _law(self, near, theta_near, theta_far):
+        """The closed form's parts, near end first, on lists of near and far
+        theta nodes: the theta kernel (2 pi / sqrt(det A_pp)) exp(-1/2 t^T
+        Lambda t) (the k = 0 harmonic), Sigma_p, the map ``shift`` of the
+        conditional mean azimuths mu(theta) = mu_phi + shift t, mu_phi and
+        the two offset lists t."""
+        th, ph = ([0, 2], [1, 3]) if near == "bs" else ([2, 0], [3, 1])
+        a, mu = self._precision, self.params.mean
+        sig = np.linalg.inv(a[np.ix_(ph, ph)])
+        shift = -sig @ a[np.ix_(ph, th)]
+        lam = a[np.ix_(th, th)] + a[np.ix_(th, ph)] @ shift
+        tn, tf = theta_near - mu[th[0]], theta_far - mu[th[1]]
+        q = ((lam[0, 0] * tn ** 2)[:, None] + lam[1, 1] * tf ** 2
+             + 2.0 * lam[0, 1] * np.outer(tn, tf))
+        kernel = 2.0 * np.pi * np.sqrt(np.linalg.det(sig)) * np.exp(-0.5 * q)
+        return kernel, sig, shift, mu[ph], tn, tf
+
+    def _theta_total(self, bs_grid, ue_grid):
+        """The density's exact double integral in phi, summed by the two
+        grids' Gauss-Legendre theta rules."""
+        kernel = self._law("bs", bs_grid.theta_nodes, ue_grid.theta_nodes)[0]
+        return float(bs_grid.theta_weights @ kernel @ ue_grid.theta_weights)
+
+    def theta_refinement(self):
+        """Relative change of ``total_power`` when both ends' theta rules
+        take twice as many nodes: about 0 once the theta nodes resolve the
+        profile, and about 1 when they miss it."""
+        fine = self._theta_total(*(DirectionGrid(2 * g.shape[0], 2)
+                                   for g in (self.bs_grid, self.ue_grid)))
+        return abs(self.total_power - fine) / fine
+
+    def weighted_harmonics(self, far_power, near, kmax):
+        """Azimuth harmonics of the near end's weighted marginal.
+
+        far_power: (n_theta_far, 2J + 1) azimuth harmonics of the far end's
+        power on its grid's theta nodes, P(theta, phi) = sum_j
+        far_power[theta, j + J] e^(i j phi), j = -J .. J (`power_harmonics`);
+        near: 'bs' or 'ue'.  Returns the (n_theta_near, 2 kmax + 1) array
+
+            D[theta, k + kmax] = w(theta) integral P_near(theta, phi)
+                                 e^(i k phi) dphi,   k = -kmax .. kmax,
+
+        with w the near grid's Gauss-Legendre weights and P_near the near
+        marginal of the density (divided by ``total_power``) weighted by P:
+        the sum over phi nodes that `correlation.mode_correlation` forms, in
+        its exact limit.  Each entry is sum_{theta_f, j} w_f P g(theta; k,
+        j) with g the closed form of the module docstring.  The factors of
+        g that depend on the far end's theta and j are applied to the
+        (theta_f, j, k) operand, one real matrix product with the theta
+        kernel sums over theta_f, and the sum over j takes the (theta_near,
+        j) phase; no array over ~2 MB is formed on the default grids.
+        """
+        grid_n, grid_f = ((self.bs_grid, self.ue_grid) if near == "bs"
+                          else (self.ue_grid, self.bs_grid))
+        kernel, sig, shift, mu, tn, tf = self._law(
+            near, grid_n.theta_nodes, grid_f.theta_nodes)
+        j = np.arange(far_power.shape[1]) - far_power.shape[1] // 2
+        k = np.arange(-kmax, kmax + 1)
+        spread = np.exp(-0.5 * ((sig[1, 1] * j ** 2)[:, None] + sig[0, 0]
+                                * k ** 2 + 2.0 * sig[0, 1] * np.outer(j, k)))
+        x = far_power * grid_f.theta_weights[:, None] \
+            * np.exp(1j * np.outer(mu[1] + shift[1, 1] * tf, j))
+        y = x[:, :, None] * spread \
+            * np.exp(1j * shift[0, 1] * np.outer(tf, k))[:, None, :]
+        u = (kernel @ y.reshape(tf.size, -1).view(float)).view(complex)
+        d = np.einsum("njk,nj->nk", u.reshape(tn.size, j.size, k.size),
+                      np.exp(1j * shift[1, 0] * np.outer(tn, j)))
+        d *= (grid_n.theta_weights / self.total_power)[:, None] \
+            * np.exp(1j * np.outer(mu[0] + shift[0, 0] * tn, k))
+        return d
 
     @property
     def joint_matrix(self):
         """The dense normalized density on (every BS node) x (every UE node).
 
         Assembled on each access (~680 MB on the default grids) and
-        normalized by its own discrete double integral, so it is the matrix
-        the contractions are checked against.  A profile that holds it (see
-        the class docstring) returns the held matrix.
+        normalized by its own discrete double integral: the oracle the
+        marginals and the harmonics are checked against.
         """
-        if self._dense is not None:
-            return self._dense
-        return self._normalized_dense()[0]
-
-    def _normalized_dense(self):
-        """The assembled matrix divided by its double integral, and that
-        integral."""
         raw = self._assemble(self.bs_grid, self.ue_grid)
-        total = float(self.bs_grid.weights @ raw @ self.ue_grid.weights)
-        raw *= 1.0 / total
-        return raw, total
+        raw *= 1.0 / float(self.bs_grid.weights @ raw @ self.ue_grid.weights)
+        return raw
 
     def _image_terms(self, vb, vu):
         """Per-node image factors for the rank-9 wrapped-Gaussian expansion.
@@ -290,7 +315,11 @@ class JointProfile:
         """The unnormalized density in blocks of ``_CHUNK_ROWS`` BS nodes.
 
         Yields (lo, hi, rows): the density on BS nodes lo:hi times every UE
-        node, a fresh array per block.
+        node.  Every block is written into the same two buffers, so a
+        caller is done with a block when it asks for the next; fresh
+        blocks would make the allocator fault in new pages for each of the
+        576 blocks of the default grids, which doubled the first pass's
+        time.
         """
         mu = self.params.mean
         vb = _offsets(bs_grid, mu[:2])
@@ -298,12 +327,14 @@ class JointProfile:
         fb, fu = self._image_terms(vb, vu)
         Abu = self._precision[:2, 2:]
         cu = Abu @ vu.T                                    # (2, nu)
+        buf = np.empty((2, min(_CHUNK_ROWS, len(vb)), len(vu)))
         for lo in range(0, len(vb), _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, len(vb))
-            rows = vb[lo:hi] @ cu
+            rows, images = buf[:, :hi - lo]
+            np.matmul(vb[lo:hi], cu, out=rows)
             np.negative(rows, out=rows)
             np.exp(rows, out=rows)
-            rows *= fb[lo:hi] @ fu.T
+            rows *= np.matmul(fb[lo:hi], fu.T, out=images)
             yield lo, hi, rows
 
     def _assemble(self, bs_grid, ue_grid):
@@ -312,48 +343,32 @@ class JointProfile:
             out[lo:hi] = rows
         return out
 
-    def dense_product_bs(self, x):
-        """``joint_matrix @ x`` to the last bit, without holding the matrix.
-
-        Two passes over the row blocks of `_raw_blocks`: the first takes the
-        matrix's double integral (`_streamed_total`), the second scales each
-        block by 1 / integral, as the dense matrix is scaled, and multiplies
-        it by x.  A profile that holds the dense matrix (see the class
-        docstring) multiplies that.
-        """
-        if self._dense is not None:
-            return self._dense @ x
-        scale = 1.0 / self._streamed_total()
-        out = np.empty(self.bs_grid.n_nodes)
-        for lo, hi, rows in self._raw_blocks(self.bs_grid, self.ue_grid):
-            rows *= scale
-            # gemv even for a 1-row block, which numpy would take as a dot
-            out[lo:hi] = dgemv(1.0, rows.T, x, trans=1)
-        return out
-
-    def _streamed_total(self):
-        """wb @ raw @ wu of the assembled matrix, to the last bit, from its
-        row blocks: gemv adds each block's weighted rows into the running
-        wb @ raw in the order one gemv over the whole matrix adds them."""
-        wb = self.bs_grid.weights
+    def _product_ue(self, x, scale):
+        """x @ (scale * raw) over the BS rows, to the last bit of the whole
+        matrix's product: gemv adds each block's rows, weighted by x, into
+        the running sum in the order one gemv over the whole matrix adds
+        them."""
         acc = np.zeros(self.ue_grid.n_nodes)
         for lo, hi, rows in self._raw_blocks(self.bs_grid, self.ue_grid):
-            acc = dgemv(1.0, rows.T, wb[lo:hi], beta=1.0, y=acc,
+            rows *= scale
+            acc = dgemv(1.0, rows.T, x[lo:hi], beta=1.0, y=acc,
                         overwrite_y=1)
-        return float(acc @ self.ue_grid.weights)
+        return acc
 
-    def _contract_bs(self, x):
-        """sum_u raw[b, u] x[u] for every BS node b (raw: unnormalized)."""
-        return _contract(x, self._fu, self._fb, self._k_tt, self._k_tp,
-                         self._k_pt, self._k_pp)
-
-    def _contract_ue(self, x):
-        """sum_b raw[b, u] x[b] for every UE node u (raw: unnormalized)."""
-        return _contract(x, self._fb, self._fu, self._k_tt.T, self._k_pt.T,
-                         self._k_tp.T, self._k_pp.T)
+    def _streamed_total(self):
+        """wb @ raw @ wu of the assembled matrix, to the last bit; a
+        ValueError where the image factors overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(self._product_ue(self.bs_grid.weights, 1.0)
+                          @ self.ue_grid.weights)
+        if not np.isfinite(total):
+            raise ValueError("profile density overflows a float on these "
+                             "grids: the spreads are too narrow for the "
+                             "nodes' offsets from the means")
+        return total
 
     def density(self, psi_bs, psi_ue):
-        """Pointwise joint density, normalized like ``joint_matrix``.
+        """Pointwise joint density (+-1 images) over ``total_power``.
 
         psi_bs and psi_ue are (..., 2) arrays of (theta, phi) in radians,
         broadcast against each other in the leading dimensions.
@@ -376,52 +391,38 @@ class JointProfile:
 
         ue_power holds nonnegative pattern power values on the UE grid nodes;
         the result is P(psi_b) = integral ProfileDensity * ue_power dpsi_u,
-        one value per BS grid node.
+        one value per BS grid node: ``joint_matrix @ (w_u * ue_power)`` to
+        the last bit, from row blocks scaled by 1 / (the matrix's double
+        integral) as the dense matrix is scaled.
         """
         x = self.ue_grid.weights * ue_power
-        if self._dense is not None:
-            return self._dense @ x
-        return self._contract_bs(x) * (1.0 / self.total_power)
+        scale = 1.0 / self._streamed_total()
+        out = np.empty(self.bs_grid.n_nodes)
+        for lo, hi, rows in self._raw_blocks(self.bs_grid, self.ue_grid):
+            rows *= scale
+            # gemv even for a 1-row block, which numpy would take as a dot
+            out[lo:hi] = dgemv(1.0, rows.T, x, trans=1)
+        return out
 
     def marginal_ue(self, bs_power):
-        """UE-side marginal; mirror image of marginal_bs."""
-        x = self.bs_grid.weights * bs_power
-        if self._dense is not None:
-            return self._dense.T @ x
-        return self._contract_ue(x) * (1.0 / self.total_power)
-
-
-def _contract(x, f_in, f_out, k_tt, k_tp, k_pt, k_pp):
-    """sum over the input end's nodes of raw * x, for every output node.
-
-    f_in, f_out: the two ends' image factors as (image, theta, phi); k_ab:
-    the cross kernel of the output end's angle a and the input end's angle
-    b, as (output nodes, input nodes).  One matrix product per output theta
-    row t: the (phi, phi) kernel, scaled by row t of the (theta, phi)
-    kernel, times the operand x f_in laid out as (input phi, (image, input
-    theta)) that every row shares; the product is weighted by the (phi,
-    theta) kernel and row t of the (theta, theta) kernel and reduced over
-    the input theta, then over the images against f_out.
-    """
-    n_t, n_p = f_in.shape[1:]
-    y = _flush(f_in * np.reshape(x, (n_t, n_p))).reshape(-1, n_p).T
-    out = np.empty(f_out.shape[1:])
-    for t in range(len(out)):
-        h = (k_pp * k_tp[t]) @ y
-        s = np.einsum("pkt,pt->pk", h.reshape(-1, 9, n_t), k_pt * k_tt[t])
-        out[t] = np.einsum("pk,kp->p", s, f_out[:, t])
-    return out.ravel()
-
-
-def _flush(a):
-    """Set entries of magnitude below _FLOOR to 0, in place; returns a."""
-    a[np.abs(a) < _FLOOR] = 0.0
-    return a
+        """UE-side marginal, ``joint_matrix.T @ (w_b * bs_power)`` to the
+        last bit; mirror image of marginal_bs."""
+        return self._product_ue(self.bs_grid.weights * bs_power,
+                                1.0 / self._streamed_total())
 
 
 def _offsets(grid, mean):
     """(n_nodes, 2) offsets of a grid's nodes from a (theta, phi) mean."""
     return np.stack([grid.theta - mean[0], grid.phi - mean[1]], axis=1)
+
+
+def _order_sums(q, table, polarization):
+    """Per field component, the beams summed per azimuthal order on the
+    table's theta nodes, a(theta, m) = sum_{m_j = m} q_j K_j(theta, 0):
+    (M, n_theta, 2N + 1) arrays, m = -N .. N."""
+    q = np.atleast_2d(np.asarray(q).T).T      # (J, M)
+    return [np.einsum("jb,jt->btj", q, tc) @ table.per_order
+            for tc in table.components(polarization)]
 
 
 def beam_power(q, table, phi_nodes, polarization="theta"):
@@ -431,31 +432,39 @@ def beam_power(q, table, phi_nodes, polarization="theta"):
     their ModeSet on the product's theta nodes; phi_nodes: a 1-D angle list
     in radians.  Each mode separates as K_j(theta, phi) = K_j(theta, 0)
     e^(i m_j phi), so the beams are summed per azimuthal order on the theta
-    nodes, a(theta, m) = sum_{m_j = m} q_j K_j(theta, 0), and expanded in
-    azimuth as a @ e^(i m phi).  Under 'theta' polarization only the theta
-    components count, under 'full' both.  Returns (M, n_theta, n_phi).
+    nodes (`_order_sums`) and expanded in azimuth as a @ e^(i m phi).  Under
+    'theta' polarization only the theta components count, under 'full'
+    both.  Returns (M, n_theta, n_phi).
     """
-    q = np.atleast_2d(np.asarray(q).T).T      # (J, M)
     nmax = table.modeset.truncation_order
     orders = np.arange(-nmax, nmax + 1)
     azim = np.exp(1j * np.outer(orders, phi_nodes))       # (2N + 1, n_phi)
-    power = 0.0
-    for tc in table.components(polarization):
-        g = (np.einsum("jb,jt->btj", q, tc) @ table.per_order) @ azim
-        power = power + np.abs(g) ** 2
-    return power
+    return sum(np.abs(a @ azim) ** 2
+               for a in _order_sums(q, table, polarization))
 
 
-def pattern_power(q, modeset, grid, polarization="theta", table=None):
-    """Radiated power sum_beams |q^T K|^2 of a beam set on a product grid:
-    the beam sum of `beam_power`, per node in the grid's flat order.
+def power_harmonics(q, table, polarization="theta"):
+    """Azimuth harmonics of a beam set's total radiated power.
 
-    table: the `modes.FieldTable` of modeset on the grid's theta nodes,
-    which a caller evaluating many beam sets holds; built here when not
-    given.
+    The power sum_beams |sum_m a(theta, m) e^(i m phi)|^2 of `beam_power` is
+    a trigonometric polynomial of degree 2N in phi with the coefficients
+    P[theta, j + 2N] = sum_beams sum_m a(theta, m) a^*(theta, m - j), j =
+    -2N .. 2N, on the table's theta nodes.  Returns (n_theta, 4N + 1), the
+    input of `JointProfile.weighted_harmonics`.
     """
-    if table is None:
-        table = modes.FieldTable(modeset, grid.theta_nodes)
+    nmax = table.modeset.truncation_order
+    # s[theta, m, m'] = sum_beams a(theta, m) a^*(theta, m')
+    s = sum(at @ at.conj().transpose(0, 2, 1)
+            for at in (a.transpose(1, 2, 0)
+                       for a in _order_sums(q, table, polarization)))
+    return np.stack([np.trace(s, offset=-j, axis1=1, axis2=2)
+                     for j in range(-2 * nmax, 2 * nmax + 1)], axis=1)
+
+
+def pattern_power(q, modeset, grid, polarization="theta"):
+    """Radiated power sum_beams |q^T K|^2 of a beam set on a product grid:
+    the beam sum of `beam_power`, per node in the grid's flat order."""
+    table = modes.FieldTable(modeset, grid.theta_nodes)
     return np.sum(beam_power(q, table, grid.phi_nodes, polarization),
                   axis=0).ravel()
 

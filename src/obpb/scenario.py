@@ -8,10 +8,12 @@ falls back to the same defaults the library modules use.
 Scenario points (method x N_UE) each write only into their own directory.
 The runner follows the structure the sweep already has.  What points share is
 built once up front, reduced to what the points read, and only read
-afterwards.  The joint profile holds only its factors (under 2 MB) unless it
-is too narrow for them.  The codebook element correlation takes its one
-product with the dense joint matrix from row blocks of about 1.2 MB, so
-the 680 MB matrix is never formed.  The full-array greedy chains
+afterwards.  The joint profile holds only its precision matrix and grids;
+its theta nodes must resolve it (`THETA_REFINEMENT`), checked before
+anything else runs.  The optimizer reads it in closed-form azimuth
+harmonics.  The codebook element correlation takes its one product with
+the dense joint matrix, the nodal BS marginal, from row blocks of about
+1.2 MB, so the 680 MB matrix is never formed.  The full-array greedy chains
 (selection is scale-invariant, so one chain at N_UE = 1 serves every N_UE)
 are all read from one Gram and keep only their beams and Gram block.  The
 codebook bundle is built before the OBPB bundle: the other way round, the
@@ -66,6 +68,12 @@ from .modes import (DIPOLE_SMN, FieldTable, ModeSet, mode_count_for_radius,
 from .profiles import JointProfile, ProfileParams, make_grid
 
 DB_FLOOR = 1e-20          # pattern power floor before 10*log10
+# largest relative change of the profile's total power when both theta
+# rules take twice as many nodes (`JointProfile.theta_refinement`): theta
+# nodes that miss the profile read about 1.  The baseline profile reads
+# 7e-15 on the default grids, 5.9e-3 on 24 x 12 theta nodes and 0.44 on the
+# 12 x 8 of desk-size smoke scenarios; obpb_wide reads 3.5e-7
+THETA_REFINEMENT = 0.5
 
 
 class ScenarioError(ValueError):
@@ -524,9 +532,8 @@ class _ArtifactWriter:
     def correlation(self, path, r_norm):
         m = r_norm.shape[0]
         i, j = np.divmod(np.arange(m * m), m)
-        self.text.write(path, ["i", "j", "re", "im", "abs"],
-                        [i + 1, j + 1, r_norm.real.ravel(),
-                         r_norm.imag.ravel(), np.abs(r_norm).ravel()])
+        self.text.write(path, ["i", "j", "abs"],
+                        [i + 1, j + 1, r_norm.ravel()])
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +619,13 @@ class _ConventionalBundle:
 
     def __init__(self, scenario, profile):
         self.config = scenario.array_config
-        self.r_unit = conventional.element_correlation(profile, self.config)
+        try:
+            self.r_unit = conventional.element_correlation(profile,
+                                                           self.config)
+        except ValueError as exc:
+            # the nodal density overflows a float on these grids
+            raise ScenarioError(f"{scenario.source}: profile: {exc}") \
+                from None
         depth = min(self.config.n_elements, max(scenario.n_ue))
         metrics = sorted({mm["metric"] for mm in scenario.methods
                           if mm["kind"] == "full_array"})
@@ -706,14 +719,17 @@ def run_scenario(scenario, echo=None):
     say = echo if echo is not None else (lambda msg: None)
 
     out_dir = scenario.resolved_output_dir()
-    try:
-        profile = JointProfile(scenario.profile_params,
-                               make_grid(*scenario.quadrature["bs"]),
-                               make_grid(*scenario.quadrature["ue"]))
-    except ValueError as exc:
-        # a profile too narrow for float arithmetic on these grids passes
-        # validation, which builds no grid
-        raise ScenarioError(f"{scenario.source}: profile: {exc}") from None
+    profile = JointProfile(scenario.profile_params,
+                           make_grid(*scenario.quadrature["bs"]),
+                           make_grid(*scenario.quadrature["ue"]))
+    # a profile too narrow for the theta nodes passes validation, which
+    # builds no grid
+    change = profile.theta_refinement()
+    if not change <= THETA_REFINEMENT:
+        raise ScenarioError(
+            f"{scenario.source}: profile: theta nodes too coarse for the "
+            f"spreads: the total power moves by {change:.2g} of itself when "
+            f"the theta nodes double (limit {THETA_REFINEMENT:g})")
     snr = correlation.calibrated_snr(profile, scenario.snr_db_siso)
     say(f"profile on {scenario.quadrature['bs']} x "
         f"{scenario.quadrature['ue']} grids, snr = {snr:.6g}")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obpb import correlation, profiles
-from obpb.modes import ModeSet
+from obpb.modes import FieldTable, ModeSet
 
 FOUR_PI = 4.0 * np.pi
 
@@ -149,6 +149,32 @@ def test_pattern_power_matches_dense_beam_sum(oracle, polarization, m):
                                polarization=polarization)
     assert u.shape == dense.shape
     assert np.abs(u - dense).max() <= 1e-12 * dense.max()
+
+
+def test_harmonic_core_matches_nodal_mode_correlation(baseline_profile,
+                                                      bs_modes, ue_modes):
+    # the optimizer's route (far power harmonics, closed-form weighted
+    # harmonics, harmonic core) against pattern power, nodal marginal and
+    # mode_correlation on the default grids, where the phi trapezoid has
+    # converged: both ends, under random far beams
+    prof = baseline_profile
+    rng = np.random.default_rng(8)
+    for near, far, grid, far_grid, marginal in (
+            (bs_modes, ue_modes, prof.bs_grid, prof.ue_grid, prof.marginal_bs),
+            (ue_modes, bs_modes, prof.ue_grid, prof.bs_grid,
+             prof.marginal_ue)):
+        side = "bs" if near is bs_modes else "ue"
+        q = (rng.standard_normal((far.mode_count, 3))
+             + 1j * rng.standard_normal((far.mode_count, 3)))
+        r_nodal = correlation.mode_correlation(
+            near, marginal(profiles.pattern_power(q, far, far_grid)), grid)
+        d = prof.weighted_harmonics(
+            profiles.power_harmonics(q, FieldTable(far, far_grid.theta_nodes)),
+            side, 2 * near.truncation_order)
+        r = correlation.harmonic_correlation(
+            FieldTable(near, grid.theta_nodes), d)
+        assert np.array_equal(r, r.conj().T)
+        assert np.abs(r - r_nodal).max() <= 1e-14 * np.abs(r_nodal).max()
 
 
 def test_beam_correlation_bilinear_convention():

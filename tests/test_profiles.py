@@ -3,9 +3,11 @@
 The profile checks are integral identities: the grid weights carry the full
 surface measure (sum 4*pi), the normalized joint density integrates to one,
 and marginalization against a far-side power pattern commutes with that
-normalization.  The profile keeps only its factors; the dense joint matrix,
-assembled on access, is the oracle its contractions are held to.  Desk-size
-grids keep everything under a second.
+normalization.  The profile keeps only its precision matrix and grids.  The
+dense joint matrix, assembled on access, is the oracle the nodal marginals
+equal bit for bit; the closed-form azimuth harmonics are held to a direct
+trapezoid sum of the wrapped density on grids where that sum has
+converged.  Desk-size grids keep everything under a second.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from obpb import correlation, profiles
-from obpb.modes import ModeSet, flat_index
+from obpb.modes import FieldTable, ModeSet, flat_index
 
 
 @pytest.fixture(scope="module")
@@ -164,67 +166,181 @@ def test_profile_fields_theta_polarization_drops_phi(desk_profile):
     assert kth.shape == (ms.mode_count, desk_profile.ue_grid.n_nodes)
 
 
-def _random_params(rng, wide, mean_phi_deg):
-    """A profile with every correlation, theta-phi cross terms included,
-    drawn from +-0.32: each row's off-diagonal sum stays below 1, so the
-    matrix is positive definite."""
-    off = rng.uniform(-0.32, 0.32, 6)
+def _random_corr(rng):
+    """A correlation matrix with every entry, theta-phi cross terms
+    included, drawn from +-0.32: each row's off-diagonal sum stays below 1,
+    so the matrix is positive definite."""
     corr = np.eye(4)
-    corr[np.triu_indices(4, 1)] = off
-    corr = np.triu(corr) + np.triu(corr, 1).T
+    corr[np.triu_indices(4, 1)] = rng.uniform(-0.32, 0.32, 6)
+    return np.triu(corr) + np.triu(corr, 1).T
+
+
+def _random_params(rng, wide, mean_phi_deg):
     lo, hi = ((12.0, 40.0, 25.0, 40.0), (20.0, 50.0, 35.0, 50.0)) if wide \
         else ((2.0, 10.0, 6.0, 20.0), (5.0, 25.0, 12.0, 40.0))
     sigma = rng.uniform(lo, hi)
+    corr = _random_corr(rng)
     return profiles.ProfileParams(
         (rng.uniform(60.0, 120.0), mean_phi_deg[0]),
         (rng.uniform(60.0, 120.0), mean_phi_deg[1]), sigma, corr)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.booleans(),
-       st.tuples(st.floats(min_value=170.0, max_value=180.0),
-                 st.floats(min_value=-180.0, max_value=-170.0)),
-       st.booleans())
-@example(1487750884, False, (170.3275123375482, -173.20233813998212), True)
-def test_contractions_match_dense_oracle(seed, wide, near_pi, swap):
-    # narrow and wide spreads, mean azimuths next to +-180 deg (where the
-    # +-1 images carry the most) and nonzero theta-phi cross-correlations
-    rng = np.random.default_rng(seed)
-    params = _random_params(rng, wide, near_pi[::-1] if swap else near_pi)
-    grids = (profiles.make_grid(12, 24), profiles.make_grid(8, 16))
-    try:
-        profile = profiles.JointProfile(params, *grids)
-    except ValueError as err:
-        # about one draw in 2000 is so narrow and off-centre that the
-        # density overflows a float on the nodes: then it must say so, and
-        # the dense assembly must indeed be non-finite
-        assert "overflows a float" in str(err)
-        bare = object.__new__(profiles.JointProfile)
-        bare.params = params
-        bare._precision = np.linalg.inv(params.covariance())
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(bare._assemble(*grids)).all()
-        return
-    joint = profile.joint_matrix
-    wb, wu = profile.bs_grid.weights, profile.ue_grid.weights
-    pu = rng.random(wu.size) * (rng.random(wu.size) > 0.2)
-    pb = rng.random(wb.size) * (rng.random(wb.size) > 0.2)
-    for got, want in ((profile.marginal_bs(pu), joint @ (wu * pu)),
-                      (profile.marginal_ue(pb), joint.T @ (wb * pb))):
-        assert np.abs(got - want).max() <= 1e-13 * want.max()
-    raw = profile._assemble(profile.bs_grid, profile.ue_grid)
-    assert abs(profile.total_power - wb @ raw @ wu) \
-        <= 1e-13 * profile.total_power
-    omni_b = wb * correlation.omni_power(profile.bs_grid)
-    omni_u = wu * correlation.omni_power(profile.ue_grid)
+def _direct_joint(params, bs_grid, ue_grid):
+    """The +-1-image wrapped density on the grids' nodes and its discrete
+    double integral: the matrix `JointProfile.joint_matrix` assembles, but
+    with each image's quadratic form in one exponent, which is at most 1,
+    so no factor overflows however narrow the profile."""
+    a = np.linalg.inv(params.covariance())
+    mu = params.mean
+    vb = np.stack([bs_grid.theta - mu[0], bs_grid.phi - mu[1]], axis=1)
+    vu = np.stack([ue_grid.theta - mu[2], ue_grid.phi - mu[3]], axis=1)
+    raw = 0.0
+    for sb in (-2.0 * np.pi, 0.0, 2.0 * np.pi):
+        xb = vb + (0.0, sb)
+        qb = np.einsum("ni,ij,nj->n", xb, a[:2, :2], xb)
+        for su in (-2.0 * np.pi, 0.0, 2.0 * np.pi):
+            xu = vu + (0.0, su)
+            qu = np.einsum("ni,ij,nj->n", xu, a[2:, 2:], xu)
+            raw = raw + np.exp(-0.5 * (qb[:, None] + qu[None, :]
+                                       + 2.0 * (xb @ a[:2, 2:]) @ xu.T))
+    total = bs_grid.weights @ raw @ ue_grid.weights
+    return raw / total, total
+
+
+def _nodal_harmonics(grid, weighted, kmax):
+    """The phi sum D[theta, k] of `correlation.mode_correlation`."""
+    k = np.arange(-kmax, kmax + 1)
+    return weighted.reshape(grid.shape) @ np.exp(1j * np.outer(grid.phi_nodes,
+                                                               k))
+
+
+def _harmonic_errors(profile, joint, rng):
+    """Largest |D - D_oracle| / max |D_oracle| at the BS and the UE end,
+    under random beams of N = 2 modes at the far end; D_oracle is the phi
+    sum of the weighted nodal marginal joint @ (w_far * power)."""
+    modeset = ModeSet(truncation_order=2)
+    q = (rng.standard_normal((modeset.mode_count, 2))
+         + 1j * rng.standard_normal((modeset.mode_count, 2)))
+    bs, ue = profile.bs_grid, profile.ue_grid
+    errs = []
+    for near, far, product in (("bs", ue, lambda x: joint @ x),
+                               ("ue", bs, lambda x: joint.T @ x)):
+        grid = bs if near == "bs" else ue
+        harm = profiles.power_harmonics(
+            q, FieldTable(modeset, far.theta_nodes))
+        power = profiles.pattern_power(q, modeset, far)
+        # the harmonics are those of the nodal power
+        nodal = np.real(harm @ np.exp(1j * np.outer(np.arange(-4, 5),
+                                                    far.phi_nodes)))
+        assert np.abs(nodal.ravel() - power).max() <= 1e-13 * power.max()
+        want = _nodal_harmonics(grid, grid.weights * product(
+            far.weights * power), 4)
+        got = profile.weighted_harmonics(harm, near, 4)
+        errs.append(np.abs(got - want).max() / np.abs(want).max())
+    return errs
+
+
+# the profile whose image factors spanned more than the dense fallback's
+# log range, and profiles centred next to +-180 deg whose nodal density
+# overflows a float
+_PAST_THE_LOG_RANGE = profiles.ProfileParams(
+    (71.1, -174.1), (63.1, 172.0), (2.96, 14.55, 9.36, 24.95),
+    [[1.0, 0.308, 0.0003, 0.279], [0.308, 1.0, -0.298, -0.231],
+     [0.0003, -0.298, 1.0, -0.295], [0.279, -0.231, -0.295, 1.0]])
+_NARROW_AT_PI = [profiles.ProfileParams((90.0, 178.0), (90.0, -178.0),
+                                        sigma, profiles.baseline_params().corr)
+                 for sigma in ((3.0, 5.0, 3.0, 5.0), (4.0, 8.0, 4.0, 8.0))]
+
+
+@st.composite
+def _harmonic_profiles(draw):
+    """Spreads from 2 deg (theta) and 5.5 deg (phi) to 35 and 40 deg,
+    cross terms, and means anywhere in (-180, 180] deg.  At sigma_phi <= 40
+    deg the dropped +-2 images stay below 1e-17 of the peak, and from 5 deg
+    on 112 phi nodes fold back no harmonic above 1e-15."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    phi_b, phi_u = draw(st.tuples(st.floats(-180.0, 180.0),
+                                  st.floats(-180.0, 180.0)))
+    sigma = rng.uniform((2.0, 5.5, 3.0, 5.5), (20.0, 40.0, 35.0, 40.0))
+    return profiles.ProfileParams(
+        (rng.uniform(30.0, 150.0), phi_b), (rng.uniform(30.0, 150.0), phi_u),
+        sigma, _random_corr(rng))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_harmonic_profiles())
+@example(_PAST_THE_LOG_RANGE)
+@example(_NARROW_AT_PI[0])
+@example(_NARROW_AT_PI[1])
+def test_harmonics_match_the_oracle_marginal(params):
+    # on 112 phi nodes the trapezoid has converged, so the closed form's
+    # exact phi integrals and the direct sum agree to roundoff at both ends
+    profile = profiles.JointProfile(params, profiles.make_grid(10, 112),
+                                    profiles.make_grid(6, 112))
+    joint, total = _direct_joint(params, profile.bs_grid, profile.ue_grid)
+    oracles = [joint]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = profile.joint_matrix
+    if np.isfinite(dense).all():
+        # the library's oracle, where its image factors stay in float range
+        oracles.append(dense)
+    for oracle in oracles:
+        errs = _harmonic_errors(profile, oracle, np.random.default_rng(7))
+        assert max(errs) <= 1e-13
+    assert abs(profile.total_power - total) <= 1e-13 * total
+    omni_b = profile.bs_grid.weights * correlation.omni_power(profile.bs_grid)
+    omni_u = profile.ue_grid.weights * correlation.omni_power(profile.ue_grid)
     want = omni_b @ joint @ omni_u
     assert abs(correlation.siso_reference(profile) - want) <= 1e-13 * want
 
 
-# The streamed product equals the whole matrix's products only because BLAS
+def test_harmonics_do_not_depend_on_the_phi_nodes():
+    # the closed form reads the theta nodes only
+    rng = np.random.default_rng(4)
+    params = profiles.ProfileParams((70.0, 40.0), (100.0, -120.0),
+                                    (6.0, 25.0, 12.0, 40.0), _random_corr(rng))
+    far = {"bs": rng.standard_normal((12, 9)) + 1j, "ue": rng.random((8, 9))}
+    got = []
+    for n_bs, n_ue in ((2, 2), (16, 8), (96, 48)):
+        profile = profiles.JointProfile(params, profiles.make_grid(12, n_bs),
+                                        profiles.make_grid(8, n_ue))
+        got.append([profile.weighted_harmonics(far["ue"], "bs", 6),
+                    profile.weighted_harmonics(far["bs"], "ue", 3)])
+    for d in got[1:]:
+        for a, b in zip(d, got[0]):
+            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+
+
+def test_narrow_profile_trapezoid_converges_to_the_harmonics():
+    # a 3 deg / 5 deg profile at +-178 deg: a trapezoid sum over n_phi
+    # nodes folds the harmonics |k| >= n_phi - 2N back in with a weight of
+    # about exp(-sigma^2 (n_phi - 2N)^2 / 2), visible at 48 / 24 phi nodes,
+    # far below roundoff at 192 / 96
+    errs = []
+    for n_bs, n_ue in ((48, 24), (192, 96)):
+        profile = profiles.JointProfile(_NARROW_AT_PI[0],
+                                        profiles.make_grid(16, n_bs),
+                                        profiles.make_grid(8, n_ue))
+        joint, _ = _direct_joint(profile.params, profile.bs_grid,
+                                 profile.ue_grid)
+        errs.append(max(_harmonic_errors(profile, joint,
+                                         np.random.default_rng(9))))
+    assert errs[1] <= 1e-13 < 1e-6 < errs[0]
+
+
+def test_theta_refinement_flags_nodes_that_miss_the_profile(baseline_profile):
+    assert baseline_profile.theta_refinement() < 1e-13
+    narrow = profiles.ProfileParams((90.0, 0.0), (90.0, 0.0), (0.5,) * 4,
+                                    profiles.baseline_params().corr)
+    profile = profiles.JointProfile(narrow, profiles.make_grid(24, 48),
+                                    profiles.make_grid(24, 48))
+    assert profile.theta_refinement() > 0.9
+
+
+# The streamed products equal the whole matrix's products only because BLAS
 # gemv accumulates into its y in column order, a fixed group of columns at a
 # time (4 in OpenBLAS), whether it is called once or once per row block:
-# nothing in numpy promises that, so these tests are its guard.  Blocks of 1
+# nothing in numpy promises that, so this test is its guard.  Blocks of 1
 # or 7 rows cut those groups and move last bits; 4, 8 and 32 keep them.
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.booleans())
@@ -233,47 +349,27 @@ def test_streamed_product_is_the_dense_product_bit_for_bit(seed, wide):
     # block is short and ends inside a gemv column group
     rng = np.random.default_rng(seed)
     params = _random_params(rng, wide, rng.uniform(-180.0, 180.0, 2))
-    try:
-        profile = profiles.JointProfile(params, profiles.make_grid(13, 25),
-                                        profiles.make_grid(8, 16))
-    except ValueError as err:
-        assert "overflows a float" in str(err)
-        return
+    profile = profiles.JointProfile(params, profiles.make_grid(13, 25),
+                                    profiles.make_grid(8, 16))
     wb, wu = profile.bs_grid.weights, profile.ue_grid.weights
-    x = wu * rng.random(wu.size) * (rng.random(wu.size) > 0.2)
+    pu = rng.random(wu.size) * (rng.random(wu.size) > 0.2)
+    pb = rng.random(wb.size) * (rng.random(wb.size) > 0.2)
     with pytest.MonkeyPatch.context() as mp:
         for rows in (4, 8, 32, wb.size):
             mp.setattr(profiles, "_CHUNK_ROWS", rows)
-            raw = profile._assemble(profile.bs_grid, profile.ue_grid)
+            with np.errstate(over="ignore", invalid="ignore"):
+                raw = profile._assemble(profile.bs_grid, profile.ue_grid)
+            if not np.isfinite(raw).all():
+                # about one draw in 2000 is so narrow and off-centre that
+                # the nodal density overflows a float: then it must say so
+                with pytest.raises(ValueError, match="overflows a float"):
+                    profile.marginal_bs(pu)
+                return
             assert profile._streamed_total() == wb @ raw @ wu
-            assert np.array_equal(profile.dense_product_bs(x),
-                                  profile.joint_matrix @ x)
-
-
-def test_profile_past_the_log_range_holds_the_dense_matrix():
-    # a narrow, off-centre profile whose factors span more than _LOG_RANGE:
-    # their partial products could overflow, so the profile keeps the
-    # dense matrix and its marginals are products with it
-    corr = np.array([[1.0, 0.308, 0.0003, 0.279],
-                     [0.308, 1.0, -0.298, -0.231],
-                     [0.0003, -0.298, 1.0, -0.295],
-                     [0.279, -0.231, -0.295, 1.0]])
-    params = profiles.ProfileParams((71.1, -174.1), (63.1, 172.0),
-                                    (2.96, 14.55, 9.36, 24.95), corr)
-    profile = profiles.JointProfile(params, profiles.make_grid(12, 24),
-                                    profiles.make_grid(8, 16))
-    assert profile._dense is not None
-    joint = profile.joint_matrix
-    raw = profile._assemble(profile.bs_grid, profile.ue_grid)
-    wb, wu = profile.bs_grid.weights, profile.ue_grid.weights
-    assert np.array_equal(joint, raw * (1.0 / (wb @ raw @ wu)))
-    assert profile.total_power == wb @ raw @ wu
-    rng = np.random.default_rng(5)
-    pu, pb = rng.random(wu.size), rng.random(wb.size)
-    assert np.array_equal(profile.marginal_bs(pu), joint @ (wu * pu))
-    assert np.array_equal(profile.marginal_ue(pb), joint.T @ (wb * pb))
-    assert np.array_equal(profile.dense_product_bs(wu * pu),
-                          profile._dense @ (wu * pu))
+            joint = profile.joint_matrix
+            assert np.array_equal(profile.marginal_bs(pu), joint @ (wu * pu))
+            assert np.array_equal(profile.marginal_ue(pb),
+                                  joint.T @ (wb * pb))
 
 
 def test_marginals_are_nonnegative_exactly():
@@ -320,7 +416,7 @@ def _held_arrays(obj):
 
 def test_baseline_profile_holds_no_dense_matrix(baseline_profile):
     # on the default grids the dense joint matrix has 18432 x 4608 entries
-    # (~680 MB); the profile keeps only its 1-D kernels and image factors
+    # (~680 MB); the profile keeps only its precision matrix and grids
     n_dense = baseline_profile.bs_grid.n_nodes \
         * baseline_profile.ue_grid.n_nodes
     held = _held_arrays(baseline_profile)

@@ -223,6 +223,7 @@ def test_correlation_artifact_is_normalized(smoke_run):
     path = outcome.output_dir / "obpb_optimal" / "n_ue_2" / "correlation.csv"
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["i", "j", "abs"]
     diag = [float(r["abs"]) for r in rows if r["i"] == r["j"]]
     offd = [float(r["abs"]) for r in rows if r["i"] != r["j"]]
     assert diag and all(abs(v - 1.0) < 1e-12 for v in diag)
@@ -515,21 +516,36 @@ def test_sub_array_rules_run_side_by_side(tmp_path):
 
 def test_profile_overflow_is_a_scenario_error(tmp_path, capsys):
     # sigma = 0.5 deg on all four angles passes validation, which builds no
-    # grid, but its density overflows a float on the run's grids: the run
-    # reports it like any configuration error and writes nothing
-    cfg = tmp_path / "narrow.yaml"
-    out = tmp_path / "out"
-    cfg.write_text(
-        f"output_dir: {out}\nmethods: [full_array:power]\nn_ue: [2]\n"
-        "quadrature: {bs: [24, 48], ue: [24, 48]}\n"
-        "profile: {sigma: [0.5, 0.5, 0.5, 0.5]}\n"
-        "conventional: {n_v: 4, n_h: 4, beam_interval: 2}\n")
-    assert cli.main(["validate", str(cfg)]) == 0
-    capsys.readouterr()
-    assert cli.main(["run", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: {cfg}: profile: profile density overflows a float")
-    assert not out.exists()
+    # grid, but the run's theta nodes miss it: the run reports it like any
+    # configuration error and writes nothing, whether a codebook or only an
+    # OBPB method is asked for.  A +-178 deg, 4 deg / 8 deg profile passes
+    # the theta rule, but its nodal density, which the codebook path reads,
+    # overflows a float on these grids
+    narrow = "profile: {sigma: [0.5, 0.5, 0.5, 0.5]}\n"
+    near_pi = ("profile: {mean_bs: [90, 178], mean_ue: [90, -178], "
+               "sigma: [4, 8, 4, 8]}\n")
+    codebook = ("methods: [full_array:power]\n"
+                "conventional: {n_v: 4, n_h: 4, beam_interval: 2}\n")
+    obpb_only = ("methods: [obpb:optimal]\nobpb: {m_max: 2}\n"
+                 "antenna: {bs_aperture_side: 1.0, ue_aperture_side: 0.5}\n")
+    for name, (profile, methods, grids, message) in {
+            "narrow_codebook": (narrow, codebook, "[24, 48], ue: [24, 48]",
+                                "theta nodes too coarse for the spreads"),
+            "narrow_obpb": (narrow, obpb_only, "[24, 48], ue: [24, 48]",
+                            "theta nodes too coarse for the spreads"),
+            "near_pi_codebook": (near_pi, codebook, "[48, 96], ue: [24, 48]",
+                                 "profile density overflows a float"),
+    }.items():
+        cfg = tmp_path / f"{name}.yaml"
+        out = tmp_path / name
+        cfg.write_text(f"output_dir: {out}\nn_ue: [2]\n"
+                       f"quadrature: {{bs: {grids}}}\n{profile}{methods}")
+        assert cli.main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: profile: {message}"), name
+        assert not out.exists()
 
 
 def test_quadrature_too_coarse_for_the_modes(tmp_path):
@@ -715,7 +731,7 @@ def _compare_artifact_trees(a, b):
                 la = 10.0 ** (np.array(xa, dtype=float) / 10.0)
                 lb = 10.0 ** (np.array(xb, dtype=float) / 10.0)
                 note("pattern", np.abs(lb - la).max() / la.max())
-            elif name in ("re", "im", "abs"):
+            elif name == "abs":
                 note("correlation", np.abs(np.array(xb, dtype=float)
                                            - np.array(xa, dtype=float)).max())
             elif name in ("capacity_bits", "det_db"):
