@@ -119,6 +119,26 @@ class ModeSet:
     def mode_count(self):
         return self.s.size
 
+    def mirror(self, axis):
+        """Signed mode map of the reflection S that negates one Cartesian
+        coordinate (axis 0, 1, 2 for x, y, z).
+
+        Returns (perm, sign), 0-based row indices and +-1 per mode, with
+        S F_j(S x) = sign_j F_perm_j(x) for the far fields and the regular
+        waves alike:
+
+            x -> -x:  (s, m, n) -> (s, -m, n),  sign (-1)^s
+            y -> -y:  (s, m, n) -> (s, -m, n),  sign (-1)^(s+m)
+            z -> -z:  (s, m, n) -> (s, m, n),   sign (-1)^(s+m+n)
+
+        Flipping m moves the flat index by -4m.  Each map is an involution.
+        """
+        s, m, n = self.s, self.m, self.n
+        rows = np.arange(self.mode_count)
+        parity = {0: s, 1: s + m, 2: s + m + n}[axis]
+        sign = np.where(parity % 2, -1.0, 1.0)
+        return (rows if axis == 2 else rows - 4 * m), sign
+
 
 def normalized_legendre(nmax, m, theta):
     """Orthonormal associated Legendre functions and theta derivatives.
@@ -215,8 +235,10 @@ class FieldTable:
     profile, so one table per (ModeSet, theta nodes) serves a whole run.
 
     Attributes: ``modeset``, ``k_theta`` and ``k_phi`` (each (J, n_theta),
-    from `far_field_matrix`) and ``per_order``, the (J, 2N + 1) map of each
-    mode to its order m_j in -N .. N.
+    from `far_field_matrix`), ``order_rows``, the rows sorted by their
+    order m_j, and ``order_starts``, where each order m = -N .. N starts in
+    that sort (2N + 2 entries, the last J), so the rows of order m are
+    ``order_rows[order_starts[m + N]:order_starts[m + N + 1]]``.
     """
 
     def __init__(self, modeset, theta_nodes):
@@ -225,7 +247,9 @@ class FieldTable:
         self.k_theta, self.k_phi = far_field_matrix(
             modeset, theta_nodes, np.zeros_like(theta_nodes))
         nmax = modeset.truncation_order
-        self.per_order = modeset.m[:, None] == np.arange(-nmax, nmax + 1)
+        self.order_rows = np.argsort(modeset.m, kind="stable")
+        self.order_starts = np.searchsorted(modeset.m[self.order_rows],
+                                            np.arange(-nmax, nmax + 2))
 
     def components(self, polarization):
         """The field components a polarization reads: theta only under

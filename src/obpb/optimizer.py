@@ -83,9 +83,17 @@ class ObpbResult:
 
 
 def _phase_fix(vecs):
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    anchors = np.argmax(np.abs(vecs), axis=0)
-    ref = vecs[anchors, np.arange(vecs.shape[1])]
+    """Rotate each column v so that <v0, v> = v0^H v is real positive for
+    the fixed Krylov start v0 (`_krylov_start`).
+
+    The rule is continuous in v and depends on no single entry, so equal
+    magnitudes among the entries do not let roundoff pick the phase.  Only
+    a column with a product of exactly 0 is anchored on its
+    largest-magnitude entry instead.
+    """
+    ref = _krylov_start(vecs.shape[0]).conj() @ vecs
+    zero = np.flatnonzero(ref == 0)
+    ref[zero] = vecs[np.argmax(np.abs(vecs[:, zero]), axis=0), zero]
     mags = np.abs(ref)
     mags[mags == 0] = 1.0
     return vecs * (ref.conj() / mags)

@@ -419,10 +419,13 @@ def _offsets(grid, mean):
 def _order_sums(q, table, polarization):
     """Per field component, the beams summed per azimuthal order on the
     table's theta nodes, a(theta, m) = sum_{m_j = m} q_j K_j(theta, 0):
-    (M, n_theta, 2N + 1) arrays, m = -N .. N."""
-    q = np.atleast_2d(np.asarray(q).T).T      # (J, M)
-    return [np.einsum("jb,jt->btj", q, tc) @ table.per_order
-            for tc in table.components(polarization)]
+    (M, n_theta, 2N + 1) arrays, m = -N .. N.  Each order's rows are
+    contiguous in the table's order sort, so each is one small product."""
+    q = np.atleast_2d(np.asarray(q).T).T[table.order_rows]      # (J, M)
+    runs = list(zip(table.order_starts[:-1], table.order_starts[1:]))
+    return [np.stack([q[lo:hi].T @ tc[lo:hi] for lo, hi in runs], axis=-1)
+            for tc in (c[table.order_rows]
+                       for c in table.components(polarization))]
 
 
 def beam_power(q, table, phi_nodes, polarization="theta"):

@@ -734,9 +734,9 @@ def run_scenario(scenario, echo=None):
     say(f"profile on {scenario.quadrature['bs']} x "
         f"{scenario.quadrature['ue']} grids, snr = {snr:.6g}")
 
-    # codebook first: the hemisphere's 17 MB transfer matrix and its QR
-    # copies then come from fresh pages the allocator hands back, where
-    # after them the codebook Gram (16 MB) finds no freed block to reuse
+    # codebook first: the hemisphere's 17 MB transfer matrix then comes
+    # from fresh pages the allocator hands back, where after it the
+    # codebook Gram (16 MB) finds no freed block to reuse
     conv_bundle = None
     if scenario.needs_conventional():
         conv_bundle = _ConventionalBundle(scenario, profile)

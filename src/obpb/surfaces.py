@@ -18,6 +18,21 @@ only P, so a ProjectionOperator keeps U_r's projector and the singular
 values; the currents a = Z^+ q_opt (both the least-squares and the
 minimum-norm current solution) are built on request by `currents`.
 
+Mirror symmetry fixes P exactly where the physics does.  A reflection S
+that maps the sampled currents onto themselves (each point onto a sample,
+each tangent onto +-1 times that sample's tangent) maps each regular wave
+onto +-1 times one other (`modes.ModeSet.mirror`), so sigma Z = Z C with
+signed permutations sigma of the modes and C of the currents.  `build_z`
+keeps each such reflection for which Z agrees with its mirrored copy to
+roundoff, and Z splits into the reflections' joint parity classes.  The
+hemisphere (y and z mirrors) reaches every class in full, so P = I; the
+x = 0 plane (x, y and z mirrors) reaches every x-even class in full and no
+x-odd one, so P = (I + sigma_x) / 2, with entries exactly 0, +-1/2 or 1.
+The 1/32-sphere's classes are reached only in part (its narrow Z has
+fewer columns than each class has modes); it and every other such case
+take the SVD of the whole Z, whose projector depends on roundoff where
+the spectrum decays without a cliff.
+
 Surfaces all fit inside the sphere of radius r0 that encloses the reference
 square aperture: the through-center plane of side sqrt(2) r0, spherical caps
 whose rim corners touch the r0 sphere, and the hemisphere of radius r0.
@@ -218,7 +233,7 @@ def _singular(z, rtol):
     economy-size left singular vectors, or None in place of U when z is
     wide and all J values lie above rtol * sigma_0, so that U U^H = I.
 
-    A wide z (n > J: the hemisphere) is first reduced to the J x J
+    A wide z (n > J: a hemisphere taken whole) is first reduced to the J x J
     triangular factor R of a QR of z^H, which has the same left singular
     vectors and singular values (Golub & Van Loan, section 5.4), so neither
     the long right singular vectors nor the QR's orthogonal factor is
@@ -233,11 +248,14 @@ def _singular(z, rtol):
     rank, with sigma_min / sigma_0 = 4.4e-14 close above the 1e-14 cut, so
     its rank must come from that one values-only call.
 
-    A narrow z (the plane, the 1/32-sphere) goes straight to the SVD.  Do
-    not refactor that factorization: the 1/32-sphere keeps singular values
+    A narrow z (the 1/32-sphere) goes straight to the SVD.  Do not
+    refactor that factorization: the 1/32-sphere keeps singular values
     down to 4.8e-13 sigma_0, so its projector is fixed only to ~2e-5, and
     any change of its last bits moves results pinned by the benchmark
     reference (the FOUND line on `ProjectionOperator` in CHANGES.md).
+    The plane and the hemisphere reach this function only without their
+    mirrors, or at a loose rtol; `ProjectionOperator` fixes their
+    projectors from the mirror classes.
     """
     if z.shape[1] <= z.shape[0]:
         u, s, _ = np.linalg.svd(z, full_matrices=False)
@@ -254,17 +272,33 @@ class ProjectionOperator:
 
     P_op = Z Z^+ restricted to the numerical rank r, U_r U_r^H from the left
     singular vectors above rtol, is Hermitian and idempotent by
-    construction.  ``singular_values`` holds every singular value of Z, in
-    descending order (from a values-only SVD when Z is wide), and ``rank``
-    counts those above rtol * sigma_0.  A wide Z of full rank r = J has a
-    unitary U_r, so P_op = I exactly and no singular vector is formed
-    (`_singular`).
+    construction.  ``singular_values`` holds min(J, 2P) singular values of
+    Z in descending order, and ``rank`` counts those above rtol * sigma_0.
+
+    ``mirrors`` lists reflections under which Z is symmetric, as pairs of
+    signed row and column maps (`surface_mirrors`).  With any, Z is first
+    split into their joint parity classes (`_by_classes`).  When every
+    class is either reached in full at the rtol * sigma_0 cut or has no
+    columns, P_op is the sum of the full classes' projectors, a fixed
+    combination of the mirror maps whose entries are exactly 0, +-1/2 or
+    1, and no singular vector is formed: the hemisphere gets P_op = I and
+    the x = 0 plane the x-even modes, (I + sigma_x) / 2.  Every other case,
+    a class that reaches some but not all of its modes (the 1/32-sphere)
+    or a loose rtol among them, takes the whole-Z path `_singular`, to the
+    last bit as without mirrors.  There a wide Z of full rank r = J has a
+    unitary U_r, so P_op = I exactly as well.
 
     The pseudoinverse is built from a full SVD of Z on first use only.
     """
 
-    def __init__(self, z, rtol=RANK_RTOL):
+    def __init__(self, z, rtol=RANK_RTOL, mirrors=()):
         self.z = z
+        self.mirrors = mirrors
+        by_classes = _by_classes(z, mirrors, rtol) if mirrors else None
+        if by_classes is not None:
+            self.singular_values, self.p_op = by_classes
+            self.rank = _rank(self.singular_values, rtol)
+            return
         self.singular_values, u = _singular(z, rtol)
         self.rank = r = _rank(self.singular_values, rtol)
         self.p_op = (np.eye(z.shape[0], dtype=complex) if u is None
@@ -280,6 +314,94 @@ class ProjectionOperator:
         u, s, vh = np.linalg.svd(self.z, full_matrices=False)
         r = self.rank
         return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
+
+
+def _products(maps):
+    """Every product of commuting signed maps (perm, sign), the identity
+    first: element g is the product of the maps whose bit is set in g.
+
+    A map acts on a vector v as (sigma v)[i] = sign[i] v[perm[i]].
+    """
+    size = maps[0][0].size
+    out = [(np.arange(size), np.ones(size))]
+    for perm, sign in maps:
+        out += [(p[perm], s[perm] * sign) for p, s in out]
+    return out
+
+
+def _class_basis(perms, signs, chars):
+    """Orthonormal basis of one parity class of an index set, as
+    (index, coefficient) arrays of shape (n_basis, |G|).
+
+    perms and signs hold each group element's signed map in a column, and
+    chars the class's character chi(g) = +-1.  Basis vector k is the
+    normalized orbit sum sum_g coef[k, g] e_index[k, g] of one orbit's
+    smallest index; an orbit belongs to the class only if each element
+    that fixes its index does so with sign chi(g).
+    """
+    n, order = perms.shape
+    coef = signs * chars
+    fixed = perms == np.arange(n)[:, None]
+    kept = ((perms.min(axis=1) == np.arange(n))
+            & np.all(~fixed | (coef == 1.0), axis=1))
+    orbit = order / fixed[kept].sum(axis=1)
+    return perms[kept], coef[kept] * (np.sqrt(orbit) / order)[:, None]
+
+
+def _by_classes(z, mirrors, rtol):
+    """(sigma, P) of z from its blocks in the mirrors' joint parity
+    classes, or None when some class is reached only in part.
+
+    The mirror maps commute, so Z, with sigma_g Z = Z C_g for every group
+    element g, is block diagonal between the class bases U of rows (m / -m
+    combinations) and V of columns (orbit sums of the paired currents).
+    Z maps an orbit sum onto sqrt|orbit| times the class projection of its
+    first column, so each class block B = U^H Z V is read from one column
+    per orbit.  Each block gets one values-only factorization, a QR of its
+    transpose first when it is wide.  The classes' values, and zeros for
+    the classes no column reaches, are the singular values of Z.  If each
+    class either has no columns or keeps all its rows at the global
+    rtol * sigma_0 cut, P is the sum of the full classes' projectors,
+    sum_g a_g sigma_g with a_g = sum_chi chi(g) / |G| over the full
+    classes: sums of dyadic fractions of +-1, exact in floating point.
+    """
+    rows = _products([r for r, _ in mirrors])
+    cols = _products([c for _, c in mirrors])
+    order = len(rows)
+    row_perms, row_signs = (np.stack(a, axis=1) for a in zip(*rows))
+    col_perms, col_signs = (np.stack(a, axis=1) for a in zip(*cols))
+    chars = [np.array([(-1.0) ** bin(g & chi).count("1")
+                       for g in range(order)]) for chi in range(order)]
+    bases = [(_class_basis(row_perms, row_signs, c),
+              _class_basis(col_perms, col_signs, c)) for c in chars]
+    if any(0 < len(ci) < len(ri) for (ri, _), (ci, _) in bases):
+        return None
+    values, full = [], []
+    for chi, ((ri, rc), (ci, cc)) in enumerate(bases):
+        if not len(ri) or not len(ci):
+            continue
+        # order * cc[:, 0] = sqrt|orbit| of each column orbit
+        b = sum(rc[:, g, None] * z[np.ix_(ri[:, g], ci[:, 0])]
+                for g in range(order)) * (order * cc[:, 0])
+        if b.shape[1] > b.shape[0]:
+            b = np.linalg.qr(b.T, mode="r")
+        values.append(np.linalg.svd(b, compute_uv=False))
+        full.append(chi)
+    if not values:
+        return None
+    s = np.sort(np.concatenate(values))[::-1]
+    cut = rtol * s[0]
+    if any(np.sum(v > cut) < len(bases[chi][0][0])
+           for v, chi in zip(values, full)):
+        return None
+    s = np.concatenate([s, np.zeros(min(z.shape) - s.size)])
+    p_op = np.zeros((z.shape[0], z.shape[0]), dtype=complex)
+    diag = np.arange(z.shape[0])
+    for g, (perm, sign) in enumerate(rows):
+        a_g = sum(chars[chi][g] for chi in full) / order
+        if a_g:
+            p_op[diag, perm] += a_g * sign
+    return s, p_op
 
 
 # Points per block of `build_z`.  A block's regular waves and Cartesian
@@ -317,7 +439,78 @@ def build_z(modeset, sampling, rtol=RANK_RTOL):
             tau = sampling.tangents[pts, d, :]
             z[:, 2 * pts.start + d:2 * pts.stop:2] = (
                 fx * tau[:, 0] + fy * tau[:, 1] + fz * tau[:, 2])
-    return ProjectionOperator(z, rtol=rtol)
+    return ProjectionOperator(z, rtol=rtol,
+                              mirrors=surface_mirrors(modeset, sampling, z))
+
+
+# A reflection is kept only where Z and its mirrored copy agree to this
+# fraction of max|Z|.  Z's own roundoff puts the mismatch at 4.8e-15 or
+# below on the shipped surfaces, while a sample at the origin, which the
+# 1/32-sphere has, breaks the z-mirror by 1.4e-7 (its theta = 0 and the
+# pole and kr clamps stand in for a direction).
+MIRROR_RTOL = 1e-12
+
+
+def _column_mirror(sampling, axis):
+    """Signed map (perm, sign) of Z's columns under the reflection that
+    negates one coordinate, or None when the samples are not symmetric.
+
+    Point p pairs with the sample q at its mirror image, found by sorting
+    the points and their images on positions rounded to 1e-6 r0, and
+    tangent d of q is +-1 times the mirrored tangent d of p.  Positions
+    and tangents must then match to 1e-9 (relative to r0 for positions).
+    Two samples in one rounding cell leave the pairing ambiguous and give
+    None, so every map returned is an involution, and the maps of the
+    three axes commute.
+    """
+    pts, tang = sampling.points, sampling.tangents
+    flip = np.ones(3)
+    flip[axis] = -1.0
+    key = np.round(pts / (1e-6 * sampling.surface.r0))
+    order = np.lexsort(key.T)
+    if np.any(np.all(key[order[1:]] == key[order[:-1]], axis=1)):
+        return None
+    pair = np.empty(sampling.n_points, dtype=int)
+    pair[np.lexsort((key * flip).T)] = order
+    sign = np.sign(np.sum(tang * flip * tang[pair], axis=2))
+    if (np.abs(pts * flip - pts[pair]).max() > 1e-9 * sampling.surface.r0
+            or np.abs(tang[pair] - sign[:, :, None] * tang * flip).max()
+            > 1e-9):
+        return None
+    return (2 * pair[:, None] + np.arange(2)).ravel(), sign.ravel()
+
+
+def surface_mirrors(modeset, sampling, z):
+    """The coordinate reflections that map a surface's Z onto itself.
+
+    Returns a list of (row map, column map) pairs, the rows' from
+    `ModeSet.mirror` and the columns' from the sample pairing, for each
+    reflection under which sigma Z = Z C holds to MIRROR_RTOL * max|Z|,
+    both read ``_POINT_BLOCK`` points at a time.
+    """
+    candidates = []
+    for axis in range(3):
+        cols = _column_mirror(sampling, axis)
+        if cols is not None:
+            candidates.append((modeset.mirror(axis), cols))
+    blocks = [slice(lo, lo + 2 * _POINT_BLOCK)
+              for lo in range(0, z.shape[1], 2 * _POINT_BLOCK)]
+    bound = MIRROR_RTOL * max(np.abs(z[:, c]).max() for c in blocks)
+    return [(rows, cols) for rows, cols in candidates
+            if _mismatch(z, rows, cols, blocks) <= bound]
+
+
+def _mismatch(z, rows, cols, blocks):
+    """max |Z C - sigma Z| of one reflection's signed maps, formed one
+    block of Z's columns at a time."""
+    (rp, rs), (cp, cs) = rows, cols
+    worst = 0.0
+    for c in blocks:
+        d = z.take(cp[c], axis=1)
+        d *= cs[c]
+        d -= rs[:, None] * z[rp, c]
+        worst = max(worst, np.abs(d).max())
+    return worst
 
 
 def project(op, q):

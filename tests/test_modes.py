@@ -183,3 +183,45 @@ def test_te_regular_waves_have_no_radial_component():
     Fr, _, _ = modes.regular_wave_matrix(ms, r, theta, phi)
     te_rows = ms.s == 1
     assert np.abs(Fr[te_rows]).max() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# mirror maps
+# ---------------------------------------------------------------------------
+
+def _cartesian(fr, fth, fph, theta, phi):
+    """(3, J, P) Cartesian components of spherical-component fields."""
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    frame = ((st * cp, ct * cp, -sp), (st * sp, ct * sp, cp),
+             (ct, -st, np.zeros_like(st)))
+    return np.stack([fr * u + fth * t + fph * p for u, t, p in frame])
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_mirror_maps_the_fields_of_mirrored_points(axis):
+    # S F_j(S x) = sign_j F_perm_j(x) for the regular waves, radial part
+    # included, and for the far fields on the unit sphere
+    ms = modes.ModeSet(truncation_order=6)
+    perm, sign = ms.mirror(axis)
+    assert np.array_equal(perm[perm], np.arange(ms.mode_count))
+    assert np.array_equal(sign[perm], sign)
+    flip = np.ones(3)
+    flip[axis] = -1.0
+    rng = np.random.default_rng(axis)
+    x = rng.uniform(-0.8, 0.8, (40, 3))
+
+    def fields(points, far):
+        r = np.linalg.norm(points, axis=1)
+        theta = np.arccos(points[:, 2] / r)
+        phi = np.arctan2(points[:, 1], points[:, 0])
+        if far:
+            kth, kph = modes.far_field_matrix(ms, theta, phi)
+            return _cartesian(0.0 * kth, kth, kph, theta, phi)
+        return _cartesian(*modes.regular_wave_matrix(ms, r, theta, phi),
+                          theta, phi)
+
+    for far in (False, True):
+        f = fields(x, far)
+        mirrored = flip[:, None, None] * fields(x * flip, far)
+        assert np.abs(mirrored - sign[:, None] * f[:, perm]).max() \
+            <= 1e-13 * np.abs(f).max(), far

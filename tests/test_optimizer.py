@@ -50,15 +50,21 @@ def test_dominant_beams_matches_eigh():
     assert np.abs(q.conj().T @ q - np.eye(4)).max() < 1e-12
 
 
-def test_dominant_beams_phase_is_pinned():
+def test_dominant_beams_phase_is_pinned(monkeypatch):
+    # each eigenvector v = q^* is rotated so that its product <v0, v> with
+    # the fixed Krylov start v0 is real positive
     rng = np.random.default_rng(1)
     r = _random_psd(rng, 8)
     q, _ = optimizer.dominant_beams(r, 3)
-    anchors = np.argmax(np.abs(q), axis=0)
-    picked = q[anchors, np.arange(3)]
-    # conjugated after fixing, so anchors are real positive up to conj
-    assert np.abs(picked.imag).max() < 1e-12
+    picked = optimizer._krylov_start(8).conj() @ q.conj()
+    assert np.all(np.abs(picked.imag) <= 1e-15 * picked.real)
     assert picked.real.min() > 0
+    # a column orthogonal to v0 falls back to its largest entry
+    monkeypatch.setattr(optimizer, "_krylov_start",
+                        lambda j: np.array([1.0, 0.0, 0.0]))
+    vecs = np.array([[0.6, 0.0], [0.0, 0.6j], [-0.8j, 0.8j]])
+    assert np.array_equal(optimizer._phase_fix(vecs),
+                          [[0.6, 0.0], [0.0, 0.6], [-0.8j, 0.8]])
 
 
 def test_dominant_beams_deterministic_under_degeneracy():
@@ -213,10 +219,8 @@ def test_seed_eigenbeam_prefixes_are_the_per_m_eigenbeams():
     # run at each M from the first M eigenbeams: top-M eigenvectors are
     # nested while lambda_M > lambda_{M+1}.  On J = 96 (the Krylov path)
     # each prefix equals dominant_beams at that M, eigenvalues to 1e-13 of
-    # lambda_0 and vectors to 1e-12 once each column's free phase is
-    # aligned: the phase fix anchors on the largest-magnitude entry, and
-    # this profile's eigenvectors carry pairs of entries of equal magnitude
-    # whose order the last bits decide
+    # lambda_0 and vectors, phases included, to 1e-12: the phase rule reads
+    # the product with the fixed Krylov start, not a single entry
     m_max = 10
     modes_bs, modes_ue = ModeSet(truncation_order=6), ModeSet(
         truncation_order=2)
@@ -229,10 +233,7 @@ def test_seed_eigenbeam_prefixes_are_the_per_m_eigenbeams():
     for m in range(1, m_max + 1):
         q, lam = optimizer.dominant_beams(sweep.r_seed, m)
         assert np.abs(sweep.lam_seed[:m] - lam).max() <= 1e-13 * lam[0]
-        prefix = sweep.q_seed[:, :m]
-        phase = np.sum(prefix.conj() * q, axis=0)
-        phase /= np.abs(phase)
-        assert np.abs(prefix * phase - q).max() <= 1e-12, m
+        assert np.abs(sweep.q_seed[:, :m] - q).max() <= 1e-12, m
 
 
 # ---------------------------------------------------------------------------

@@ -743,9 +743,10 @@ def _compare_artifact_trees(a, b):
 
 
 def test_artifacts_match_dense_solvers(tmp_path, monkeypatch):
-    # the Krylov eigensolver and the QR-reduced projector (the identity at
-    # full rank) against dense eigh and a full SVD of every transfer matrix,
-    # on all four OBPB families
+    # the Krylov eigensolver and the projectors (the mirror-class sums, or
+    # the QR-reduced route with the identity at full rank) against dense
+    # eigh and a full SVD of every transfer matrix, on all four OBPB
+    # families
     import scipy.sparse.linalg
     from obpb import surfaces
     cfg = tmp_path / "desk.yaml"
@@ -777,14 +778,17 @@ def test_artifacts_match_dense_solvers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     monkeypatch.setattr(surfaces, "_singular", full_svd)
+    monkeypatch.setattr(surfaces, "surface_mirrors", lambda *args: [])
     scn = scenario.load_scenario(cfg)
     scn.output_dir = str(tmp_path / "dense")
     dense = scenario.run_scenario(scn)
     assert krylov.exit_code == dense.exit_code == 0
     # the dense run's projectors, the hemisphere's included, come from a
-    # full SVD of every Z, not the QR route or the identity at full rank
+    # full SVD of every Z, not the mirror classes, the QR route or the
+    # identity at full rank
     assert (man["resolved"]["modes"]["j_bs"], 2 * hemi["n_points"]) \
         in factored
+    assert len(factored) == 3
     worst = _compare_artifact_trees(dense.output_dir, krylov.output_dir)
     assert worst["history"] <= 1e-12
     assert worst["capacity"] <= 1e-12

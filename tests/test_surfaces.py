@@ -5,7 +5,10 @@ enclosing sphere: the plane is the inscribed square sheet, the 1/32-sphere
 cap's corners touch the sphere, the hemisphere is half the sphere itself.
 The projector checks exploit the hard symmetry of the x = 0 plane: a planar
 current sheet radiates only the half of the modes that are even under the
-x-reflection, so its rank must be exactly J/2.
+x-reflection, so its rank must be exactly J/2 and its projector is
+(I + sigma_x) / 2 to the last bit.  The mirror-class path is checked
+against whole-Z SVDs, and every case it declines against the whole-Z path
+bit for bit.
 """
 
 import tracemalloc
@@ -104,8 +107,8 @@ def test_plane_rank_is_half_the_modes():
     assert op.mode_count == 646
     assert op.rank == 323
     # the cliff is sharp: a many-orders gap between the last kept singular
-    # value and the first discarded one
-    s = op.singular_values
+    # value and the first discarded one of the whole Z
+    s = np.linalg.svd(op.z, compute_uv=False)
     assert s[323] / s[322] < 1e-6
 
 
@@ -116,7 +119,7 @@ def test_hemisphere_reaches_full_rank():
     assert op.rank == modeset.mode_count
     # full rank makes the projector the identity: hemisphere currents can
     # reproduce any pattern of the enclosing sphere
-    assert np.abs(op.p_op - np.eye(op.mode_count)).max() < 1e-8
+    assert np.array_equal(op.p_op, np.eye(op.mode_count))
 
 
 def test_projector_laws_small(small_plane_op):
@@ -184,9 +187,14 @@ def test_projection_is_pop_application(small_plane_op):
 
 
 def test_custom_rtol_trims_rank(small_plane_op):
-    # a coarse tolerance keeps only the strongest couplings; monotone in rtol
-    op_loose = surfaces.ProjectionOperator(small_plane_op.z, rtol=0.5)
+    # a coarse tolerance keeps only the strongest couplings; monotone in
+    # rtol.  It leaves the mirror classes part-reached, so the operator
+    # takes the whole-Z path, to the last bit as without mirrors
+    assert small_plane_op.mirrors
+    op_loose = surfaces.ProjectionOperator(small_plane_op.z, rtol=0.5,
+                                           mirrors=small_plane_op.mirrors)
     assert 1 <= op_loose.rank < small_plane_op.rank
+    _assert_whole_path(op_loose, rtol=0.5)
 
 
 def test_plane_sampling_ignores_one_ulp_overshoot():
@@ -207,16 +215,23 @@ def test_plane_sampling_ignores_one_ulp_overshoot():
                                         ("one_32_sphere", 562),
                                         ("hemisphere", 646)])
 def test_projector_matches_full_svd(name, rank):
-    # the hemisphere's Z is wide (1664 columns) and takes the QR route; its
-    # last kept singular value is 4.4e-14 sigma_0, close above the 1e-14 cut
+    # the hemisphere's last kept singular value is 4.4e-14 sigma_0, close
+    # above the 1e-14 cut.  The plane's whole-Z SVD fixes its projector
+    # only to O(eps sigma_0 / sigma_r) = 1e-8 (sigma_r = 2.6e-9 sigma_0),
+    # so the plane's exact (I + sigma_x) / 2 is checked by the range of Z
     modeset = ModeSet(enclosing_radius=R0_BS)
     op = surfaces.build_z(modeset, surfaces.sample_surface(
         surfaces.named_surface(name, R0_BS)))
     assert op.rank == rank
     u, s, vh = np.linalg.svd(op.z, full_matrices=False)
     assert np.abs(op.singular_values - s).max() <= 1e-13 * s[0]
-    p_ref = u[:, :rank] @ u[:, :rank].conj().T
-    assert np.abs(op.p_op - p_ref).max() <= 1e-13
+    if name == "plane":
+        assert np.array_equal(op.p_op, _x_even_projector(modeset))
+        assert np.linalg.norm(op.z - op.p_op @ op.z, 2) \
+            <= 1e-14 * np.linalg.norm(op.z, 2)
+    else:
+        p_ref = u[:, :rank] @ u[:, :rank].conj().T
+        assert np.abs(op.p_op - p_ref).max() <= 1e-13
     # currents on request equal the eagerly built pseudoinverse's
     pinv = (vh[:rank].conj().T / s[:rank]) @ u[:, :rank].conj().T
     rng = np.random.default_rng(11)
@@ -227,11 +242,12 @@ def test_projector_matches_full_svd(name, rank):
 
 def test_full_rank_hemisphere_takes_its_rank_from_the_values_alone():
     # the 4-wavelength hemisphere is full rank: its projector is I exactly,
-    # and the rank and singular values come from one values-only SVD of the
-    # QR factor.  Those match the values of an SVD with vectors to 2e-14
-    # sigma_0 (measured 3.7e-15 at 1-thread and 7.3e-15 at 2-thread
-    # OpenBLAS), far inside the gap between sigma_min = 4.4e-14 sigma_0 and
-    # the 1e-14 cut, so both give the same rank
+    # and the rank and singular values come from the values-only
+    # factorizations of its four mirror classes.  Those match the values
+    # of an SVD with vectors of the whole Z's QR factor to 2e-14 sigma_0
+    # (the whole-Z route measured 3.7e-15 at 1-thread and 7.3e-15 at
+    # 2-thread OpenBLAS), far inside the gap between sigma_min = 4.4e-14
+    # sigma_0 and the 1e-14 cut, so both give the same rank
     modeset = ModeSet(enclosing_radius=R0_BS)
     op = surfaces.build_z(modeset, surfaces.sample_surface(
         surfaces.hemisphere_surface(R0_BS)))
@@ -242,6 +258,102 @@ def test_full_rank_hemisphere_takes_its_rank_from_the_values_alone():
     assert op.rank == int(np.sum(s > surfaces.RANK_RTOL * s[0])) == j
     assert np.array_equal(op.p_op, np.eye(j))
     assert np.abs(u @ u.conj().T - np.eye(j)).max() <= 1e-14
+
+
+def _x_even_projector(modeset):
+    """(I + sigma_x) / 2, sigma_x the signed mode map of x -> -x."""
+    perm, sign = modeset.mirror(0)
+    j = modeset.mode_count
+    sigma_x = np.zeros((j, j))
+    sigma_x[np.arange(j), perm] = sign
+    return (np.eye(j) + sigma_x) / 2
+
+
+def _assert_whole_path(op, rtol=surfaces.RANK_RTOL):
+    """op is the operator of its Z without mirrors, to the last bit."""
+    ref = surfaces.ProjectionOperator(op.z, rtol=rtol)
+    assert op.singular_values.tobytes() == ref.singular_values.tobytes()
+    assert op.rank == ref.rank
+    assert op.p_op.tobytes() == ref.p_op.tobytes()
+
+
+@pytest.mark.parametrize("r0", [R0_BS, 1.0 / np.sqrt(2.0)])
+@pytest.mark.parametrize("name", ["plane", "one_32_sphere", "hemisphere"])
+def test_class_values_match_the_whole_svd(name, r0):
+    # the mirror classes' singular values, padded with the zeros of the
+    # classes no column reaches, are the whole Z's (measured 2.4e-15
+    # sigma_0 on the 4-wavelength hemisphere), with the same rank
+    modeset = ModeSet(enclosing_radius=r0)
+    op = surfaces.build_z(modeset, surfaces.sample_surface(
+        surfaces.named_surface(name, r0)))
+    s = np.linalg.svd(op.z, compute_uv=False)
+    assert op.singular_values.shape == s.shape
+    assert np.abs(op.singular_values - s).max() <= 1e-14 * s[0]
+    assert op.rank == int(np.sum(s > surfaces.RANK_RTOL * s[0]))
+    # the plane keeps its three mirrors and the hemisphere y and z; both
+    # take the class path, whose projector entries are 0, +-1/2 or 1
+    if name != "one_32_sphere":
+        assert len(op.mirrors) == (3 if name == "plane" else 2)
+        assert set(np.unique(op.p_op)) <= {-0.5, 0.0, 0.5, 1.0}
+
+
+def test_one_32_sphere_keeps_the_whole_z_path():
+    # the 4-wavelength dish keeps only its y-mirror (its origin sample
+    # breaks the z-mirror by 1.4e-7 of max|Z|), and its two y-classes of
+    # 323 rows have 281 columns each, so it takes the whole-Z SVD, whose
+    # projector depends on roundoff and is pinned by the benchmark
+    modeset = ModeSet(enclosing_radius=R0_BS)
+    op = surfaces.build_z(modeset, surfaces.sample_surface(
+        surfaces.named_surface("one_32_sphere", R0_BS)))
+    assert len(op.mirrors) == 1
+    assert all(np.array_equal(a, b)
+               for a, b in zip(op.mirrors[0][0], modeset.mirror(1)))
+    _assert_whole_path(op)
+
+
+def test_origin_sampled_cap_drops_its_z_mirror():
+    # the 1-wavelength dish also samples its midpoint at the origin, where
+    # theta = 0 and the pole and kr clamps stand in for a direction
+    modeset = ModeSet(enclosing_radius=1.0 / np.sqrt(2.0))
+    samp = surfaces.sample_surface(
+        surfaces.named_surface("one_32_sphere", 1.0 / np.sqrt(2.0)))
+    assert np.linalg.norm(samp.points, axis=1).min() < 1e-15
+    z = surfaces.build_z(modeset, samp).z
+    flip = surfaces._column_mirror(samp, 2)
+    assert flip is not None
+    assert surfaces._mismatch(z, modeset.mirror(2), flip, [slice(None)]) \
+        > 1e3 * surfaces.MIRROR_RTOL * np.abs(z).max()
+    op = surfaces.build_z(modeset, samp)
+    assert len(op.mirrors) == 1
+    _assert_whole_path(op)
+
+
+def test_asymmetric_sampling_takes_the_whole_path():
+    modeset = ModeSet(truncation_order=4)
+    samp = surfaces.sample_surface(surfaces.hemisphere_surface(1.0))
+    rng = np.random.default_rng(2)
+    jitter = rng.uniform(-1e-3, 1e-3, samp.points.shape)
+    moved = surfaces.SurfaceSampling(samp.surface, samp.points + jitter,
+                                     samp.tangents)
+    op = surfaces.build_z(modeset, moved)
+    assert op.mirrors == []
+    _assert_whole_path(op)
+    # repeated samples leave the pairing ambiguous
+    twice = surfaces.SurfaceSampling(
+        samp.surface, np.concatenate([samp.points, samp.points]),
+        np.concatenate([samp.tangents, samp.tangents]))
+    op = surfaces.build_z(modeset, twice)
+    assert op.mirrors == []
+    _assert_whole_path(op)
+    # points jittered within the x = 0 plane keep only its x-mirror, which
+    # alone still fixes the projector to the x-even modes
+    plane = surfaces.sample_surface(surfaces.plane_surface(1.0))
+    jitter[:, 0] = 0.0
+    op = surfaces.build_z(modeset, surfaces.SurfaceSampling(
+        plane.surface, plane.points + jitter[:plane.n_points],
+        plane.tangents))
+    assert len(op.mirrors) == 1
+    assert np.array_equal(op.p_op, _x_even_projector(modeset))
 
 
 def _z_one_shot(modeset, sampling):
@@ -260,29 +372,12 @@ def _z_one_shot(modeset, sampling):
     return z
 
 
-def _projector_one_shot(z, rtol=surfaces.RANK_RTOL):
-    """(sigma, rank, P) with a wide z reduced by a QR of its conjugate
-    transpose, formed as a copy, whose sigma is a values-only SVD and whose
-    projector is I at full rank (oracle)."""
-    if z.shape[1] > z.shape[0]:
-        z = np.linalg.qr(z.conj().T, mode="r").conj().T
-        s = np.linalg.svd(z, compute_uv=False)
-        rank = int(np.sum(s > rtol * s[0]))
-        if rank == z.shape[0]:
-            return s, rank, np.eye(rank, dtype=complex)
-        u = np.linalg.svd(z, full_matrices=False)[0]
-    else:
-        u, s, _ = np.linalg.svd(z, full_matrices=False)
-        rank = int(np.sum(s > rtol * s[0]))
-    return s, rank, u[:, :rank] @ u[:, :rank].conj().T
-
-
 @pytest.mark.parametrize("name", ["small_plane", "plane", "one_32_sphere",
                                   "hemisphere"])
 def test_blocked_z_is_the_one_shot_z_bit_for_bit(name, monkeypatch):
     # every operation on the fields is elementwise per point, so Z does not
-    # depend on the point blocks, ragged tail included; the projector built
-    # from it equals the one-shot path's to the last bit
+    # depend on the point blocks, ragged tail included; the projector equals
+    # the operator's on the one-shot Z to the last bit
     if name == "small_plane":
         modeset = ModeSet(truncation_order=3)
         samp = surfaces.sample_surface(
@@ -291,12 +386,13 @@ def test_blocked_z_is_the_one_shot_z_bit_for_bit(name, monkeypatch):
         modeset = ModeSet(enclosing_radius=R0_BS)
         samp = surfaces.sample_surface(surfaces.named_surface(name, R0_BS))
     z_ref = _z_one_shot(modeset, samp)
-    s_ref, rank_ref, p_ref = _projector_one_shot(z_ref)
+    ref = surfaces.ProjectionOperator(
+        z_ref, mirrors=surfaces.surface_mirrors(modeset, samp, z_ref))
     op = surfaces.build_z(modeset, samp)
     assert op.z.tobytes() == z_ref.tobytes()
-    assert op.singular_values.tobytes() == s_ref.tobytes()
-    assert op.rank == rank_ref
-    assert op.p_op.tobytes() == p_ref.tobytes()
+    assert op.singular_values.tobytes() == ref.singular_values.tobytes()
+    assert op.rank == ref.rank
+    assert op.p_op.tobytes() == ref.p_op.tobytes()
     monkeypatch.setattr(surfaces, "_POINT_BLOCK", 7)
     assert samp.n_points % 7
     assert surfaces.build_z(modeset, samp).z.tobytes() == z_ref.tobytes()
@@ -323,8 +419,11 @@ def test_qr_of_the_transpose_is_the_conjugate_qr(rows, extra, seed):
 
 def test_build_z_allocation_on_the_hemisphere():
     # on the 4-wavelength hemisphere (646 x 1664 Z, 17 MB) whole-surface
-    # field arrays (six of 8.6 MB) and a conjugated copy of Z for the QR
-    # would take ~105 MB; blocked fields and the QR of z^T stay near 44 MB
+    # field arrays (six of 8.6 MB) and a conjugated copy of Z for a QR
+    # would take ~105 MB, and a whole-Z QR of z^T 44 MB.  The peak is
+    # 28.6 MB (numpy 2, 1-thread OpenBLAS): Z and one block's fields while
+    # Z fills.  The blocked mirror checks reach 24.2 MB, and the four
+    # 162 x 416 class blocks with P 23.7 MB.  The bound leaves 7 MB of margin
     modeset = ModeSet(enclosing_radius=R0_BS)
     samp = surfaces.sample_surface(surfaces.hemisphere_surface(R0_BS))
     tracemalloc.start()
@@ -333,4 +432,4 @@ def test_build_z_allocation_on_the_hemisphere():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
+    assert peak < 36 * 2 ** 20
