@@ -172,10 +172,10 @@ def element_correlation(profile, config):
     # the greedy chains built on this correlation break ties in the last
     # bit, so it keeps the matrix's +-1 images and trapezoid phi sums
     marginal = profile.marginal_bs(ue_power)
-    a = steering_matrix(config, grid.theta, grid.phi)
     wm = np.maximum(grid.weights * marginal, 0.0)
     keep = np.flatnonzero(wm > 1e-15 * wm.max())
-    block = np.ascontiguousarray(a[:, keep] * np.sqrt(wm[keep]))
+    block = steering_matrix(config, grid.theta[keep], grid.phi[keep])
+    block *= np.sqrt(wm[keep])
     r = block @ block.conj().T
     return 0.5 * (r + r.conj().T)
 

@@ -13,15 +13,16 @@ its theta nodes must resolve it (`THETA_REFINEMENT`), checked before
 anything else runs.  The optimizer reads it in closed-form azimuth
 harmonics.  The codebook element correlation takes its one product with
 the dense joint matrix, the nodal BS marginal, from row blocks of about
-1.2 MB, so the 680 MB matrix is never formed.  The full-array greedy chains
+1.2 MB, so the 680 MB matrix is never formed, and builds its steering
+matrix on the nodes that marginal keeps only.  The full-array greedy chains
 (selection is scale-invariant, so one chain at N_UE = 1 serves every N_UE)
 are all read from one Gram and keep only their beams and Gram block.  The
 codebook bundle is built before the OBPB bundle: the other way round, the
-codebook Gram finds no freed block of the surface step to reuse, and
-`paper_baseline` peaks 6 MB higher.  The OBPB surface projectors are built
-first (a stream count above a surface's rank fails
-there, before the optimizer runs), one at a time: each surface keeps only
-its J x J projector P, and its transfer matrix Z goes before the next
+codebook Gram mostly finds no freed block of the surface step to reuse,
+and `paper_baseline` peaks near 142 MB instead of 129.5 MB.  The OBPB
+surface projectors are built first (a stream count above a surface's rank
+fails there, before the optimizer runs), one at a time: each surface keeps
+only its J x J projector P, and its transfer matrix Z goes before the next
 surface's is built.  Then the optimizer runs once per M from one
 `optimizer.Sweep`: both ends' field tables, and the dipole-seeded BS
 correlation with its top-m_max eigenbeams, whose first M start the run at
@@ -42,12 +43,16 @@ is let go before the first point, once the manifest has taken its
 normalization and SISO reference; no point reads it.
 
 Numeric tables are rendered a whole column at a time, and the text of every
-distinct column is kept for the rest of the run, as one string per column.
-That text is the run's only memo.  On the benchmark workloads at seed 0 it
-serves 86% (``paper_baseline``), 23% (``obpb_wide``) and 71%
-(``codebook_sweep``) of the rendered cells: the angle columns of every
-table, an OBPB family's streams at each further N_UE, full-array beams that
-recur across N_UE at a fixed ``report_m`` and sub-array winners that recur.
+distinct column is kept for the rest of the run, as one string per chunk of
+``_TEXT_ROWS`` rows.  That text is the run's only memo.  On the benchmark
+workloads at seed 0 it serves 86% (``paper_baseline``), 23% (``obpb_wide``)
+and 71% (``codebook_sweep``) of the rendered cells: the angle columns of
+every table, an OBPB family's streams at each further N_UE, full-array
+beams that recur across N_UE at a fixed ``report_m`` and sub-array winners
+that recur.  A table is written one chunk of rows at a time, so beyond the
+memo a write holds only one chunk's cells of each column and that chunk's
+lines: about 2 MB for the largest ``codebook_sweep`` table (66 columns x
+7381 rows), whose whole-table cells, lines and file string took 44 MB.
 
 All artifacts are plain CSV/JSON, written with round-trip float formatting and
 fixed key order and without timestamps, so a rerun of the same scenario on the
@@ -382,9 +387,13 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _write_text(path, text):
+def _open_text(path):
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _write_text(path, text):
+    with _open_text(path) as fh:
         fh.write(text)
 
 
@@ -396,6 +405,11 @@ def render_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+# rows per chunk of a column's text: `_ColumnText.write` splits one chunk
+# of every column at a time, about 20 kB of cell strings per column
+_TEXT_ROWS = 256
+
+
 class _ColumnText:
     """Numeric CSV tables rendered column by column, in bulk.
 
@@ -405,25 +419,36 @@ class _ColumnText:
     column that recurs anywhere in the run (the angle columns of every
     table, an OBPB family's streams at every N_UE, a greedy chain's beams at
     every prefix that evaluates them to the same bits) is formatted once.
-    Each is kept as one newline-joined string and split into cells on use:
-    the cells as separate strings take some four times the memory.
+    Each is kept as a list of chunk strings, the cells of ``_TEXT_ROWS``
+    rows joined by newlines.  A table is written one chunk index at a time,
+    and only that chunk of each column is split into cells, which as
+    separate strings take some four times the memory of their text.  So
+    beyond the memo a write holds one chunk of cells per column, and never
+    the table's every cell or line or its whole text.
     """
 
     def __init__(self):
         self._text = {}
 
     def column(self, values):
+        """The chunk strings of one column, rendered on first use."""
         values = np.ascontiguousarray(values)
         key = (values.dtype.str, values.tobytes())
-        text = self._text.get(key)
-        if text is None:
-            text = self._text[key] = "\n".join(map(repr, values.tolist()))
-        return text.split("\n") if values.size else []
+        chunks = self._text.get(key)
+        if chunks is None:
+            chunks = self._text[key] = [
+                "\n".join(map(repr, values[lo:lo + _TEXT_ROWS].tolist()))
+                for lo in range(0, values.size, _TEXT_ROWS)]
+        return chunks
 
     def write(self, path, header, columns):
-        lines = [",".join(header)]
-        lines.extend(map(",".join, zip(*map(self.column, columns))))
-        _write_text(path, "\n".join(lines) + "\n")
+        texts = [self.column(values) for values in columns]
+        with _open_text(path) as fh:
+            fh.write(",".join(header) + "\n")
+            for chunk in zip(*texts):
+                fh.write("\n".join(map(",".join, zip(
+                    *[text.split("\n") for text in chunk]))))
+                fh.write("\n")
 
 
 def _write_json(path, obj):
@@ -734,9 +759,11 @@ def run_scenario(scenario, echo=None):
     say(f"profile on {scenario.quadrature['bs']} x "
         f"{scenario.quadrature['ue']} grids, snr = {snr:.6g}")
 
-    # codebook first: the hemisphere's 17 MB transfer matrix then comes
-    # from fresh pages the allocator hands back, where after it the
-    # codebook Gram (16 MB) finds no freed block to reuse
+    # codebook first: after the surface step the codebook Gram (16 MB)
+    # mostly finds no freed block to reuse.  paper_baseline peaks at
+    # 128.3-129.7 MB this way round and at 126.8-142.4 MB (7 of 9 runs
+    # above 141 MB) the other way (ru_maxrss, 3 runs at each of seeds
+    # 0-2, 1-thread BLAS)
     conv_bundle = None
     if scenario.needs_conventional():
         conv_bundle = _ConventionalBundle(scenario, profile)

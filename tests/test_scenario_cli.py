@@ -9,6 +9,7 @@ writing, exit codes).
 
 import json
 import shutil
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -265,8 +266,9 @@ def test_bulk_columns_render_like_fmt(tmp_path):
                        5e-324, 0.1 + 0.2, 90.0])
     ints = np.arange(-1, floats.size - 1)
     text = scenario._ColumnText()
-    assert text.column(floats) == [scenario._fmt(v) for v in floats]
-    assert text.column(ints) == [scenario._fmt(v) for v in ints]
+    cells = lambda values: "\n".join(text.column(values)).split("\n")
+    assert cells(floats) == [scenario._fmt(v) for v in floats]
+    assert cells(ints) == [scenario._fmt(v) for v in ints]
     assert scenario._power_db(0.0) == -200.0
     path = tmp_path / "table.csv"
     text.write(path, ["i", "x"], [ints, floats])
@@ -274,6 +276,49 @@ def test_bulk_columns_render_like_fmt(tmp_path):
         ["i", "x"], [[i, x] for i, x in zip(ints, floats)])
     # equal bytes under another dtype are another column
     assert text.column(floats.view(np.int64)) != text.column(floats)
+
+
+@pytest.mark.parametrize("n_rows", [
+    0, 1, scenario._TEXT_ROWS - 1, scenario._TEXT_ROWS,
+    scenario._TEXT_ROWS + 1, 2 * scenario._TEXT_ROWS + 1])
+def test_chunked_tables_render_like_render_csv(tmp_path, n_rows):
+    # a table is written one chunk of rows at a time; its text must not
+    # depend on where the chunks end, also for a column whose chunks the
+    # memo kept from an earlier table
+    rng = np.random.default_rng(n_rows)
+    ints = np.arange(n_rows)
+    shared = 10.0 * np.log10(rng.random(n_rows))
+    other = rng.standard_normal(n_rows) * 1e-7
+    text = scenario._ColumnText()
+    for name, header, columns in (
+            ("first.csv", ["i", "shared", "x"], [ints, shared, other]),
+            ("second.csv", ["shared", "i"], [shared, ints])):
+        path = tmp_path / name
+        text.write(path, header, columns)
+        assert path.read_text() == scenario.render_csv(
+            header, list(zip(*columns))), name
+
+
+def test_chunked_table_allocation(tmp_path):
+    # the largest codebook_sweep table (theta, phi and 64 streams over the
+    # 3 deg grid): beyond the memo text it keeps, writing it allocates only
+    # one chunk's cells per column, where whole-table cell lists, lines
+    # and file text took 44 MB
+    tdeg, pdeg, _, _ = scenario._grid_directions(3.0)
+    streams = 10.0 * np.log10(np.random.default_rng(0).random((64,
+                                                               tdeg.size)))
+    columns = [tdeg, pdeg, *streams]
+    header = ["theta_deg", "phi_deg"] + [f"stream_{i + 1}_db"
+                                         for i in range(64)]
+    assert tdeg.size == 7381
+    text = scenario._ColumnText()
+    tracemalloc.start()
+    try:
+        text.write(tmp_path / "pattern_grid.csv", header, columns)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < 10 * 2 ** 20
 
 
 def test_obpb_tables_are_shared_across_n_ue(smoke_run):
