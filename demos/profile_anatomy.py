@@ -25,12 +25,14 @@ def bar(x, width=46):
     return "#" * int(round(width * x))
 
 
-def theta_cut(profile, side, far_weight):
-    """Per-theta-band marginal mass (summed over azimuth), normalized."""
-    grid = profile.bs_grid if side == "bs" else profile.ue_grid
-    marg = (profile.marginal_bs(far_weight) if side == "bs"
-            else profile.marginal_ue(far_weight))
-    mass = (grid.weights * marg).reshape(grid.shape).sum(axis=1)
+def theta_cut(profile, side):
+    """Per-theta-band marginal mass under an isotropic far side, normalized:
+    the k = 0 column of the side's weighted azimuth harmonics, whose phi
+    integral is exact."""
+    grid, far = ((profile.bs_grid, profile.ue_grid) if side == "bs"
+                 else (profile.ue_grid, profile.bs_grid))
+    mass = profile.weighted_harmonics(np.ones((far.shape[0], 1)), side,
+                                      0)[:, 0].real
     return grid.theta_nodes, mass / mass.sum()
 
 
@@ -52,15 +54,16 @@ def main():
         print("    " + "  ".join(f"{v:5.2f}" for v in row))
 
     profile = profiles.JointProfile(params)
-    ones_ue = np.ones(profile.ue_grid.n_nodes)
-    ones_bs = np.ones(profile.bs_grid.n_nodes)
-    mass = float(profile.bs_grid.weights @ profile.marginal_bs(ones_ue))
+    # the nodal BS marginal under an isotropic UE side, for the double
+    # integral and the conditioning baseline
+    marg0 = profile.marginal_bs(np.ones(profile.ue_grid.n_nodes))
+    mass = float(profile.bs_grid.weights @ marg0)
     print(f"\ngrids {profile.bs_grid.shape} x {profile.ue_grid.shape}; "
           f"double integral = {mass:.12f}")
 
     OUT.mkdir(parents=True, exist_ok=True)
-    for side, far in (("bs", ones_ue), ("ue", ones_bs)):
-        nodes, mass_cut = theta_cut(profile, side, far)
+    for side in ("bs", "ue"):
+        nodes, mass_cut = theta_cut(profile, side)
         peak = mass_cut.max()
         print(f"\n{side.upper()} marginal vs theta (isotropic far side):")
         step = max(1, nodes.size // 16)
@@ -71,17 +74,18 @@ def main():
             w = csv.writer(f)
             w.writerow(["theta_deg", "band_mass"])
             for t, v in zip(nodes, mass_cut):
-                w.writerow([repr(np.degrees(t)), repr(float(v))])
+                w.writerow([repr(float(np.degrees(t))), repr(float(v))])
 
     # the cross-correlation at work: light up only one azimuth half-space at
-    # the UE and watch the BS azimuth mean move (corr(phi_b, phi_u) = 0.4)
+    # the UE and watch the BS azimuth mean move (corr(phi_b, phi_u) = 0.4).
+    # A half-space mask has no finite azimuth harmonics, so these marginals
+    # stay nodal
     print("\nconditioning experiment (cross-correlation):")
     for label, mask in (("UE power at phi_u > 0", profile.ue_grid.phi > 0),
                         ("UE power at phi_u < 0", profile.ue_grid.phi < 0)):
         marg = profile.marginal_bs(mask.astype(float))
         mb = np.degrees(mean_angle(profile.bs_grid, marg, "phi"))
         print(f"  {label:<26} ->  BS mean azimuth {mb:+7.3f} deg")
-    marg0 = profile.marginal_bs(ones_ue)
     print(f"  {'UE isotropic':<26} ->  BS mean azimuth "
           f"{np.degrees(mean_angle(profile.bs_grid, marg0, 'phi')):+7.3f} deg")
     print("\nwrote", OUT)

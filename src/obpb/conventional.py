@@ -24,6 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from . import capacity
+from .correlation import hermitian_part
 
 # the ten sub-array shapes (vertical x horizontal) admitted by the search
 SUBARRAY_SHAPES = ((1, 4), (2, 2), (4, 1), (1, 8), (2, 4), (4, 2), (8, 1),
@@ -176,25 +177,12 @@ def element_correlation(profile, config):
     keep = np.flatnonzero(wm > 1e-15 * wm.max())
     block = steering_matrix(config, grid.theta[keep], grid.phi[keep])
     block *= np.sqrt(wm[keep])
-    r = block @ block.conj().T
-    return 0.5 * (r + r.conj().T)
+    return hermitian_part(block @ block.conj().T)
 
 
 def candidate_gram(weights, r_elem):
     """Beam-space Gram G = W^T R W^* of all candidate beams (Hermitian PSD)."""
-    return _hermitian_part(weights.T @ r_elem @ weights.conj())
-
-
-def _hermitian_part(g, h=None):
-    """0.5 (G + H^H), in place in G; H is G itself unless given.
-
-    Every Gram entry the selections read goes through these two operations,
-    so an entry assembled from the products G_gh and G_hg of two groups
-    equals the dense Gram's entry to the last bit.
-    """
-    g += (g if h is None else h).conj().T
-    g *= 0.5
-    return g
+    return hermitian_part(weights.T @ r_elem @ weights.conj())
 
 
 def greedy_select_power(gram, m, group_of=None):
@@ -345,16 +333,16 @@ def subarray_selection(r_elem, config, sub_shape, m_max, metric="power"):
         for h in range(n_groups):
             row[h] = block(g, h)[b]
             col[h] = block(h, g)[:, b]
-        return _hermitian_part(row.ravel(), col.ravel())
+        return hermitian_part(row.ravel(), col.ravel())
 
     power = np.empty((n_groups, n_loc))
     for g in range(n_groups):
-        power[g] = np.real(_hermitian_part(np.diag(block(g, g)).copy()))
+        power[g] = np.real(hermitian_part(np.diag(block(g, g)).copy()))
     if metric == "power":
         chain = _power_chain(power.ravel(), m_max, group_of)
         at = [divmod(c, n_loc) for c in chain]
-        gram = _hermitian_part(np.array([[block(g, h)[b, d] for h, d in at]
-                                         for g, b in at]))
+        gram = hermitian_part(np.array([[block(g, h)[b, d] for h, d in at]
+                                        for g, b in at]))
     else:
         chain, rows = _det_chain(power.ravel(), gram_row, m_max,
                                  group_of)

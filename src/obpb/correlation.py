@@ -42,8 +42,18 @@ _DB = 10.0 / np.log(10.0)
 _NEGATIVE_TOL = 1e-10
 
 
-def _hermitize(r):
-    return 0.5 * (r + r.conj().T)
+def hermitian_part(g, h=None):
+    """0.5 (G + H^H), in place in G; H is G itself unless given.
+
+    The one Hermitian-part rule of every mode correlation block, beam and
+    element correlation, codebook Gram and Rayleigh-Ritz matrix.  Every Gram
+    entry the selections read goes through these two operations, so an
+    entry assembled from the products G_gh and G_hg of two groups equals
+    the dense Gram's entry to the last bit.
+    """
+    g += (g if h is None else h).conj().T
+    g *= 0.5
+    return g
 
 
 def mode_correlation(modeset, marginal, grid, polarization="theta",
@@ -86,26 +96,28 @@ def harmonic_correlation(table, d, polarization="theta"):
     `mode_correlation`'s phi sum or from
     `profiles.JointProfile.weighted_harmonics`.
 
-    Only the blocks of rows of order m_a and columns of order m_b >= m_a
-    are computed, about half of the matrix; each block below is the
-    conjugate transpose of its mirror above, and each diagonal block
-    (m_b = m_a) is replaced by its Hermitian part, so R comes out exactly
-    Hermitian with a real diagonal.  Blocks are written straight into R:
-    no other (J, J) array is formed.
+    The table stores the rows of each order m_a as one block, and only the
+    blocks of rows of order m_a and columns of order m_b >= m_a are
+    computed, from the table's rows at and after that block: about half of
+    the matrix.  Each block below is the conjugate transpose of its mirror
+    above, and each diagonal block (m_b = m_a) is replaced by its Hermitian
+    part, so R comes out exactly Hermitian with a real diagonal.  Blocks
+    are scattered straight into R's flat-index order through the table's
+    ``order_rows``: no other (J, J) array is formed.
 
     Returns the (J, J) Hermitian matrix.
     """
     modeset = table.modeset
     nmax = modeset.truncation_order
+    rows, starts = table.order_rows, table.order_starts
+    m_rows = modeset.m[rows]
     t = table.components(polarization)
     r = np.empty((modeset.mode_count,) * 2, dtype=complex)
-    for m_a in range(-nmax, nmax + 1):
-        a = np.flatnonzero(modeset.m == m_a)
-        above = np.flatnonzero(modeset.m > m_a)
-        b = np.concatenate((a, above))
-        cols = m_a - modeset.m[b] + 2 * nmax         # k = m_a - m_j per mode j
-        block = sum(tc[a] @ (d[:, cols] * tc[b].conj().T) for tc in t)
-        r[np.ix_(a, a)] = _hermitize(block[:, :a.size])
+    for m_a, lo, hi in zip(range(-nmax, nmax + 1), starts[:-1], starts[1:]):
+        a, above = rows[lo:hi], rows[hi:]
+        cols = m_a - m_rows[lo:] + 2 * nmax          # k = m_a - m_j per mode j
+        block = sum(tc[lo:hi] @ (d[:, cols] * tc[lo:].conj().T) for tc in t)
+        r[np.ix_(a, a)] = hermitian_part(block[:, :a.size])
         r[np.ix_(a, above)] = block[:, a.size:]
         r[np.ix_(above, a)] = block[:, a.size:].conj().T
     return r
@@ -116,7 +128,7 @@ def beam_correlation(q, r_sph):
     q = np.asarray(q)
     if q.ndim == 1:
         q = q[:, None]
-    return _hermitize(q.T @ r_sph @ q.conj())
+    return hermitian_part(q.T @ r_sph @ q.conj())
 
 
 def normalize_correlation(r):

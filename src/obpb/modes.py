@@ -29,7 +29,6 @@ lengths are in wavelengths, so k r = 2 pi r.
 """
 
 import numpy as np
-from scipy.special import spherical_jn
 
 # Polar angles are clamped away from the poles; the limit formulas for
 # m Pb/sin(theta) and dPb/dtheta are reproduced to ~1e-14 at this distance
@@ -226,7 +225,8 @@ def far_field_matrix(modes, theta, phi):
 
 
 class FieldTable:
-    """A ModeSet's far fields at phi = 0 on a list of theta nodes.
+    """A ModeSet's far fields at phi = 0 on a list of theta nodes, stored
+    in blocks of one azimuthal order.
 
     Every mode separates as K_j(theta, phi) = K_j(theta, 0) e^(i m_j phi),
     so this (J, n_theta) table and the azimuthal order of each row are all
@@ -234,22 +234,25 @@ class FieldTable:
     those theta nodes read.  Nothing in it depends on the beams or the
     profile, so one table per (ModeSet, theta nodes) serves a whole run.
 
-    Attributes: ``modeset``, ``k_theta`` and ``k_phi`` (each (J, n_theta),
-    from `far_field_matrix`), ``order_rows``, the rows sorted by their
-    order m_j, and ``order_starts``, where each order m = -N .. N starts in
-    that sort (2N + 2 entries, the last J), so the rows of order m are
-    ``order_rows[order_starts[m + N]:order_starts[m + N + 1]]``.
+    Attributes: ``modeset``; ``k_theta`` and ``k_phi``, each (J, n_theta),
+    the rows of `far_field_matrix` sorted by their order m_j (a stable
+    sort, so the flat index ascends inside each order); ``order_rows``,
+    the 0-based flat index of each stored row; and ``order_starts``, where
+    each order m = -N .. N starts (2N + 2 entries, the last J), so the
+    rows of order m are stored at ``order_starts[m + N]:order_starts[m + N
+    + 1]``.
     """
 
     def __init__(self, modeset, theta_nodes):
         self.modeset = modeset
         theta_nodes = np.asarray(theta_nodes, dtype=float)
-        self.k_theta, self.k_phi = far_field_matrix(
-            modeset, theta_nodes, np.zeros_like(theta_nodes))
         nmax = modeset.truncation_order
         self.order_rows = np.argsort(modeset.m, kind="stable")
         self.order_starts = np.searchsorted(modeset.m[self.order_rows],
                                             np.arange(-nmax, nmax + 2))
+        kth, kph = far_field_matrix(modeset, theta_nodes,
+                                    np.zeros_like(theta_nodes))
+        self.k_theta, self.k_phi = kth[self.order_rows], kph[self.order_rows]
 
     def components(self, polarization):
         """The field components a polarization reads: theta only under
@@ -306,6 +309,10 @@ def radial_factors(nmax, kr):
     tangential factor (kr j_n)'/kr and the s = 2 radial factor
     n(n+1)/(kr) j_n, each of shape (nmax, len(kr)).
     """
+    # imported here, not at module load: scipy.special costs megabytes of
+    # memory and tens of milliseconds that runs without surfaces never use
+    from scipy.special import spherical_jn
+
     kr = np.maximum(np.asarray(kr, dtype=float), 1e-9)
     ns = np.arange(1, nmax + 1)[:, None]
     jn = np.stack([spherical_jn(n, kr) for n in range(1, nmax + 1)])

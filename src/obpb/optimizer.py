@@ -149,7 +149,7 @@ def _top_eigenpairs(r_sph, m):
         else:
             basis, _ = np.linalg.qr(vecs)
             h = basis.conj().T @ r_sph @ basis
-            vals, w = scipy.linalg.eigh(0.5 * (h + h.conj().T))
+            vals, w = scipy.linalg.eigh(correlation.hermitian_part(h))
             return vals, basis @ w
     return scipy.linalg.eigh(r_sph, subset_by_index=[j - m, j - 1],
                              driver=_DENSE_DRIVER)

@@ -419,13 +419,13 @@ def _offsets(grid, mean):
 def _order_sums(q, table, polarization):
     """Per field component, the beams summed per azimuthal order on the
     table's theta nodes, a(theta, m) = sum_{m_j = m} q_j K_j(theta, 0):
-    (M, n_theta, 2N + 1) arrays, m = -N .. N.  Each order's rows are
-    contiguous in the table's order sort, so each is one small product."""
+    (M, n_theta, 2N + 1) arrays, m = -N .. N.  The table stores each
+    order's rows as one block, so each is one small product with the same
+    rows of q."""
     q = np.atleast_2d(np.asarray(q).T).T[table.order_rows]      # (J, M)
     runs = list(zip(table.order_starts[:-1], table.order_starts[1:]))
     return [np.stack([q[lo:hi].T @ tc[lo:hi] for lo, hi in runs], axis=-1)
-            for tc in (c[table.order_rows]
-                       for c in table.components(polarization))]
+            for tc in table.components(polarization)]
 
 
 def beam_power(q, table, phi_nodes, polarization="theta"):

@@ -266,11 +266,10 @@ class Scenario:
                 _integer(pair[0], f"{where}: quadrature: {side}[0]", None, 2),
                 _integer(pair[1], f"{where}: quadrature: {side}[1]", None, 2))
 
-        ant = _section(tree, "antenna", where)
-        self.bs_aperture_side = ant["bs_aperture_side"]
-        self.ue_aperture_side = ant["ue_aperture_side"]
-
-        ob = _section(tree, "obpb", where)
+        # every flat section's values by key, as the manifest lists them
+        self.sections = {name: _section(tree, name, where)
+                         for name in _SECTIONS}
+        ob = self.sections["obpb"]
         self.obpb_config = optimizer.ObpbConfig(ob["epsilon"],
                                                 ob["max_iterations"])
         self.obpb_m_max = ob["m_max"]
@@ -290,12 +289,12 @@ class Scenario:
                     f"mode count of the smaller end (J_bs = {counts['bs']}, "
                     f"J_ue = {counts['ue']})")
 
-        sur = _section(tree, "surfaces", where)
+        sur = self.sections["surfaces"]
         self.surface_density = sur["density"]
         self.surface_rtol = sur["rank_rtol"]
 
         self.array_config = conventional.ArrayConfig(
-            **_section(tree, "conventional", where))
+            **self.sections["conventional"])
         if (any(m["kind"] == "sub_array" for m in self.methods)
                 and not conventional.tiling_shapes(self.array_config)):
             raise ScenarioError(
@@ -310,10 +309,6 @@ class Scenario:
             self._check_quadrature(
                 where, "bs", f"the {cfg.n_v} x {cfg.n_h} array",
                 truncation_order(r_max) if r_max > 0 else 0)
-
-        art = _section(tree, "artifacts", where)
-        self.cut_step_deg = art["cut_step_deg"]
-        self.grid_step_deg = art["grid_step_deg"]
 
     def _check_quadrature(self, where, side, what, n):
         """Gauss-Legendre in cos(theta) and the n_phi-point trapezoid
@@ -331,11 +326,11 @@ class Scenario:
     @property
     def bs_radius(self):
         """Enclosing-sphere radius of the BS aperture (half its diagonal)."""
-        return self.bs_aperture_side / np.sqrt(2.0)
+        return self.sections["antenna"]["bs_aperture_side"] / np.sqrt(2.0)
 
     @property
     def ue_radius(self):
-        return self.ue_aperture_side / np.sqrt(2.0)
+        return self.sections["antenna"]["ue_aperture_side"] / np.sqrt(2.0)
 
     def needs_obpb(self):
         return any(m["kind"] == "obpb" for m in self.methods)
@@ -462,7 +457,12 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 def _power_db(power):
-    return 10.0 * np.log10(np.maximum(power, DB_FLOOR))
+    """10 log10 max(power, DB_FLOOR), in place when given a float array:
+    both callers pass a fresh one."""
+    power = np.asarray(power, dtype=float)
+    np.log10(np.maximum(power, DB_FLOOR, out=power), out=power)
+    power *= 10.0
+    return power
 
 
 class _ModeDirections:
@@ -490,8 +490,9 @@ class _ModeDirections:
 def _element_pattern_db(weights, steering):
     """Per-stream array pattern in dB (element envelope times array factor)
     over the directions of a `conventional.steering_matrix`."""
-    g = np.atleast_2d(np.asarray(weights).T) @ steering
-    return _power_db(np.abs(g) ** 2)
+    g = np.abs(np.atleast_2d(np.asarray(weights).T) @ steering)
+    g *= g
+    return _power_db(g)
 
 
 def _cut_directions(step_deg):
@@ -528,7 +529,8 @@ class _ArtifactWriter:
     """
 
     def __init__(self, scenario, obpb_bundle=None):
-        phi_cut, theta_cut = _cut_directions(scenario.cut_step_deg)
+        steps = scenario.sections["artifacts"]
+        phi_cut, theta_cut = _cut_directions(steps["cut_step_deg"])
         # tables are (file name, leading header, leading columns, theta, phi)
         self.bs_tables, self.ue_tables = [], []
         for stem, label, (angles, theta, phi) in (
@@ -538,7 +540,7 @@ class _ArtifactWriter:
                                    phi))
             self.ue_tables.append((f"{stem}_ue.csv", [label], [angles], theta,
                                    phi))
-        tdeg, pdeg, theta, phi = _grid_directions(scenario.grid_step_deg)
+        tdeg, pdeg, theta, phi = _grid_directions(steps["grid_step_deg"])
         self.bs_tables.append(("pattern_grid.csv", ["theta_deg", "phi_deg"],
                                [tdeg, pdeg], theta, phi))
         # the codebook methods' element patterns, one per BS table
@@ -819,8 +821,15 @@ def run_scenario(scenario, echo=None):
 
 
 def _resolved_parameters(scenario, profile, snr, obpb_bundle, conv_bundle):
-    """Every tunable the build exposes, at its value for this run."""
+    """Every tunable the build exposes, at its value for this run.
+
+    The antenna, obpb, conventional and artifacts entries spread the
+    scenario's parsed sections (``Scenario.sections``) and add only what
+    is derived from them; surfaces names its density
+    ``density_per_wavelength`` and so lists its keys.
+    """
     params = scenario.profile_params
+    sections = scenario.sections
     resolved = {
         "package_version": __version__,
         "profile": {
@@ -832,8 +841,7 @@ def _resolved_parameters(scenario, profile, snr, obpb_bundle, conv_bundle):
             "normalization": profile.total_power,
         },
         "antenna": {
-            "bs_aperture_side": scenario.bs_aperture_side,
-            "ue_aperture_side": scenario.ue_aperture_side,
+            **sections["antenna"],
             "bs_radius": scenario.bs_radius,
             "ue_radius": scenario.ue_radius,
         },
@@ -845,8 +853,7 @@ def _resolved_parameters(scenario, profile, snr, obpb_bundle, conv_bundle):
             "tie_break_rel": capacity._TIE_REL,
         },
         "artifacts": {
-            "cut_step_deg": scenario.cut_step_deg,
-            "grid_step_deg": scenario.grid_step_deg,
+            **sections["artifacts"],
             "report_m": scenario.report_m,
             "db_floor": DB_FLOOR,
         },
@@ -861,9 +868,7 @@ def _resolved_parameters(scenario, profile, snr, obpb_bundle, conv_bundle):
             "j_ue": obpb_bundle.modes_ue.mode_count,
         }
         resolved["obpb"] = {
-            "epsilon": scenario.obpb_config.epsilon,
-            "max_iterations": scenario.obpb_config.max_iterations,
-            "m_max": scenario.obpb_m_max,
+            **sections["obpb"],
             "seed_mode_smn": list(DIPOLE_SMN),
             "rank_adaptation": "re-run optimizer per candidate M",
         }
@@ -873,11 +878,9 @@ def _resolved_parameters(scenario, profile, snr, obpb_bundle, conv_bundle):
             "shapes": obpb_bundle.shapes,
         }
     if conv_bundle is not None:
-        cfg = conv_bundle.config
         resolved["conventional"] = {
-            "n_v": cfg.n_v, "n_h": cfg.n_h, "spacing": cfg.spacing,
-            "beam_interval": cfg.beam_interval,
-            "codebook_beams": cfg.n_beams,
+            **sections["conventional"],
+            "codebook_beams": conv_bundle.config.n_beams,
             "tie_break_rel": conventional._TIE_REL,
             "subarray_shapes": [list(s)
                                 for s in conventional.SUBARRAY_SHAPES],

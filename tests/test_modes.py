@@ -125,6 +125,24 @@ def test_far_field_matrix_matches_single_mode():
         assert np.abs(Kph[j - 1] - kph).max() < 1e-12, (s, m, n)
 
 
+@pytest.mark.parametrize("nmax", [2, 17])
+def test_field_table_stores_order_blocks(nmax):
+    # stored row i is the far_field_matrix row of flat mode order_rows[i]
+    # at phi = 0; each order_starts block holds one order, m = -N .. N in
+    # turn, in ascending flat index
+    ms = modes.ModeSet(truncation_order=nmax)
+    theta = np.random.default_rng(nmax).uniform(0.05, np.pi - 0.05, 9)
+    table = modes.FieldTable(ms, theta)
+    kth, kph = modes.far_field_matrix(ms, theta, np.zeros_like(theta))
+    assert np.array_equal(table.k_theta, kth[table.order_rows])
+    assert np.array_equal(table.k_phi, kph[table.order_rows])
+    starts = table.order_starts
+    assert starts.size == 2 * nmax + 2 and starts[0] == 0
+    for m, lo, hi in zip(range(-nmax, nmax + 1), starts[:-1], starts[1:]):
+        rows = table.order_rows[lo:hi]
+        assert np.array_equal(rows, np.flatnonzero(ms.m == m)), m
+
+
 def test_far_field_orthogonality_small():
     ms = modes.ModeSet(truncation_order=3)
     from obpb.profiles import make_grid

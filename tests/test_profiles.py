@@ -166,17 +166,19 @@ def test_pattern_power_of_single_mode(desk_profile):
        st.sampled_from(["theta", "full"]),
        st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_order_sums_match_the_boolean_product(nmax, n_theta, m, pol, seed):
-    # each order's contiguous rows of the order sort summed by one small
+    # each order's block of the table's stored rows summed by one small
     # product, against the elementwise products summed by a product with
     # the boolean mode-to-order map, to 1e-15 of each sum's sum |q_j K_j|
-    # (measured 3.9e-16 over 1500 random cases)
+    # (measured 3.9e-16 over 1500 random cases).  Stored row i is flat
+    # mode order_rows[i], so q and the orders are read through it
     ms = ModeSet(truncation_order=nmax)
     rng = np.random.default_rng(seed)
     table = FieldTable(ms, rng.uniform(0.05, np.pi - 0.05, n_theta))
-    q = rng.standard_normal((ms.mode_count, m)) \
+    flat_q = rng.standard_normal((ms.mode_count, m)) \
         + 1j * rng.standard_normal((ms.mode_count, m))
-    per_order = ms.m[:, None] == np.arange(-nmax, nmax + 1)
-    sums = profiles._order_sums(q, table, pol)
+    q = flat_q[table.order_rows]
+    per_order = ms.m[table.order_rows, None] == np.arange(-nmax, nmax + 1)
+    sums = profiles._order_sums(flat_q, table, pol)
     for a, tc in zip(sums, table.components(pol)):
         ref = np.einsum("jb,jt->btj", q, tc) @ per_order
         scale = np.einsum("jb,jt->btj", np.abs(q), np.abs(tc)) @ per_order

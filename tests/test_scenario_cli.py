@@ -321,6 +321,25 @@ def test_chunked_table_allocation(tmp_path):
     assert peak - kept < 10 * 2 ** 20
 
 
+def test_element_pattern_allocation():
+    # 64 codebook beams over the 3 deg grid: the complex array pattern
+    # (7.2 MB) and one float table (3.6 MB) at a time, where the abs,
+    # square, floor and log10 temporaries each took a table more (18 MB)
+    from obpb import conventional
+    config = conventional.ArrayConfig()
+    _, _, theta, phi = scenario._grid_directions(3.0)
+    steering = conventional.steering_matrix(config, theta, phi)
+    beams = conventional.dft_codebook(config)[:, :64]
+    tracemalloc.start()
+    try:
+        db = scenario._element_pattern_db(beams, steering)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert db.shape == (64, 7381)
+    assert peak <= 12 * 2 ** 20
+
+
 def test_obpb_tables_are_shared_across_n_ue(smoke_run):
     # nothing an OBPB family reports depends on N_UE, so every table but
     # capacity.json (which names its N_UE) is the same file at each point
