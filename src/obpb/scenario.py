@@ -19,22 +19,25 @@ matrix on the nodes that marginal keeps only.  The full-array greedy chains
 are all read from one Gram and keep only their beams and Gram block.  The
 codebook bundle is built before the OBPB bundle: the other way round, the
 codebook Gram mostly finds no freed block of the surface step to reuse,
-and `paper_baseline` peaks near 142 MB instead of 129.5 MB.  The OBPB
+and `paper_baseline` peaks near 128 MB instead of 117-121 MB.  The OBPB
 surface projectors are built first (a stream count above a surface's rank
 fails there, before the optimizer runs), one at a time: each surface keeps
-only its J x J projector P, and its transfer matrix Z goes before the next
-surface's is built.  Then the optimizer runs once per M from one
-`optimizer.Sweep`: both ends' field tables, and the dipole-seeded BS
-correlation with its top-m_max eigenbeams, whose first M start the run at
-M.  Each run is reduced as it returns to every OBPB family's BS beams and
-M x M beam correlation plus the UE beams and the history.  Once the joint
-profile is gone one steering matrix per BS artifact table is built, and
-each end's field table on each artifact table's theta nodes.  Nothing an
-OBPB family reports depends on N_UE, so each family's point (rank
-adaptation, report-M correlation, det_db and pattern tables) is computed
-once and written under every ``n_ue_<k>`` directory.  A codebook point is
-computed per N_UE: the full-array family scales the shared chain's Gram
-block by N_UE, and the sub-array partition search runs at the true scale.
+only what projection reads (the plane's and the hemisphere's mirror-fixed
+P as its signed mode maps, the 1/32-sphere's dense J x J P), and its
+transfer matrix Z goes before the next surface's is built.  Then the
+optimizer runs once per M from one `optimizer.Sweep`: both ends' field
+tables, and the dipole-seeded BS correlation with its top-m_max
+eigenbeams, whose first M start the run at M.  Each run is reduced as it
+returns to every OBPB family's BS beams and M x M beam correlation plus
+the UE beams and the history, and is let go before the next starts.  Once
+the joint profile is gone one steering matrix per BS artifact table is
+built, and each end's field table on each artifact table's theta nodes.
+Nothing an OBPB family reports depends on N_UE, so each family's point
+(rank adaptation, report-M correlation, det_db and pattern tables) is
+computed once and written under every ``n_ue_<k>`` directory.  A codebook
+point is computed per N_UE: the full-array family scales the shared
+chain's Gram block by N_UE, and the sub-array partition search runs at the
+true scale.
 The search reads each tiling shape's Gram in group-pair blocks (under 3 MB
 alive at a time on the 8 x 8 array) and never forms the 1024 x 1024 Gram of
 the zero-padded codebook; its chains equal that Gram's bit for bit.  A
@@ -582,15 +585,18 @@ class _ObpbBundle:
 
     The surface projectors are built first, so a stream count above a
     surface's radiatable rank fails before the optimizer runs.  Only one
-    ProjectionOperator is alive at a time: each surface keeps its projector
-    matrix P, and the operator (with its transfer matrix Z) is let go before
-    the next surface's is built.  Each optimizer run is reduced as soon as
-    it returns: every family keeps its BS beams (projected, for a surface)
-    and their M x M correlation against the run's BS mode correlation, and
-    the run's UE beams and history are kept.  The projectors, the samplings
-    and every J x J mode correlation are let go when construction ends;
-    ``shapes`` keeps each surface's sample count, rank and kind for the
-    manifest.
+    ProjectionOperator is alive at a time: each surface keeps what
+    `surfaces.project` reads, ``op.projector`` (the signed mode maps of a
+    mirror-fixed projector, the plane's and the hemisphere's, or a whole-Z
+    surface's dense J x J P), and the operator (with its transfer matrix Z)
+    is let go before the next surface's is built.  Each optimizer run is
+    reduced as soon as it returns: every family keeps its BS beams
+    (projected, for a surface) and their M x M correlation against the
+    run's BS mode correlation, and the run's UE beams and history are
+    kept.  The run, with its J x J BS mode correlation, is let go before
+    the next one starts.  The projectors, the samplings and the sweep's
+    J x J seed correlation are let go when construction ends; ``shapes``
+    keeps each surface's sample count, rank and kind for the manifest.
     """
 
     def __init__(self, scenario, profile):
@@ -612,7 +618,7 @@ class _ObpbBundle:
                     f"radiatable rank {op.rank} of surface '{name}'")
             self.shapes[name] = {"n_points": samp.n_points, "rank": op.rank,
                                  "kind": samp.surface.kind}
-            projectors[name] = op.p_op
+            projectors[name] = op.projector
             # Z goes with its operator before the next surface's is built
             del op
         sweep = optimizer.Sweep(profile, self.modes_bs, self.modes_ue, m_max)
@@ -632,6 +638,8 @@ class _ObpbBundle:
                 "objective_history": list(run.objective_history),
                 "converged": bool(run.converged),
                 "iterations": int(run.iterations)}
+            # the run's J x J r_bs goes before the next run starts
+            del run
         self.converged = all(h["converged"]
                              for h in self.histories.values())
 
@@ -763,8 +771,8 @@ def run_scenario(scenario, echo=None):
 
     # codebook first: after the surface step the codebook Gram (16 MB)
     # mostly finds no freed block to reuse.  paper_baseline peaks at
-    # 128.3-129.7 MB this way round and at 126.8-142.4 MB (7 of 9 runs
-    # above 141 MB) the other way (ru_maxrss, 3 runs at each of seeds
+    # 117.1-120.6 MB this way round and at 115.3-128.7 MB (4 of 6 runs
+    # above 126 MB) the other way (ru_maxrss, 2 runs at each of seeds
     # 0-2, 1-thread BLAS)
     conv_bundle = None
     if scenario.needs_conventional():

@@ -14,9 +14,10 @@ the semi-optimal beam is the orthogonal projection
     q_semi = P q_opt,   P = Z Z^+ = U_r U_r^H,
 
 with U_r the left singular vectors above the rank cut.  The pipeline reads
-only P, so a ProjectionOperator keeps U_r's projector and the singular
-values; the currents a = Z^+ q_opt (both the least-squares and the
-minimum-norm current solution) are built on request by `currents`.
+only P's action (`project`), so a ProjectionOperator keeps what that
+applies and the singular values; the currents a = Z^+ q_opt (both the
+least-squares and the minimum-norm current solution) are built on request
+by `currents`.
 
 Mirror symmetry fixes P exactly where the physics does.  A reflection S
 that maps the sampled currents onto themselves (each point onto a sample,
@@ -28,10 +29,13 @@ roundoff, and Z splits into the reflections' joint parity classes.  The
 hemisphere (y and z mirrors) reaches every class in full, so P = I; the
 x = 0 plane (x, y and z mirrors) reaches every x-even class in full and no
 x-odd one, so P = (I + sigma_x) / 2, with entries exactly 0, +-1/2 or 1.
-The 1/32-sphere's classes are reached only in part (its narrow Z has
+Such a P is kept as its nonzero signed mode maps, P = sum_g a_g sigma_g
+(one term for the hemisphere, two for the plane), and applied as
+sum_g a_g sign_g * q[perm_g]: no J x J matrix is formed unless ``p_op`` is
+read.  The 1/32-sphere's classes are reached only in part (its narrow Z has
 fewer columns than each class has modes); it and every other such case
 take the SVD of the whole Z, whose projector depends on roundoff where
-the spectrum decays without a cliff.
+the spectrum decays without a cliff, and keep that dense U_r U_r^H.
 
 Surfaces all fit inside the sphere of radius r0 that encloses the reference
 square aperture: the through-center plane of side sqrt(2) r0, spherical caps
@@ -280,12 +284,16 @@ class ProjectionOperator:
     split into their joint parity classes (`_by_classes`).  When every
     class is either reached in full at the rtol * sigma_0 cut or has no
     columns, P_op is the sum of the full classes' projectors, a fixed
-    combination of the mirror maps whose entries are exactly 0, +-1/2 or
-    1, and no singular vector is formed: the hemisphere gets P_op = I and
-    the x = 0 plane the x-even modes, (I + sigma_x) / 2.  Every other case,
-    a class that reaches some but not all of its modes (the 1/32-sphere)
-    or a loose rtol among them, takes the whole-Z path `_singular`, to the
-    last bit as without mirrors.  There a wide Z of full rank r = J has a
+    combination sum_g a_g sigma_g of the mirror maps whose entries are
+    exactly 0, +-1/2 or 1, and no singular vector is formed: the
+    hemisphere gets P_op = I and the x = 0 plane the x-even modes,
+    (I + sigma_x) / 2.  ``projector`` then holds the nonzero terms
+    (a_g, perm_g, sign_g), and ``p_op`` builds the dense matrix from them
+    each time it is read; nothing the pipeline runs reads it.  Every other
+    case, a class that reaches some but not all of its modes (the
+    1/32-sphere) or a loose rtol among them, takes the whole-Z path
+    `_singular`, to the last bit as without mirrors, and ``projector``
+    holds the dense U_r U_r^H.  There a wide Z of full rank r = J has a
     unitary U_r, so P_op = I exactly as well.
 
     The pseudoinverse is built from a full SVD of Z on first use only.
@@ -296,17 +304,28 @@ class ProjectionOperator:
         self.mirrors = mirrors
         by_classes = _by_classes(z, mirrors, rtol) if mirrors else None
         if by_classes is not None:
-            self.singular_values, self.p_op = by_classes
+            self.singular_values, self.projector = by_classes
             self.rank = _rank(self.singular_values, rtol)
             return
         self.singular_values, u = _singular(z, rtol)
         self.rank = r = _rank(self.singular_values, rtol)
-        self.p_op = (np.eye(z.shape[0], dtype=complex) if u is None
-                     else u[:, :r] @ u[:, :r].conj().T)
+        self.projector = (np.eye(z.shape[0], dtype=complex) if u is None
+                          else u[:, :r] @ u[:, :r].conj().T)
 
     @property
     def mode_count(self):
         return self.z.shape[0]
+
+    @property
+    def p_op(self):
+        """The projector as a dense J x J matrix."""
+        if isinstance(self.projector, np.ndarray):
+            return self.projector
+        p_op = np.zeros((self.mode_count, self.mode_count), dtype=complex)
+        diag = np.arange(self.mode_count)
+        for a_g, perm, sign in self.projector:
+            p_op[diag, perm] += a_g * sign
+        return p_op
 
     @functools.cached_property
     def pinv(self):
@@ -349,7 +368,7 @@ def _class_basis(perms, signs, chars):
 
 
 def _by_classes(z, mirrors, rtol):
-    """(sigma, P) of z from its blocks in the mirrors' joint parity
+    """(sigma, terms) of z from its blocks in the mirrors' joint parity
     classes, or None when some class is reached only in part.
 
     The mirror maps commute, so Z, with sigma_g Z = Z C_g for every group
@@ -364,6 +383,9 @@ def _by_classes(z, mirrors, rtol):
     rtol * sigma_0 cut, P is the sum of the full classes' projectors,
     sum_g a_g sigma_g with a_g = sum_chi chi(g) / |G| over the full
     classes: sums of dyadic fractions of +-1, exact in floating point.
+    terms lists the nonzero a_g with g's signed row map, (a_g, perm_g,
+    sign_g): (1, identity) for the hemisphere, and (1/2, identity) and
+    (1/2, sigma_x) for the x = 0 plane.
     """
     rows = _products([r for r, _ in mirrors])
     cols = _products([c for _, c in mirrors])
@@ -395,13 +417,9 @@ def _by_classes(z, mirrors, rtol):
            for v, chi in zip(values, full)):
         return None
     s = np.concatenate([s, np.zeros(min(z.shape) - s.size)])
-    p_op = np.zeros((z.shape[0], z.shape[0]), dtype=complex)
-    diag = np.arange(z.shape[0])
-    for g, (perm, sign) in enumerate(rows):
-        a_g = sum(chars[chi][g] for chi in full) / order
-        if a_g:
-            p_op[diag, perm] += a_g * sign
-    return s, p_op
+    a = [sum(chars[chi][g] for chi in full) / order for g in range(order)]
+    return s, [(a_g, perm, sign)
+               for a_g, (perm, sign) in zip(a, rows) if a_g]
 
 
 # Points per block of `build_z`.  A block's regular waves and Cartesian
@@ -516,19 +534,29 @@ def _mismatch(z, rows, cols, blocks):
 def project(op, q):
     """Project beam coefficients onto a surface's radiatable subspace.
 
-    `op` is a ProjectionOperator or its projector matrix ``op.p_op``, which
-    is all a caller that lets the operator (and its Z) go needs to keep.
-    Returns q_semi = P_op q for one coefficient vector or a (J, M) matrix,
+    `op` is a ProjectionOperator or its ``op.projector``, which is all a
+    caller that lets the operator (and its Z) go needs to keep.  Returns
+    q_semi = P_op q for one coefficient vector or a (J, M) matrix,
     re-normalized to unit power per column; zero projections are returned
     as-is rather than normalized (``op.p_op @ q`` is the projection before
-    normalization).  P_op q equals Z Z^+ q exactly in real arithmetic, but
-    evaluating it through the currents loses ~sigma_0/sigma_r digits to
-    cancellation (the currents on weakly-coupled modes are huge and mostly
-    cancel), while the projector form keeps re-projection idempotent to
-    machine precision.
+    normalization).  A mirror-class projector is applied from its terms as
+    sum_g a_g sign_g * q[perm_g]: each row of the plane's P has at most
+    two nonzero entries +-1/2 (or one entry 1), whose products with q are
+    exact, so the one rounding of their sum gives the dense product's bits
+    (up to the sign of a zero), and the hemisphere's identity returns q.
+    P_op q equals Z Z^+ q exactly in real arithmetic, but evaluating it
+    through the currents loses ~sigma_0/sigma_r digits to cancellation (the
+    currents on weakly-coupled modes are huge and mostly cancel), while the
+    projector form keeps re-projection idempotent to machine precision.
     """
-    p_op = op.p_op if isinstance(op, ProjectionOperator) else op
-    q_semi = p_op @ np.asarray(q, dtype=complex)
+    proj = op.projector if isinstance(op, ProjectionOperator) else op
+    q = np.asarray(q, dtype=complex)
+    if isinstance(proj, np.ndarray):
+        q_semi = proj @ q
+    else:
+        shape = (-1,) + (1,) * (q.ndim - 1)
+        q_semi = sum((a_g * sign).reshape(shape) * q[perm]
+                     for a_g, perm, sign in proj)
     norms = np.linalg.norm(q_semi, axis=0)
     return q_semi / np.where(norms > 0, norms, 1.0)
 

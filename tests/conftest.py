@@ -3,7 +3,8 @@
 `baseline_run` executes the shipped paper_baseline scenario twice into
 temporary directories; the acceptance tests read their artifacts instead of
 recomputing the pipeline, and the determinism criterion compares the two
-trees byte for byte.
+trees byte for byte.  `reachable` walks what an object holds, for the
+tests that check what a long-lived object keeps.
 """
 
 from pathlib import Path
@@ -45,3 +46,26 @@ def baseline_run(tmp_path_factory):
         assert outcome.exit_code in (0, 2)
         outs.append(outcome)
     return {"a": outs[0], "b": outs[1]}
+
+
+def _reachable(obj):
+    """Every object reachable from obj through attributes and containers."""
+    seen, stack, out = set(), [obj], []
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        out.append(item)
+        if isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple, set)):
+            stack.extend(item)
+        elif hasattr(item, "__dict__") and not isinstance(item, type):
+            stack.extend(vars(item).values())
+    return out
+
+
+@pytest.fixture(scope="session")
+def reachable():
+    return _reachable

@@ -370,25 +370,7 @@ def test_obpb_rank_adaptation_runs_once_per_family(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
-def _reachable(obj):
-    """Every object reachable from obj through attributes and containers."""
-    seen, stack, out = set(), [obj], []
-    while stack:
-        item = stack.pop()
-        if id(item) in seen:
-            continue
-        seen.add(id(item))
-        out.append(item)
-        if isinstance(item, dict):
-            stack.extend(item.values())
-        elif isinstance(item, (list, tuple, set)):
-            stack.extend(item)
-        elif hasattr(item, "__dict__") and not isinstance(item, type):
-            stack.extend(vars(item).values())
-    return out
-
-
-def test_obpb_bundle_keeps_only_what_points_read(tmp_path):
+def test_obpb_bundle_keeps_only_what_points_read(tmp_path, reachable):
     # after construction the bundle holds beams and M x M correlations, no
     # J x J mode correlation and no projector, and its correlations are
     # those of independent optimizer runs, started from the same seed
@@ -402,7 +384,7 @@ def test_obpb_bundle_keeps_only_what_points_read(tmp_path):
         profiles.make_grid(*scn.quadrature["ue"]))
     bundle = scenario._ObpbBundle(scn, profile)
     j_bs = bundle.modes_bs.mode_count
-    held = _reachable(bundle)
+    held = reachable(bundle)
     assert not [o for o in held if isinstance(
         o, (surfaces.ProjectionOperator, surfaces.SurfaceSampling,
             optimizer.ObpbResult))]
@@ -499,6 +481,34 @@ def test_obpb_bundle_holds_one_projection_operator_at_a_time(tmp_path,
     assert alive_at_build == [0, 0, 0]
     assert all(ref() is None for ref in built)
     assert set(bundle.shapes) == {"plane", "one_32_sphere", "hemisphere"}
+
+
+def test_obpb_bundle_lets_each_optimizer_run_go_before_the_next(
+        tmp_path, monkeypatch):
+    # each run's J x J BS mode correlation goes with the run, before the
+    # next stream count's run starts
+    import yaml
+    from obpb import optimizer, profiles
+    tree = yaml.safe_load(SMOKE_YAML.format(out=tmp_path / "out"))
+    tree["obpb"]["m_max"] = 3
+    scn = scenario.Scenario(tree)
+    profile = profiles.JointProfile(
+        scn.profile_params, profiles.make_grid(*scn.quadrature["bs"]),
+        profiles.make_grid(*scn.quadrature["ue"]))
+    done, alive_at_start = [], []
+    run = optimizer.run
+
+    def tracked(*args, **kwargs):
+        alive_at_start.append(sum(ref() is not None for ref in done))
+        result = run(*args, **kwargs)
+        done.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(optimizer, "run", tracked)
+    bundle = scenario._ObpbBundle(scn, profile)
+    assert alive_at_start == [0, 0, 0]
+    assert all(ref() is None for ref in done)
+    assert sorted(bundle.q_ue) == [1, 2, 3]
 
 
 def test_conventional_bundle_builds_one_gram_for_both_metrics(monkeypatch):

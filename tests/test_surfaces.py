@@ -260,6 +260,69 @@ def test_full_rank_hemisphere_takes_its_rank_from_the_values_alone():
     assert np.abs(u @ u.conj().T - np.eye(j)).max() <= 1e-14
 
 
+@pytest.fixture(scope="module")
+def class_path_ops():
+    """The 4-wavelength plane and hemisphere, and a plane whose points are
+    jittered within x = 0, which keeps its x-mirror only: every one takes
+    the class path."""
+    modeset = ModeSet(enclosing_radius=R0_BS)
+    ops = [surfaces.build_z(modeset, surfaces.sample_surface(
+        surfaces.named_surface(name, R0_BS))) for name in ("plane",
+                                                         "hemisphere")]
+    plane = surfaces.sample_surface(surfaces.plane_surface(1.0))
+    jitter = np.random.default_rng(2).uniform(-1e-3, 1e-3, plane.points.shape)
+    jitter[:, 0] = 0.0
+    ops.append(surfaces.build_z(ModeSet(truncation_order=4),
+                                surfaces.SurfaceSampling(
+                                    plane.surface, plane.points + jitter,
+                                    plane.tangents)))
+    assert [len(op.mirrors) for op in ops] == [3, 2, 1]
+    assert not any(isinstance(op.projector, np.ndarray) for op in ops)
+    return ops
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+       st.integers(min_value=-60, max_value=60),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_class_path_projection_is_the_dense_product_bit_for_bit(
+        class_path_ops, which, m, scale, zeros, seed):
+    # each row of a mirror-fixed P has at most two nonzero entries +-1/2
+    # (or one entry 1), so the terms' sum rounds once, as the dense product
+    # does; array_equal sees no difference but the sign of a zero
+    op = class_path_ops[which]
+    j = op.mode_count
+    shape = (j,) if m is None else (j, m)
+    rng = np.random.default_rng(seed)
+    q = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        * 2.0 ** scale
+    q[rng.random(shape) < zeros] = 0.0
+    ref = op.p_op @ q
+    norms = np.linalg.norm(ref, axis=0)
+    ref /= np.where(norms > 0, norms, 1.0)
+    assert np.array_equal(surfaces.project(op, q), ref)
+    assert np.array_equal(surfaces.project(op.projector, q), ref)
+
+
+def test_class_path_operator_holds_no_dense_projector(small_plane_op,
+                                                      reachable):
+    # the plane and the hemisphere keep their projector as signed mode
+    # maps; the J x J matrix exists only while a reader holds p_op
+    modeset = ModeSet(truncation_order=3)
+    hemi = surfaces.build_z(modeset, surfaces.sample_surface(
+        surfaces.hemisphere_surface(1.0 / np.sqrt(2.0))))
+    for op in (small_plane_op, hemi):
+        j = op.mode_count
+        assert op.rank in (j // 2, j)
+        for _ in range(2):
+            held = [o for o in reachable(op) if isinstance(o, np.ndarray)]
+            assert held and all(a.shape != (j, j) for a in held)
+            assert op.p_op.shape == (j, j)
+    assert np.array_equal(hemi.p_op, np.eye(hemi.mode_count))
+
+
 def _x_even_projector(modeset):
     """(I + sigma_x) / 2, sigma_x the signed mode map of x -> -x."""
     perm, sign = modeset.mirror(0)
@@ -422,8 +485,9 @@ def test_build_z_allocation_on_the_hemisphere():
     # field arrays (six of 8.6 MB) and a conjugated copy of Z for a QR
     # would take ~105 MB, and a whole-Z QR of z^T 44 MB.  The peak is
     # 28.6 MB (numpy 2, 1-thread OpenBLAS): Z and one block's fields while
-    # Z fills.  The blocked mirror checks reach 24.2 MB, and the four
-    # 162 x 416 class blocks with P 23.7 MB.  The bound leaves 7 MB of margin
+    # Z fills.  The blocked mirror checks reach 28.0 MB and the four
+    # 162 x 416 class blocks 24.3 MB (each phase's peak, Z included), with
+    # no dense P, which added 3.2 MB there.  The bound leaves 7 MB of margin
     modeset = ModeSet(enclosing_radius=R0_BS)
     samp = surfaces.sample_surface(surfaces.hemisphere_surface(R0_BS))
     tracemalloc.start()
