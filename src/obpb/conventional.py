@@ -30,6 +30,7 @@ from .correlation import hermitian_part
 SUBARRAY_SHAPES = ((1, 4), (2, 2), (4, 1), (1, 8), (2, 4), (4, 2), (8, 1),
                    (2, 8), (4, 4), (8, 2))
 
+# relative tie of the det chains and of the sub-array shape search
 _TIE_REL = 1e-12
 
 
@@ -365,7 +366,10 @@ def best_subarray_partition(r_elem, config, n_ue, snr, metric="power"):
 
     Each of SUBARRAY_SHAPES that tiles the array gets its own greedy chain up
     to min(n_groups, N_UE) streams; the shape whose best stream count yields
-    the highest capacity wins (first listed wins ties).  Every chain is read
+    the highest capacity wins, and the first listed wins a tie within
+    `_TIE_REL` of the capacity.  That is the relative tie of
+    greedy_select_det's determinant too, so the manifest's
+    ``conventional.tie_break_rel`` covers both tie rules.  Every chain is read
     from group-pair blocks of its shape's Gram (`subarray_selection`), so the
     search forms no N x a^2 N codebook and no a^2 N x a^2 N Gram.
     """
@@ -375,7 +379,7 @@ def best_subarray_partition(r_elem, config, n_ue, snr, metric="power"):
         m_max = min(n_groups, int(n_ue))
         sel = subarray_selection(r_elem, config, shape, m_max, metric)
         report = capacity.rank_adapt(sel.beam_correlation, m_max, snr)
-        if best is None or report.total > best[2].total * (1.0 + 1e-12):
+        if best is None or report.total > best[2].total * (1.0 + _TIE_REL):
             best = (shape, sel, report)
     if best is None:
         raise ValueError("no sub-array shape tiles this array")

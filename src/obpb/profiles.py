@@ -110,8 +110,9 @@ class ProfileParams:
 
     Angles in degrees: mean_bs/mean_ue are (theta, phi) pairs, sigma the four
     standard deviations in the order (theta_b, phi_b, theta_u, phi_u), corr
-    the 4 x 4 correlation matrix in the same order.  Each mean phi is wrapped
-    into (-180, 180]; values already there keep their bits.
+    the 4 x 4 correlation matrix in the same order, every value finite.
+    Each mean phi is wrapped into (-180, 180]; values already there keep
+    their bits.
     """
 
     def __init__(self, mean_bs, mean_ue, sigma, corr, polarization="theta"):
@@ -119,6 +120,9 @@ class ProfileParams:
         self.mean_ue = np.array(mean_ue, dtype=float)
         self.sigma = np.asarray(sigma, dtype=float)
         self.corr = np.asarray(corr, dtype=float)
+        if not all(np.isfinite(a).all() for a in (self.mean_bs, self.mean_ue,
+                                                  self.sigma, self.corr)):
+            raise ValueError("means, sigmas and correlations must be finite")
         if self.mean_bs.shape != (2,) or self.mean_ue.shape != (2,):
             raise ValueError("means are (theta, phi) pairs in degrees")
         if self.sigma.shape != (4,) or np.any(self.sigma <= 0):

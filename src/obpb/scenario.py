@@ -3,7 +3,9 @@
 A scenario is one YAML mapping that names the angular profile, the methods to
 run (proposed and conventional), the N_UE sweep and the artifact options.  The
 shipped ``paper_baseline`` file carries the reference values; anything omitted
-falls back to the same defaults the library modules use.
+falls back to the same defaults the library modules use.  One table
+(`_SECTIONS`) holds every section key's parser, default and bound, and every
+number must be finite.
 
 Scenario points (method x N_UE) each write only into their own directory.
 The runner follows the structure the sweep already has.  What points share is
@@ -19,12 +21,12 @@ matrix on the nodes that marginal keeps only.  The full-array greedy chains
 are all read from one Gram and keep only their beams and Gram block.  The
 codebook bundle is built before the OBPB bundle: the other way round, the
 codebook Gram mostly finds no freed block of the surface step to reuse,
-and `paper_baseline` peaks near 128 MB instead of 117-121 MB.  The OBPB
-surface projectors are built first (a stream count above a surface's rank
-fails there, before the optimizer runs), one at a time: each surface keeps
-only what projection reads (the plane's and the hemisphere's mirror-fixed
-P as its signed mode maps, the 1/32-sphere's dense J x J P), and its
-transfer matrix Z goes before the next surface's is built.  Then the
+and the run peaks higher.  The OBPB surface projectors are built first (a
+stream count above a surface's rank fails there, before the optimizer
+runs), one at a time: each surface keeps only what projection reads (the
+plane's and the hemisphere's mirror-fixed P as its signed mode maps, the
+1/32-sphere's dense J x J P), and its transfer matrix Z goes before the
+next surface's is built.  Then the
 optimizer runs once per M from one `optimizer.Sweep`: both ends' field
 tables, and the dipole-seeded BS correlation with its top-m_max
 eigenbeams, whose first M start the run at M.  Each run is reduced as it
@@ -54,8 +56,8 @@ every table, an OBPB family's streams at each further N_UE, full-array
 beams that recur across N_UE at a fixed ``report_m`` and sub-array winners
 that recur.  A table is written one chunk of rows at a time, so beyond the
 memo a write holds only one chunk's cells of each column and that chunk's
-lines: about 2 MB for the largest ``codebook_sweep`` table (66 columns x
-7381 rows), whose whole-table cells, lines and file string took 44 MB.
+lines (about 2 MB for the largest ``codebook_sweep`` table, 66 columns x
+7381 rows), and never the whole table's cells, lines or file string.
 
 All artifacts are plain CSV/JSON, written with round-trip float formatting and
 fixed key order and without timestamps, so a rerun of the same scenario on the
@@ -106,18 +108,19 @@ def _reject_unknown(node, where, allowed):
             f"(allowed: {', '.join(sorted(allowed))})")
 
 
-def _number(node, where, default, minimum=None):
-    value = node if node is not None else default
+def _number(value, where, minimum=None):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError(f"{where}: expected a number")
+    # nan compares false, and an int past the float range would overflow
+    if not abs(value) <= float(np.finfo(float).max):
+        raise ScenarioError(f"{where}: must be finite")
     value = float(value)
     if minimum is not None and value <= minimum:
         raise ScenarioError(f"{where}: must be > {minimum}")
     return value
 
 
-def _integer(node, where, default, minimum=1):
-    value = node if node is not None else default
+def _integer(value, where, minimum=1):
     if not isinstance(value, int) or isinstance(value, bool):
         raise ScenarioError(f"{where}: expected an integer")
     if value < minimum:
@@ -125,12 +128,34 @@ def _integer(node, where, default, minimum=1):
     return value
 
 
+def _given(value, where, minimum):
+    """The value as given: its consumer validates it."""
+    return value
+
+
+def _grid(pair, where, minimum):
+    """An [n_theta, n_phi] quadrature grid, as a tuple."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ScenarioError(f"{where}: expected [n_theta, n_phi]")
+    return tuple(_integer(v, f"{where}[{i}]", minimum)
+                 for i, v in enumerate(pair))
+
+
 # the library defaults that scenario keys fall back to
 _OBPB, _ARRAY = optimizer.ObpbConfig(), conventional.ArrayConfig()
+_PROFILE = profiles.baseline_params()
 
-# every key of the flat sections as (key, parser, default, minimum): a
-# number must exceed its minimum, an integer reach it
+# every key of every section as (key, parser, default, minimum): a number
+# must exceed its minimum, an integer (each of a grid's two) reach it.
+# Profile values pass through to ProfileParams, which validates them
 _SECTIONS = {
+    "profile": (("mean_bs", _given, _PROFILE.mean_bs.tolist(), None),
+                ("mean_ue", _given, _PROFILE.mean_ue.tolist(), None),
+                ("sigma", _given, _PROFILE.sigma.tolist(), None),
+                ("corr", _given, _PROFILE.corr.tolist(), None),
+                ("polarization", _given, _PROFILE.polarization, None)),
+    "quadrature": (("bs", _grid, list(profiles.BS_GRID), 2),
+                   ("ue", _grid, list(profiles.UE_GRID), 2)),
     "antenna": (("bs_aperture_side", _number, 4.0, 0.0),
                 ("ue_aperture_side", _number, 1.0, 0.0)),
     "obpb": (("epsilon", _number, _OBPB.epsilon, 0.0),
@@ -151,11 +176,13 @@ _METRICS = {"power": "power", "det": "determinant",
 
 
 def _section(tree, name, where):
-    """One flat section's values by key, missing keys at their defaults."""
+    """One section's values by key, missing (or null) keys at their
+    defaults."""
     where = f"{where}: {name}"
     node = _require_mapping(tree.get(name, {}), where)
     _reject_unknown(node, where, [row[0] for row in _SECTIONS[name]])
-    return {key: parse(node.get(key), f"{where}: {key}", default, minimum)
+    return {key: parse(default if node.get(key) is None else node[key],
+                       f"{where}: {key}", minimum)
             for key, parse, default, minimum in _SECTIONS[name]}
 
 
@@ -197,8 +224,7 @@ class Scenario:
     """A validated scenario tree; every field resolved to its final value."""
 
     _TOP_KEYS = ("name", "output_dir", "methods", "n_ue", "snr_db_siso",
-                 "report_m", "profile", "quadrature", "antenna", "obpb",
-                 "surfaces", "conventional", "artifacts")
+                 "report_m", *_SECTIONS)
 
     def __init__(self, tree, source="<scenario>"):
         where = source
@@ -206,14 +232,12 @@ class Scenario:
         _reject_unknown(tree, where, self._TOP_KEYS)
         self.source = source
 
-        name = tree.get("name", Path(source).stem or "scenario")
-        if not isinstance(name, str) or not name:
+        self.name = tree.get("name", Path(source).stem or "scenario")
+        if not isinstance(self.name, str) or not self.name:
             raise ScenarioError(f"{where}: name: expected a non-empty string")
-        self.name = name
-        out = tree.get("output_dir", self.name)
-        if not isinstance(out, str) or not out:
+        self.output_dir = tree.get("output_dir", self.name)
+        if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ScenarioError(f"{where}: output_dir: expected a path string")
-        self.output_dir = out
 
         methods = tree.get("methods")
         if not isinstance(methods, list) or not methods:
@@ -227,51 +251,27 @@ class Scenario:
         n_ue = tree.get("n_ue")
         if not isinstance(n_ue, list) or not n_ue:
             raise ScenarioError(f"{where}: n_ue: expected a non-empty list")
-        self.n_ue = [_integer(v, f"{where}: n_ue[{i}]", None)
+        self.n_ue = [_integer(v, f"{where}: n_ue[{i}]")
                      for i, v in enumerate(n_ue)]
         for i, v in enumerate(self.n_ue):
             if v in self.n_ue[:i]:
                 raise ScenarioError(f"{where}: n_ue: duplicate entry {v}")
 
-        self.snr_db_siso = _number(tree.get("snr_db_siso"),
-                                   f"{where}: snr_db_siso", -12.0)
+        snr = tree.get("snr_db_siso")
+        self.snr_db_siso = _number(-12.0 if snr is None else snr,
+                                   f"{where}: snr_db_siso")
         report_m = tree.get("report_m")
         self.report_m = (None if report_m is None else
-                         _integer(report_m, f"{where}: report_m", None))
+                         _integer(report_m, f"{where}: report_m"))
 
-        prof = _require_mapping(tree.get("profile", {}), f"{where}: profile")
-        _reject_unknown(prof, f"{where}: profile",
-                        ("mean_bs", "mean_ue", "sigma", "corr",
-                         "polarization"))
-        base = profiles.baseline_params()
-        try:
-            self.profile_params = ProfileParams(
-                mean_bs=prof.get("mean_bs", base.mean_bs),
-                mean_ue=prof.get("mean_ue", base.mean_ue),
-                sigma=prof.get("sigma", base.sigma),
-                corr=prof.get("corr", base.corr),
-                polarization=prof.get("polarization", base.polarization),
-            )
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise ScenarioError(f"{where}: profile: {exc}") from None
-
-        quad = _require_mapping(tree.get("quadrature", {}),
-                                f"{where}: quadrature")
-        _reject_unknown(quad, f"{where}: quadrature", ("bs", "ue"))
-        self.quadrature = {}
-        for side, default in (("bs", profiles.BS_GRID),
-                              ("ue", profiles.UE_GRID)):
-            pair = quad.get(side, list(default))
-            if (not isinstance(pair, list) or len(pair) != 2):
-                raise ScenarioError(f"{where}: quadrature: {side}: expected "
-                                    "[n_theta, n_phi]")
-            self.quadrature[side] = (
-                _integer(pair[0], f"{where}: quadrature: {side}[0]", None, 2),
-                _integer(pair[1], f"{where}: quadrature: {side}[1]", None, 2))
-
-        # every flat section's values by key, as the manifest lists them
+        # every section's values by key; the manifest spreads the flat ones
         self.sections = {name: _section(tree, name, where)
                          for name in _SECTIONS}
+        try:
+            self.profile_params = ProfileParams(**self.sections["profile"])
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{where}: profile: {exc}") from None
+        self.quadrature = self.sections["quadrature"]
         ob = self.sections["obpb"]
         self.obpb_config = optimizer.ObpbConfig(ob["epsilon"],
                                                 ob["max_iterations"])
@@ -292,9 +292,8 @@ class Scenario:
                     f"mode count of the smaller end (J_bs = {counts['bs']}, "
                     f"J_ue = {counts['ue']})")
 
-        sur = self.sections["surfaces"]
-        self.surface_density = sur["density"]
-        self.surface_rtol = sur["rank_rtol"]
+        self.surface_density = self.sections["surfaces"]["density"]
+        self.surface_rtol = self.sections["surfaces"]["rank_rtol"]
 
         self.array_config = conventional.ArrayConfig(
             **self.sections["conventional"])
@@ -396,10 +395,11 @@ def _write_text(path, text):
 
 
 def render_csv(header, rows):
-    """CSV text of a mixed-type table: strings verbatim, numbers by _fmt."""
+    """CSV text of a mixed-type table: strings verbatim, None as an empty
+    cell, numbers by _fmt."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) if not isinstance(v, str) else v
-                          for v in row) for row in rows)
+    lines.extend(",".join(v if isinstance(v, str) else "" if v is None
+                          else _fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -423,6 +423,12 @@ class _ColumnText:
     separate strings take some four times the memory of their text.  So
     beyond the memo a write holds one chunk of cells per column, and never
     the table's every cell or line or its whole text.
+
+    The memo lives for the whole run, though some columns are never read
+    again.  A fresh memo per method holds less text at any time
+    (``codebook_sweep``, seed 0: 10.1 MB against 15.7 MB at run end), but
+    renders again what methods share, and no workload's peak RSS falls:
+    each peak is set before the artifact phase or inside a single method.
     """
 
     def __init__(self):
@@ -687,18 +693,17 @@ class _Point:
             header = head + [f"stream_{i + 1}_db" for i in range(db.shape[0])]
             writer.text.write(point_dir / fname, header, lead + list(db))
         writer.correlation(point_dir / "correlation.csv", self.r_norm)
-        payload = {"method": method["label"], "n_ue": int(n_ue),
-                   "report_m": int(self.report_m), "det_db": self.det_db,
-                   "capacity": self.report.as_dict()}
-        if "sub_shape" in self.extra:
-            payload["sub_shape"] = self.extra["sub_shape"]
-        _write_json(point_dir / "capacity.json", payload)
-        return {"method": method["label"], "n_ue": int(n_ue),
-                "m_opt": int(self.report.m_opt),
-                "capacity_bits": float(self.report.total),
-                "det_db": self.det_db, "report_m": int(self.report_m),
-                "artifacts": str(point_dir.relative_to(out_dir)),
-                **self.extra}
+        record = {"method": method["label"], "n_ue": int(n_ue),
+                  "m_opt": int(self.report.m_opt),
+                  "capacity_bits": float(self.report.total),
+                  "det_db": self.det_db, "report_m": int(self.report_m),
+                  "artifacts": str(point_dir.relative_to(out_dir)),
+                  **self.extra}
+        keep = ("method", "n_ue", "report_m", "det_db", "sub_shape")
+        _write_json(point_dir / "capacity.json",
+                    {"capacity": self.report.as_dict(),
+                     **{k: v for k, v in record.items() if k in keep}})
+        return record
 
 
 def _obpb_point(scenario, method, bundle, snr, writer):
@@ -741,6 +746,13 @@ def _conventional_point(scenario, method, n_ue, bundle, snr, writer):
                   writer.bs_tables,
                   [_element_pattern_db(beams, s) for s in writer.steering],
                   extra)
+
+
+# summary.csv's columns: header -> key of the point's manifest record
+_SUMMARY = {"method": "method", "n_ue": "n_ue", "m_opt": "m_opt",
+            "capacity_bits": "capacity_bits", "det_db": "det_db",
+            "report_m": "report_m", "converged": "converged",
+            "sub_shape": "sub_shape_label"}
 
 
 def run_scenario(scenario, echo=None):
@@ -803,14 +815,8 @@ def run_scenario(scenario, echo=None):
             say(f"{method['label']} N_UE={n_ue}: M_opt={rec['m_opt']} "
                 f"C={rec['capacity_bits']:.3f} det_db={rec['det_db']:.2f}")
 
-    summary_rows = [[p["method"], p["n_ue"], p["m_opt"], p["capacity_bits"],
-                     p["det_db"], p["report_m"],
-                     "" if p.get("converged") is None
-                     else ("true" if p["converged"] else "false"),
-                     p.get("sub_shape_label", "")] for p in points]
     _write_text(out_dir / "summary.csv", render_csv(
-        ["method", "n_ue", "m_opt", "capacity_bits", "det_db", "report_m",
-         "converged", "sub_shape"], summary_rows))
+        _SUMMARY, [[p.get(k) for k in _SUMMARY.values()] for p in points]))
 
     manifest = {
         "scenario_name": scenario.name,

@@ -148,6 +148,84 @@ def test_shipped_baseline_matches_benchmark_workload():
     assert shipped == workloads.scenario_tree("paper_baseline", 0)
 
 
+# every row of the scenario schema as (section, key, parser, default)
+_ROWS = [(name, key, parse, default)
+         for name, rows in scenario._SECTIONS.items()
+         for key, parse, default, _ in rows]
+
+
+@pytest.mark.parametrize("value", ["x", True, {"a": 1}],
+                         ids=["string", "bool", "mapping"])
+@pytest.mark.parametrize("section, key",
+                         [row[:2] for row in _ROWS],
+                         ids=[f"{row[0]}.{row[1]}" for row in _ROWS])
+def test_every_schema_row_rejects_a_wrong_type(tmp_path, section, key,
+                                               value):
+    import yaml
+    cfg = tmp_path / "typed.yaml"
+    cfg.write_text(yaml.safe_dump({"methods": ["obpb:plane"], "n_ue": [4],
+                                   section: {key: value}}))
+    with pytest.raises(scenario.ScenarioError) as exc:
+        scenario.load_scenario(cfg)
+    # ProfileParams validates the profile as a whole
+    anchor = "profile: " if section == "profile" else f"{section}: {key}"
+    assert str(exc.value).startswith(f"{cfg}: {anchor}")
+
+
+def _non_finite_cases():
+    """(scenario keys, expected error after the file name) for every number
+    row and every numeric profile row, at nan, inf and -inf."""
+    # an integer past the float range overflowed float()
+    cases = [pytest.param({"surfaces": {"density": 10 ** 400}},
+                          "surfaces: density: must be finite", id="huge-int")]
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        cases.append(pytest.param({"snr_db_siso": bad},
+                                  "snr_db_siso: must be finite",
+                                  id=f"snr_db_siso-{bad}"))
+        for section, key, parse, default in _ROWS:
+            if parse is scenario._number:
+                cases.append(pytest.param(
+                    {section: {key: bad}}, f"{section}: {key}: must be finite",
+                    id=f"{section}.{key}-{bad}"))
+            elif section == "profile" and not isinstance(default, str):
+                value = np.array(default, dtype=float)
+                value.flat[1] = bad
+                cases.append(pytest.param(
+                    {section: {key: value.tolist()}},
+                    "profile: means, sigmas and correlations must be finite",
+                    id=f"{section}.{key}-{bad}"))
+    return cases
+
+
+@pytest.mark.parametrize("keys, message", _non_finite_cases())
+def test_non_finite_numbers_fail_validation(tmp_path, capsys, keys, message):
+    # a nan SNR ran to exit 0 with nan capacities, an infinite density or a
+    # nan cut step ended in a traceback, and nan means or spreads passed
+    import yaml
+    cfg = tmp_path / "finite.yaml"
+    cfg.write_text(yaml.safe_dump({"methods": ["obpb:plane",
+                                               "full_array:power"],
+                                   "n_ue": [4], **keys}))
+    assert cli.main(["validate", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+
+def test_shipped_baseline_spells_every_schema_default():
+    # the README's claim: the shipped file documents every key at its
+    # library default, report_m apart
+    import yaml
+    path = Path(__file__).resolve().parent.parent / "scenarios" / \
+        "paper_baseline.yaml"
+    shipped = yaml.safe_load(path.read_text())
+    for name, rows in scenario._SECTIONS.items():
+        assert shipped[name] == {key: default
+                                 for key, _, default, _ in rows}, name
+    minimal = scenario.Scenario({key: shipped[key]
+                                 for key in ("name", "methods", "n_ue")})
+    assert minimal.snr_db_siso == shipped["snr_db_siso"]
+    assert (minimal.report_m, shipped["report_m"]) == (None, 4)
+
+
 def test_yaml_syntax_errors_carry_line_numbers(tmp_path):
     bad = tmp_path / "broken.yaml"
     bad.write_text("methods: [obpb:plane\nn_ue: [4]\n")
