@@ -6,10 +6,13 @@ set,
 
     C = sum_m log2(1 + snr / M * lambda_m(R_h)),
 
-with no waterfilling.  Rank adaptation re-selects the beam set for every
-candidate stream count (the correlation matrix family is a function of M)
-and returns the count maximizing the total, preferring fewer streams on
-ties.
+with no waterfilling.  Eigenvalues below 1e-12 of the largest are clamped
+to zero (the roundoff residue of a rank-deficient selection), and input
+that is not square, Hermitian and positive semidefinite is rejected.
+`rank_adapt` is the one place the sum is formed: it re-selects the beam set
+for every candidate stream count (the correlation matrix family is a
+function of M) and returns the count maximizing the total, preferring
+fewer streams on ties; the total at a single M is its ``per_m[M]``.
 """
 
 from dataclasses import dataclass
@@ -31,20 +34,6 @@ def _eigenvalues_checked(r_h):
     if lam[0] < 0 or lam[-1] < -_CLAMP_REL * max(lam[0], 1.0):
         raise ValueError("correlation matrix is not positive semidefinite")
     return np.where(lam < _CLAMP_REL * lam[0], 0.0, lam)
-
-
-def average_capacity(r_h, m, snr):
-    """Equal-power-split average capacity of an M-beam correlation matrix.
-
-    Eigenvalues below 1e-12 of the largest are clamped to zero (roundoff
-    residue of rank-deficient selections); non-PSD input is rejected.
-    """
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    lam = _eigenvalues_checked(r_h)
-    if lam.size != int(m):
-        raise ValueError("M must equal the correlation matrix dimension")
-    return float(np.sum(np.log2(1.0 + snr / int(m) * lam)))
 
 
 @dataclass
@@ -80,6 +69,8 @@ def rank_adapt(r_family, m_max, snr):
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    if snr <= 0:
+        raise ValueError("snr must be positive")
     per_m = {}
     best = None
     for m in range(1, int(m_max) + 1):

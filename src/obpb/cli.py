@@ -2,16 +2,20 @@
 
 Exit codes: 0 success, 1 configuration or input error, 2 scenario ran but at
 least one optimizer point did not converge (artifacts are still written).
-`validate` runs no compute, so it cannot see an ``obpb.m_max`` above a
-surface's radiatable rank: that needs the transfer matrix, and `run` reports
-it (exit 1) once the matrix is built, before anything is written.
+`validate` checks everything that reads neither a transfer matrix nor the
+nodal density, the theta nodes' resolution of the profile included.  So
+two errors only `run` reports (exit 1), before anything is written: an
+``obpb.m_max`` above a surface's radiatable rank, once the surface's
+transfer matrix is built, and a nodal density that overflows a float on
+the grids, which only a codebook method reads.  ``compare --out`` writes
+through the artifacts' text writer, which makes the file's directories.
 """
 
 import argparse
 import sys
 
 from .scenario import (ScenarioError, compare_manifests, load_scenario,
-                       render_csv, run_scenario)
+                       render_csv, run_scenario, write_text)
 
 
 def _build_parser():
@@ -65,8 +69,7 @@ def main(argv=None):
                                          baseline=args.baseline)
         text = render_csv(header, rows)
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            write_text(args.out, text)
             print(f"wrote {args.out}")
         else:
             sys.stdout.write(text)

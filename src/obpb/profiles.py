@@ -28,10 +28,12 @@ weighted marginal, and `total_power`, the normalization, is its k = 0 term
 summed over the Gauss-Legendre theta nodes.  No azimuth node enters: the
 phi integrals are exact, where a trapezoid sum over n_phi nodes would fold
 the harmonics |k| >= n_phi - 2N back in, with a weight of about
-exp(-sigma_phi^2 (n_phi - 2N)^2 / 2).
+exp(-sigma_phi^2 (n_phi - 2N)^2 / 2).  So `total_power` and
+`JointProfile.theta_refinement` read the theta rules alone, and a profile
+on grids of two phi nodes gives them to the last bit.
 
-The nodal density (`joint_matrix`, the marginals and `density`) sums the
-+-1 period images of both azimuths (nine terms).  Mean azimuths are wrapped
+The nodal density (`joint_matrix` and the two marginals) sums the +-1
+period images of both azimuths (nine terms).  Mean azimuths are wrapped
 into (-180, 180] deg, so every node's offset from the mean lies within 2 pi
 and the nearest dropped +-2 image is at least 3 pi - |mu_phi| away.
 `ProfileParams` rejects an end whose exp(-(3 pi - |mu_phi|)^2 / (2
@@ -370,25 +372,6 @@ class JointProfile:
                              "grids: the spreads are too narrow for the "
                              "nodes' offsets from the means")
         return total
-
-    def density(self, psi_bs, psi_ue):
-        """Pointwise joint density (+-1 images) over ``total_power``.
-
-        psi_bs and psi_ue are (..., 2) arrays of (theta, phi) in radians,
-        broadcast against each other in the leading dimensions.
-        """
-        psi_bs = np.asarray(psi_bs, dtype=float)
-        psi_ue = np.asarray(psi_ue, dtype=float)
-        shape = np.broadcast_shapes(psi_bs.shape[:-1], psi_ue.shape[:-1])
-        vb = (np.broadcast_to(psi_bs, shape + (2,)).reshape(-1, 2)
-              - self.params.mean[:2])
-        vu = (np.broadcast_to(psi_ue, shape + (2,)).reshape(-1, 2)
-              - self.params.mean[2:])
-        fb, fu = self._image_terms(vb, vu)
-        Abu = self._precision[:2, 2:]
-        cross = np.einsum("ni,ij,nj->n", vb, Abu, vu)
-        vals = np.exp(-cross) * np.sum(fb * fu, axis=1) / self.total_power
-        return vals.reshape(shape)
 
     def marginal_bs(self, ue_power):
         """BS-side marginal profile from a UE-side angular power density.

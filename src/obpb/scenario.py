@@ -11,22 +11,22 @@ Scenario points (method x N_UE) each write only into their own directory.
 The runner follows the structure the sweep already has.  What points share is
 built once up front, reduced to what the points read, and only read
 afterwards.  The joint profile holds only its precision matrix and grids;
-its theta nodes must resolve it (`THETA_REFINEMENT`), checked before
-anything else runs.  The optimizer reads it in closed-form azimuth
-harmonics.  The codebook element correlation takes its one product with
-the dense joint matrix, the nodal BS marginal, from row blocks of about
-1.2 MB, so the 680 MB matrix is never formed, and builds its steering
-matrix on the nodes that marginal keeps only.  The full-array greedy chains
-(selection is scale-invariant, so one chain at N_UE = 1 serves every N_UE)
-are all read from one Gram and keep only their beams and Gram block.  The
-codebook bundle is built before the OBPB bundle: the other way round, the
-codebook Gram mostly finds no freed block of the surface step to reuse,
-and the run peaks higher.  The OBPB surface projectors are built first (a
-stream count above a surface's rank fails there, before the optimizer
-runs), one at a time: each surface keeps only what projection reads (the
-plane's and the hemisphere's mirror-fixed P as its signed mode maps, the
-1/32-sphere's dense J x J P), and its transfer matrix Z goes before the
-next surface's is built.  Then the
+its theta nodes must resolve it (`THETA_REFINEMENT`), which the scenario
+checks when it loads, from the theta rules alone.  The optimizer reads it
+in closed-form azimuth harmonics.  The codebook element correlation takes
+its one product with the dense joint matrix, the nodal BS marginal, from
+row blocks of about 1.2 MB, so the 680 MB matrix is never formed, and
+builds its steering matrix on the nodes that marginal keeps only.  The
+full-array greedy chains (selection is scale-invariant, so one chain at
+N_UE = 1 serves every N_UE) are all read from one Gram and keep only their
+beams and Gram block.  The codebook bundle is built before the OBPB
+bundle: the other way round, the codebook Gram mostly finds no freed block
+of the surface step to reuse, and the run peaks higher.  The OBPB surface
+projectors are built first (a stream count above a surface's rank fails
+there, before the optimizer runs), one at a time: each surface keeps only
+what projection reads (the plane's and the hemisphere's mirror-fixed P as
+its signed mode maps, the 1/32-sphere's dense J x J P), and its transfer
+matrix Z goes before the next surface's is built.  Then the
 optimizer runs once per M from one `optimizer.Sweep`: both ends' field
 tables, and the dipole-seeded BS correlation with its top-m_max
 eigenbeams, whose first M start the run at M.  Each run is reduced as it
@@ -75,7 +75,7 @@ from . import __version__, capacity, conventional, correlation, optimizer
 from . import profiles, surfaces
 from .modes import (DIPOLE_SMN, FieldTable, ModeSet, mode_count_for_radius,
                     truncation_order)
-from .profiles import JointProfile, ProfileParams, make_grid
+from .profiles import DEG, JointProfile, ProfileParams, make_grid
 
 DB_FLOOR = 1e-20          # pattern power floor before 10*log10
 # largest relative change of the profile's total power when both theta
@@ -311,6 +311,15 @@ class Scenario:
             self._check_quadrature(
                 where, "bs", f"the {cfg.n_v} x {cfg.n_h} array",
                 truncation_order(r_max) if r_max > 0 else 0)
+        # the refinement reads the theta rules alone, so the bs and ue grids
+        # (in schema order) are built with two phi nodes
+        grids = (make_grid(n, 2) for n, _ in self.quadrature.values())
+        change = JointProfile(self.profile_params, *grids).theta_refinement()
+        if not change <= THETA_REFINEMENT:
+            raise ScenarioError(
+                f"{where}: profile: theta nodes too coarse for the spreads: "
+                f"the total power moves by {change:.2g} of itself when the "
+                f"theta nodes double (limit {THETA_REFINEMENT:g})")
 
     def _check_quadrature(self, where, side, what, n):
         """Gauss-Legendre in cos(theta) and the n_phi-point trapezoid
@@ -385,11 +394,12 @@ def _fmt(value):
 
 
 def _open_text(path):
-    path.parent.mkdir(parents=True, exist_ok=True)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _write_text(path, text):
+def write_text(path, text):
+    """Write text as UTF-8 with newline endings, making its directories."""
     with _open_text(path) as fh:
         fh.write(text)
 
@@ -457,8 +467,8 @@ class _ColumnText:
 
 def _write_json(path, obj):
     # numpy arrays and scalars go in as the plain values of their tolist()
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True,
-                                 default=lambda value: value.tolist()) + "\n")
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True,
+                                default=lambda value: value.tolist()) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +523,8 @@ def _cut_directions(step_deg):
     on the phi = 180 half.
     """
     angles = np.arange(-180.0, 180.0 + 0.5 * step_deg, step_deg)
-    deg = np.pi / 180.0
-    phi_cut = (angles, np.full(angles.size, 0.5 * np.pi), angles * deg)
-    theta_cut = (angles, np.abs(angles) * deg,
+    phi_cut = (angles, np.full(angles.size, 0.5 * np.pi), angles * DEG)
+    theta_cut = (angles, np.abs(angles) * DEG,
                  np.where(angles >= 0.0, 0.0, np.pi))
     return phi_cut, theta_cut
 
@@ -524,8 +533,7 @@ def _grid_directions(step_deg):
     theta = np.arange(0.0, 180.0 + 0.5 * step_deg, step_deg)
     phi = np.arange(-180.0, 180.0 + 0.5 * step_deg, step_deg)
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    deg = np.pi / 180.0
-    return tt.ravel(), pp.ravel(), tt.ravel() * deg, pp.ravel() * deg
+    return tt.ravel(), pp.ravel(), tt.ravel() * DEG, pp.ravel() * DEG
 
 
 class _ArtifactWriter:
@@ -769,15 +777,9 @@ def run_scenario(scenario, echo=None):
     profile = JointProfile(scenario.profile_params,
                            make_grid(*scenario.quadrature["bs"]),
                            make_grid(*scenario.quadrature["ue"]))
-    # a profile too narrow for the theta nodes passes validation, which
-    # builds no grid
-    change = profile.theta_refinement()
-    if not change <= THETA_REFINEMENT:
-        raise ScenarioError(
-            f"{scenario.source}: profile: theta nodes too coarse for the "
-            f"spreads: the total power moves by {change:.2g} of itself when "
-            f"the theta nodes double (limit {THETA_REFINEMENT:g})")
     snr = correlation.calibrated_snr(profile, scenario.snr_db_siso)
+    if not 0.0 < snr < np.inf:      # the calibration left the float range
+        raise ScenarioError(f"{scenario.source}: snr_db_siso: out of range")
     say(f"profile on {scenario.quadrature['bs']} x "
         f"{scenario.quadrature['ue']} grids, snr = {snr:.6g}")
 
@@ -815,7 +817,7 @@ def run_scenario(scenario, echo=None):
             say(f"{method['label']} N_UE={n_ue}: M_opt={rec['m_opt']} "
                 f"C={rec['capacity_bits']:.3f} det_db={rec['det_db']:.2f}")
 
-    _write_text(out_dir / "summary.csv", render_csv(
+    write_text(out_dir / "summary.csv", render_csv(
         _SUMMARY, [[p.get(k) for k in _SUMMARY.values()] for p in points]))
 
     manifest = {
@@ -920,16 +922,15 @@ def compare_manifests(paths, baseline=None):
     manifests = []
     for path in paths:
         try:
-            with open(path, encoding="utf-8") as fh:
-                manifests.append((str(path), json.load(fh)))
+            man = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ScenarioError(f"{path}: {exc.strerror or exc}") from None
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    for path, man in manifests:
-        if "points" not in man or "resolved" not in man:
+        if not isinstance(man, dict) or not {"points", "resolved"} <= set(man):
             raise ScenarioError(f"{path}: not a run manifest "
                                 "(missing points/resolved)")
+        manifests.append((str(path), man))
 
     reference_profile = manifests[0][1]["resolved"]["profile"]
     if baseline is None:

@@ -35,7 +35,8 @@ sum_g a_g sign_g * q[perm_g]: no J x J matrix is formed unless ``p_op`` is
 read.  The 1/32-sphere's classes are reached only in part (its narrow Z has
 fewer columns than each class has modes); it and every other such case
 take the SVD of the whole Z, whose projector depends on roundoff where
-the spectrum decays without a cliff, and keep that dense U_r U_r^H.
+the spectrum decays without a cliff, and keep that dense U_r U_r^H, or
+the identity term when a wide Z is taken whole at full rank.
 
 Surfaces all fit inside the sphere of radius r0 that encloses the reference
 square aperture: the through-center plane of side sqrt(2) r0, spherical caps
@@ -71,12 +72,6 @@ class AntennaSurface:
         self.theta_c = theta_c
         self.phi_c = phi_c
         self.center_x = float(center_x)
-
-    def __repr__(self):
-        if self.kind == "plane":
-            return f"AntennaSurface(plane, side={self.side:.4g})"
-        return (f"AntennaSurface(cap, R={self.radius:.4g}, "
-                f"theta_c={self.theta_c:.4g}, phi_c={self.phi_c:.4g})")
 
 
 def plane_surface(r0):
@@ -294,7 +289,8 @@ class ProjectionOperator:
     1/32-sphere) or a loose rtol among them, takes the whole-Z path
     `_singular`, to the last bit as without mirrors, and ``projector``
     holds the dense U_r U_r^H.  There a wide Z of full rank r = J has a
-    unitary U_r, so P_op = I exactly as well.
+    unitary U_r, so P_op = I exactly as well, and ``projector`` holds the
+    class path's identity term (1, identity, +1): P = I has one form.
 
     The pseudoinverse is built from a full SVD of Z on first use only.
     """
@@ -309,7 +305,8 @@ class ProjectionOperator:
             return
         self.singular_values, u = _singular(z, rtol)
         self.rank = r = _rank(self.singular_values, rtol)
-        self.projector = (np.eye(z.shape[0], dtype=complex) if u is None
+        j = z.shape[0]
+        self.projector = ([(1.0, np.arange(j), np.ones(j))] if u is None
                           else u[:, :r] @ u[:, :r].conj().T)
 
     @property

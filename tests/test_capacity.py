@@ -9,32 +9,37 @@ from obpb import capacity
 def test_average_capacity_hand_value():
     r = np.diag([3.0, 1.0]).astype(complex)
     # snr/M = 1: log2(4) + log2(2) = 3 bits
-    assert capacity.average_capacity(r, 2, 2.0) == pytest.approx(3.0)
+    report = capacity.rank_adapt(lambda m: r[:m, :m], 2, 2.0)
+    assert report.per_m[2] == pytest.approx(3.0)
 
 
 def test_average_capacity_single_stream():
-    assert capacity.average_capacity(np.array([[7.0]]), 1, 1.0) \
+    assert capacity.rank_adapt(lambda m: np.array([[7.0]]), 1, 1.0).total \
         == pytest.approx(3.0)
 
 
 def test_roundoff_eigenvalues_are_clamped():
     r = np.diag([1.0, -1e-15]).astype(complex)
     # the tiny negative eigenvalue is roundoff residue, treated as rank loss
-    c = capacity.average_capacity(r, 2, 2.0)
+    c = capacity.rank_adapt(lambda m: r[:m, :m], 2, 2.0).per_m[2]
     assert c == pytest.approx(1.0)  # log2(1 + 1) from the surviving stream
 
 
 def test_average_capacity_input_checks():
-    with pytest.raises(ValueError):
-        capacity.average_capacity(np.diag([1.0, -0.5]), 2, 1.0)  # not PSD
-    with pytest.raises(ValueError):
-        capacity.average_capacity(np.array([[1.0, 1.0], [0.0, 1.0]]), 2, 1.0)
-    with pytest.raises(ValueError):
-        capacity.average_capacity(np.eye(2), 2, 0.0)   # snr
-    with pytest.raises(ValueError):
-        capacity.average_capacity(np.eye(3), 2, 1.0)   # m mismatch
-    with pytest.raises(ValueError):
-        capacity.average_capacity(np.ones((2, 3)), 2, 1.0)
+    def adapt(r, snr=1.0):
+        # r at M = 2; M = 1 reads its leading entry
+        return capacity.rank_adapt(lambda m: r if m == 2 else r[:1, :1],
+                                   2, snr)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        adapt(np.diag([1.0, -0.5]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        adapt(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="snr must be positive"):
+        adapt(np.eye(2), 0.0)
+    with pytest.raises(ValueError, match="returned dimension 3"):
+        adapt(np.eye(3))
+    with pytest.raises(ValueError, match="square"):
+        adapt(np.ones((2, 3)))
 
 
 def test_rank_adapt_prefers_more_streams_when_power_is_free():

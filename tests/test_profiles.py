@@ -124,17 +124,6 @@ def test_dense_assembly_does_not_depend_on_the_row_block(desk_profile,
         assert np.array_equal(desk_profile.joint_matrix, joint)
 
 
-def test_joint_density_wraps_in_azimuth(desk_profile):
-    # shift invariance holds up to the +/- one-period image truncation; with
-    # the widest sigma at 48 degrees the dropped image is below 1e-10 relative
-    theta_b, phi_b = 1.4, 0.3
-    theta_u, phi_u = 1.6, -0.3
-    base = desk_profile.density((theta_b, phi_b), (theta_u, phi_u))
-    wrapped = desk_profile.density((theta_b, phi_b + 2.0 * np.pi),
-                                   (theta_u, phi_u - 2.0 * np.pi))
-    assert abs(base - wrapped) < 1e-6 * abs(base)
-
-
 def test_marginals_preserve_total_power(desk_profile):
     # integrating the marginal against the weights recovers the full double
     # integral of P * u, for a flat far-side pattern u = 1 that is exactly 1

@@ -210,6 +210,20 @@ def test_non_finite_numbers_fail_validation(tmp_path, capsys, keys, message):
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
 
+def test_snr_that_underflows_is_a_scenario_error(tmp_path, capsys):
+    # -4000 dB calibrates to a transmit snr of 0.0, which rank adaptation
+    # rejects; the run reports it at the key and writes nothing
+    out = tmp_path / "out"
+    cfg = tmp_path / "snr.yaml"
+    cfg.write_text(SMOKE_YAML.format(out=out) + "snr_db_siso: -4000\n")
+    assert cli.main(["validate", str(cfg)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {cfg}: snr_db_siso: out of range\n"
+    assert not out.exists()
+
+
 def test_shipped_baseline_spells_every_schema_default():
     # the README's claim: the shipped file documents every key at its
     # library default, report_m apart
@@ -667,12 +681,12 @@ def test_sub_array_rules_run_side_by_side(tmp_path):
 
 
 def test_profile_overflow_is_a_scenario_error(tmp_path, capsys):
-    # sigma = 0.5 deg on all four angles passes validation, which builds no
-    # grid, but the run's theta nodes miss it: the run reports it like any
-    # configuration error and writes nothing, whether a codebook or only an
-    # OBPB method is asked for.  A +-178 deg, 4 deg / 8 deg profile passes
-    # the theta rule, but its nodal density, which the codebook path reads,
-    # overflows a float on these grids
+    # the theta nodes miss sigma = 0.5 deg on all four angles: validation
+    # reports it from the theta rules alone, whether a codebook or only an
+    # OBPB method is asked for, and the run writes nothing.  A +-178 deg,
+    # 4 deg / 8 deg profile passes the theta rule and validation, but its
+    # nodal density, which the codebook path reads, overflows a float on
+    # these grids: only the run sees it
     narrow = "profile: {sigma: [0.5, 0.5, 0.5, 0.5]}\n"
     near_pi = ("profile: {mean_bs: [90, 178], mean_ue: [90, -178], "
                "sigma: [4, 8, 4, 8]}\n")
@@ -680,20 +694,21 @@ def test_profile_overflow_is_a_scenario_error(tmp_path, capsys):
                 "conventional: {n_v: 4, n_h: 4, beam_interval: 2}\n")
     obpb_only = ("methods: [obpb:optimal]\nobpb: {m_max: 2}\n"
                  "antenna: {bs_aperture_side: 1.0, ue_aperture_side: 0.5}\n")
-    for name, (profile, methods, grids, message) in {
+    for name, (profile, methods, grids, message, valid) in {
             "narrow_codebook": (narrow, codebook, "[24, 48], ue: [24, 48]",
-                                "theta nodes too coarse for the spreads"),
+                                "theta nodes too coarse for the spreads", 1),
             "narrow_obpb": (narrow, obpb_only, "[24, 48], ue: [24, 48]",
-                            "theta nodes too coarse for the spreads"),
+                            "theta nodes too coarse for the spreads", 1),
             "near_pi_codebook": (near_pi, codebook, "[48, 96], ue: [24, 48]",
-                                 "profile density overflows a float"),
+                                 "profile density overflows a float", 0),
     }.items():
         cfg = tmp_path / f"{name}.yaml"
         out = tmp_path / name
         cfg.write_text(f"output_dir: {out}\nn_ue: [2]\n"
                        f"quadrature: {{bs: {grids}}}\n{profile}{methods}")
-        assert cli.main(["validate", str(cfg)]) == 0
-        capsys.readouterr()
+        assert cli.main(["validate", str(cfg)]) == valid, name
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: profile: {message}" if valid else ""), name
         assert cli.main(["run", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(
             f"error: {cfg}: profile: {message}"), name
@@ -733,10 +748,12 @@ def test_quadrature_too_coarse_for_the_modes(tmp_path):
 def test_quadrature_too_coarse_for_the_array(tmp_path):
     # the element phases exp(j 2 pi r^ . x_n) reach harmonic order
     # N = floor(2 pi |x_n|): 6 at the corner of a 4 x 4 half-wavelength
-    # array, 15 for 8 x 8; only the BS grid integrates them
+    # array, 15 for 8 x 8; only the BS grid integrates them.  30 deg theta
+    # spreads pass the theta rule on these few theta nodes
     path = tmp_path / "array.yaml"
     small = ("methods: [full_array:power, sub_array]\nn_ue: [4]\n"
-             "conventional: {n_v: 4, n_h: 4}\n")
+             "conventional: {n_v: 4, n_h: 4}\n"
+             "profile: {sigma: [30, 21, 30, 48]}\n")
     for grid, ok in (([7, 13], True), ([6, 13], False), ([7, 12], False)):
         path.write_text(small + f"quadrature: {{bs: {grid}, ue: [2, 2]}}\n")
         if ok:
@@ -747,6 +764,7 @@ def test_quadrature_too_coarse_for_the_array(tmp_path):
                                  r": needs n_theta >= 7 and n_phi >= 13$"):
             scenario.load_scenario(path)
     path.write_text("methods: [sub_array]\nn_ue: [4]\n"
+                    "profile: {sigma: [30, 21, 30, 48]}\n"
                     "quadrature: {bs: [16, 31], ue: [2, 2]}\n")
     assert scenario.load_scenario(path).quadrature["bs"] == (16, 31)
 
@@ -1025,6 +1043,20 @@ def test_cli_compare(smoke_run, tmp_path, capsys):
             assert float(cells[ratio_col]) == pytest.approx(1.0)
 
 
+def test_cli_compare_out_makes_its_directories(smoke_run, tmp_path, capsys):
+    # --out goes through the artifacts' text writer: a missing directory is
+    # made (it ended in a FileNotFoundError traceback), and the file holds
+    # the bytes compare prints without --out
+    _, outcome = smoke_run
+    args = ["compare", str(outcome.manifest_path), str(outcome.manifest_path)]
+    assert cli.main(args) == 0
+    printed = capsys.readouterr().out
+    out_csv = tmp_path / "new" / "dir" / "cmp.csv"
+    assert cli.main(args + ["--out", str(out_csv)]) == 0
+    assert capsys.readouterr().out == f"wrote {out_csv}\n"
+    assert out_csv.read_bytes() == printed.encode()
+
+
 def test_cli_compare_needs_two_manifests(smoke_run, capsys):
     _, outcome = smoke_run
     assert cli.main(["compare", str(outcome.manifest_path)]) == 1
@@ -1042,9 +1074,11 @@ def test_cli_compare_rejects_unknown_baseline(smoke_run, tmp_path, capsys):
 
 
 def test_cli_compare_rejects_non_manifest_json(smoke_run, tmp_path, capsys):
+    # JSON that is not a mapping ended in a TypeError traceback
     _, outcome = smoke_run
     stray = tmp_path / "stray.json"
-    stray.write_text("{\"hello\": 1}\n")
-    rc = cli.main(["compare", str(outcome.manifest_path), str(stray)])
-    assert rc == 1
-    assert "not a run manifest" in capsys.readouterr().err
+    for text in ("{\"hello\": 1}\n", "3\n", "[\"points\", \"resolved\"]\n"):
+        stray.write_text(text)
+        rc = cli.main(["compare", str(outcome.manifest_path), str(stray)])
+        assert rc == 1
+        assert "not a run manifest" in capsys.readouterr().err

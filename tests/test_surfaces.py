@@ -323,6 +323,28 @@ def test_class_path_operator_holds_no_dense_projector(small_plane_op,
     assert np.array_equal(hemi.p_op, np.eye(hemi.mode_count))
 
 
+def test_whole_z_at_full_rank_keeps_the_identity_term(reachable):
+    # a hemisphere taken whole, without its mirrors, is wide and full rank:
+    # its P = I has the class path's one form, the identity term, and no
+    # J x J array is held until p_op is read
+    modeset = ModeSet(truncation_order=3)
+    z = surfaces.build_z(modeset, surfaces.sample_surface(
+        surfaces.hemisphere_surface(1.0 / np.sqrt(2.0)))).z
+    op = surfaces.ProjectionOperator(z)
+    j = modeset.mode_count
+    assert z.shape[1] > j and op.rank == j
+    [(a_g, perm, sign)] = op.projector
+    assert a_g == 1.0
+    assert np.array_equal(perm, np.arange(j))
+    assert np.array_equal(sign, np.ones(j))
+    held = [o for o in reachable(op) if isinstance(o, np.ndarray)]
+    assert held and all(a.shape != (j, j) for a in held)
+    assert op.p_op.tobytes() == np.eye(j, dtype=complex).tobytes()
+    q = np.random.default_rng(3).standard_normal((j, 2)) + 0j
+    assert np.array_equal(surfaces.project(op, q),
+                          q / np.linalg.norm(q, axis=0))
+
+
 def _x_even_projector(modeset):
     """(I + sigma_x) / 2, sigma_x the signed mode map of x -> -x."""
     perm, sign = modeset.mirror(0)
