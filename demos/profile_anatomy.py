@@ -29,8 +29,7 @@ def theta_cut(profile, side):
     """Per-theta-band marginal mass under an isotropic far side, normalized:
     the k = 0 column of the side's weighted azimuth harmonics, whose phi
     integral is exact."""
-    grid, far = ((profile.bs_grid, profile.ue_grid) if side == "bs"
-                 else (profile.ue_grid, profile.bs_grid))
+    grid, far, _ = profile.link_end(side)
     mass = profile.weighted_harmonics(np.ones((far.shape[0], 1)), side,
                                       0)[:, 0].real
     return grid.theta_nodes, mass / mass.sum()

@@ -19,41 +19,32 @@ marginal, |k| <= 2N,
 
 `mode_correlation` forms them from a marginal on the grid's nodes; the
 optimizer takes them from `profiles.JointProfile.weighted_harmonics`, whose
-closed form is the exact phi integral.  From D, `harmonic_correlation`
-builds the rows of the modes with azimuthal order m_a as one theta-only
-product per polarization component,
+closed form is the exact phi integral.  From D, the `modes.FieldTable` of
+the theta nodes (its fields at phi = 0, T) builds the rows of the modes
+with azimuthal order m_a as one theta-only product per polarization
+component,
 
     R[a, :] = T_a (D[:, m_a - m] * T^*)^T,
 
-with T the (J, n_theta) fields at phi = 0 (a `modes.FieldTable`) and the
-column m_a - m_j of D picked for every mode j.  R is Hermitian, so each of
-the 2N + 1 products takes only the columns of order m_j >= m_a, and the
-blocks below the diagonal are their mirrors.
+with the column m_a - m_j of D picked for every mode j
+(`FieldTable.correlation`).  The table also owns which components a
+polarization reads and how its rows are stored; this module reads neither.
+The Hermitian-part rule (`hermitian_part`) lives in `modes`, beside the
+mode correlation that uses it, and is re-exported here.
 """
 
 import numpy as np
 
 from . import modes as modes_mod
+# the one Hermitian-part rule, re-exported: the beam, element and codebook
+# correlations read it from here
+from .modes import hermitian_part  # noqa: F401
 
 _DB = 10.0 / np.log(10.0)
 
 # marginal profiles are quadratures of nonnegative integrands: anything more
 # negative than this (relative to the peak) indicates a caller bug
 _NEGATIVE_TOL = 1e-10
-
-
-def hermitian_part(g, h=None):
-    """0.5 (G + H^H), in place in G; H is G itself unless given.
-
-    The one Hermitian-part rule of every mode correlation block, beam and
-    element correlation, codebook Gram and Rayleigh-Ritz matrix.  Every Gram
-    entry the selections read goes through these two operations, so an
-    entry assembled from the products G_gh and G_hg of two groups equals
-    the dense Gram's entry to the last bit.
-    """
-    g += (g if h is None else h).conj().T
-    g *= 0.5
-    return g
 
 
 def mode_correlation(modeset, marginal, grid, polarization="theta",
@@ -66,13 +57,14 @@ def mode_correlation(modeset, marginal, grid, polarization="theta",
     modeset : ModeSet
     marginal : (n_nodes,) nonnegative marginal power profile on the grid
     grid : DirectionGrid carrying the quadrature weights
-    polarization : 'theta' keeps only theta components, 'full' both
+    polarization : 'theta' keeps only theta components, 'full' both; any
+        other value raises ValueError
     prune_tol : nodes whose weighted power is at most prune_tol times the
         peak are given zero weight
 
-    The phi sum of the weighted marginal gives its harmonics D, and
-    `harmonic_correlation` assembles R from them on a `modes.FieldTable`
-    of the grid's theta nodes.  Returns the (J, J) Hermitian PSD matrix.
+    The phi sum of the weighted marginal gives its harmonics D, from which
+    the `modes.FieldTable` of the grid's theta nodes assembles R
+    (`FieldTable.correlation`).  Returns the (J, J) Hermitian PSD matrix.
     """
     marginal = np.asarray(marginal, dtype=float)
     peak = marginal.max() if marginal.size else 0.0
@@ -83,44 +75,8 @@ def mode_correlation(modeset, marginal, grid, polarization="theta",
     nmax = modeset.truncation_order
     k = np.arange(-2 * nmax, 2 * nmax + 1)
     d = wm.reshape(grid.shape) @ np.exp(1j * np.outer(grid.phi_nodes, k))
-    table = modes_mod.FieldTable(modeset, grid.theta_nodes)
-    return harmonic_correlation(table, d, polarization)
-
-
-def harmonic_correlation(table, d, polarization="theta"):
-    """Spherical-mode correlation matrix from the azimuth harmonics of the
-    weighted marginal.
-
-    table: the `modes.FieldTable` of the ModeSet on the theta nodes; d: the
-    (n_theta, 4N + 1) harmonics D[theta, k + 2N], k = -2N .. 2N, from
-    `mode_correlation`'s phi sum or from
-    `profiles.JointProfile.weighted_harmonics`.
-
-    The table stores the rows of each order m_a as one block, and only the
-    blocks of rows of order m_a and columns of order m_b >= m_a are
-    computed, from the table's rows at and after that block: about half of
-    the matrix.  Each block below is the conjugate transpose of its mirror
-    above, and each diagonal block (m_b = m_a) is replaced by its Hermitian
-    part, so R comes out exactly Hermitian with a real diagonal.  Blocks
-    are scattered straight into R's flat-index order through the table's
-    ``order_rows``: no other (J, J) array is formed.
-
-    Returns the (J, J) Hermitian matrix.
-    """
-    modeset = table.modeset
-    nmax = modeset.truncation_order
-    rows, starts = table.order_rows, table.order_starts
-    m_rows = modeset.m[rows]
-    t = table.components(polarization)
-    r = np.empty((modeset.mode_count,) * 2, dtype=complex)
-    for m_a, lo, hi in zip(range(-nmax, nmax + 1), starts[:-1], starts[1:]):
-        a, above = rows[lo:hi], rows[hi:]
-        cols = m_a - m_rows[lo:] + 2 * nmax          # k = m_a - m_j per mode j
-        block = sum(tc[lo:hi] @ (d[:, cols] * tc[lo:].conj().T) for tc in t)
-        r[np.ix_(a, a)] = hermitian_part(block[:, :a.size])
-        r[np.ix_(a, above)] = block[:, a.size:]
-        r[np.ix_(above, a)] = block[:, a.size:].conj().T
-    return r
+    return modes_mod.FieldTable(modeset, grid.theta_nodes,
+                                polarization).correlation(d)
 
 
 def beam_correlation(q, r_sph):

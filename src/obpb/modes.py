@@ -26,6 +26,17 @@ tangential part is K_smn times a per-mode radial scalar,
 
 and the s = 2 modes add a radial component n(n+1)/(kr) j_n(kr) Pb r^.  All
 lengths are in wavelengths, so k r = 2 pi r.
+
+Every mode separates as K_j(theta, phi) = K_j(theta, 0) e^(i m_j phi).
+`FieldTable` holds a ModeSet's fields at phi = 0 on a list of theta nodes
+and owns that layer: how the rows are grouped by azimuthal order, which
+field components a polarization ('theta' or 'full') reads, and the three
+products the pipeline reads from them, the beams' pattern power on a
+theta x phi product (`FieldTable.beam_power`), its azimuth harmonics
+(`FieldTable.power_harmonics`) and the mode correlation from the azimuth
+harmonics of a weighted marginal (`FieldTable.correlation`).  No other
+module reads the table's layout.  `hermitian_part`, the one Hermitian-part
+rule of every correlation, lives here beside the mode correlation.
 """
 
 import numpy as np
@@ -224,42 +235,136 @@ def far_field_matrix(modes, theta, phi):
     return _fields_by_order(modes, theta, phi)[:2]
 
 
+def check_polarization(polarization):
+    """The polarization, unless it is neither 'theta' (the theta field
+    components alone) nor 'full' (both): then ValueError.  The one rule of
+    every reader of a polarization."""
+    if polarization not in ("theta", "full"):
+        raise ValueError("polarization is 'theta' or 'full'")
+    return polarization
+
+
+def hermitian_part(g, h=None):
+    """0.5 (G + H^H), in place in G; H is G itself unless given.
+
+    The one Hermitian-part rule of every mode correlation block, beam and
+    element correlation, codebook Gram and Rayleigh-Ritz matrix
+    (`correlation` re-exports it).  Every Gram entry the selections read
+    goes through these two operations, so an entry assembled from the
+    products G_gh and G_hg of two groups equals the dense Gram's entry to
+    the last bit.
+    """
+    g += (g if h is None else h).conj().T
+    g *= 0.5
+    return g
+
+
 class FieldTable:
-    """A ModeSet's far fields at phi = 0 on a list of theta nodes, stored
-    in blocks of one azimuthal order.
+    """A ModeSet's far fields at phi = 0 on a list of theta nodes, and the
+    pattern powers and mode correlations on products of those nodes with
+    any phi nodes.
 
     Every mode separates as K_j(theta, phi) = K_j(theta, 0) e^(i m_j phi),
     so this (J, n_theta) table and the azimuthal order of each row are all
-    that the pattern powers and mode correlations on a product grid over
-    those theta nodes read.  Nothing in it depends on the beams or the
-    profile, so one table per (ModeSet, theta nodes) serves a whole run.
+    that `beam_power`, `power_harmonics` and `correlation` read.  Nothing
+    in it depends on the beams or the profile, so one table per (ModeSet,
+    theta nodes, polarization) serves a whole run.
 
-    Attributes: ``modeset``; ``k_theta`` and ``k_phi``, each (J, n_theta),
-    the rows of `far_field_matrix` sorted by their order m_j (a stable
-    sort, so the flat index ascends inside each order); ``order_rows``,
-    the 0-based flat index of each stored row; and ``order_starts``, where
-    each order m = -N .. N starts (2N + 2 entries, the last J), so the
-    rows of order m are stored at ``order_starts[m + N]:order_starts[m + N
-    + 1]``.
+    polarization: 'theta' keeps only the theta components, which then are
+    all that every product reads; 'full' keeps both and sums over them.
+    Any other value raises ValueError (`check_polarization`).  The table
+    stores the rows of `far_field_matrix` sorted by their order m_j (a
+    stable sort, so the flat index ascends inside each order), so the rows
+    of each order m = -N .. N form one contiguous block; that layout is
+    private, and every product takes and returns modes in flat-index
+    order.
     """
 
-    def __init__(self, modeset, theta_nodes):
+    def __init__(self, modeset, theta_nodes, polarization):
+        check_polarization(polarization)
         self.modeset = modeset
-        theta_nodes = np.asarray(theta_nodes, dtype=float)
         nmax = modeset.truncation_order
-        self.order_rows = np.argsort(modeset.m, kind="stable")
-        self.order_starts = np.searchsorted(modeset.m[self.order_rows],
-                                            np.arange(-nmax, nmax + 2))
-        kth, kph = far_field_matrix(modeset, theta_nodes,
-                                    np.zeros_like(theta_nodes))
-        self.k_theta, self.k_phi = kth[self.order_rows], kph[self.order_rows]
+        fields = far_field_matrix(modeset, theta_nodes,
+                                  np.zeros_like(theta_nodes))
+        # the flat index and the order of each stored row, and each order's
+        # block of rows as (m, first row, end)
+        self._rows = np.argsort(modeset.m, kind="stable")
+        self._m = modeset.m[self._rows]
+        self._blocks = [(m, *np.searchsorted(self._m, [m, m + 1]))
+                        for m in range(-nmax, nmax + 1)]
+        self._fields = [k[self._rows]
+                        for k in fields[:1 if polarization == "theta" else 2]]
 
-    def components(self, polarization):
-        """The field components a polarization reads: theta only under
-        'theta', both under 'full'."""
-        if polarization == "full":
-            return self.k_theta, self.k_phi
-        return (self.k_theta,)
+    def _order_sums(self, q):
+        """Per field component, the beams summed per azimuthal order,
+        a(theta, m) = sum_{m_j = m} q_j K_j(theta, 0): (M, n_theta, 2N + 1)
+        arrays, m = -N .. N.  Each order's rows are one block, so each is
+        one small product with the same rows of q."""
+        q = np.atleast_2d(np.asarray(q).T).T[self._rows]          # (J, M)
+        return [np.stack([q[lo:hi].T @ k[lo:hi] for _, lo, hi in self._blocks],
+                         axis=-1) for k in self._fields]
+
+    def beam_power(self, q, phi_nodes):
+        """Radiated power |q^T K|^2 of each beam on the product of the
+        table's theta nodes with phi_nodes (a 1-D angle list in radians).
+
+        q: (J,) or (J, M) beam coefficients.  The beams are summed per
+        azimuthal order on the theta nodes and expanded in azimuth as
+        a @ e^(i m phi).  Returns (M, n_theta, n_phi).
+        """
+        nmax = self.modeset.truncation_order
+        azim = np.exp(1j * np.outer(np.arange(-nmax, nmax + 1), phi_nodes))
+        return sum(np.abs(a @ azim) ** 2 for a in self._order_sums(q))
+
+    def power_harmonics(self, q):
+        """Azimuth harmonics of a beam set's total radiated power.
+
+        The power sum_beams |sum_m a(theta, m) e^(i m phi)|^2 of
+        `beam_power` is a trigonometric polynomial of degree 2N in phi
+        with the coefficients P[theta, j + 2N] = sum_beams sum_m a(theta,
+        m) a^*(theta, m - j), j = -2N .. 2N, on the table's theta nodes.
+        Returns (n_theta, 4N + 1), the input of
+        `profiles.JointProfile.weighted_harmonics`.
+        """
+        nmax = self.modeset.truncation_order
+        # s[theta, m, m'] = sum_beams a(theta, m) a^*(theta, m')
+        s = sum(at @ at.conj().transpose(0, 2, 1)
+                for at in (a.transpose(1, 2, 0) for a in self._order_sums(q)))
+        return np.stack([np.trace(s, offset=-j, axis1=1, axis2=2)
+                         for j in range(-2 * nmax, 2 * nmax + 1)], axis=1)
+
+    def correlation(self, d):
+        """Spherical-mode correlation matrix from the azimuth harmonics of
+        the weighted marginal.
+
+        d: the (n_theta, 4N + 1) harmonics D[theta, k + 2N], k = -2N ..
+        2N, on the table's theta nodes, from
+        `correlation.mode_correlation`'s phi sum or from
+        `profiles.JointProfile.weighted_harmonics`.  The rows of order m_a
+        are R[a, :] = T_a (D[:, m_a - m] * T^*)^T, summed over the
+        polarization's components, with T the table's fields.
+
+        Only the blocks of rows of order m_a and columns of order m_b >=
+        m_a are computed, from the stored rows at and after that block:
+        about half of the matrix.  Each block below is the conjugate
+        transpose of its mirror above, and each diagonal block (m_b = m_a)
+        is replaced by its Hermitian part, so R comes out exactly Hermitian
+        with a real diagonal.  Blocks are scattered straight into R's
+        flat-index order: no other (J, J) array is formed.
+
+        Returns the (J, J) Hermitian matrix.
+        """
+        nmax, rows = self.modeset.truncation_order, self._rows
+        r = np.empty((rows.size,) * 2, dtype=complex)
+        for m_a, lo, hi in self._blocks:
+            a, above = rows[lo:hi], rows[hi:]
+            cols = m_a - self._m[lo:] + 2 * nmax    # k = m_a - m_j per mode j
+            block = sum(k[lo:hi] @ (d[:, cols] * k[lo:].conj().T)
+                        for k in self._fields)
+            r[np.ix_(a, a)] = hermitian_part(block[:, :a.size])
+            r[np.ix_(a, above)] = block[:, a.size:]
+            r[np.ix_(above, a)] = block[:, a.size:].conj().T
+        return r
 
 
 def _fields_by_order(modes, theta, phi, radial=None):
@@ -315,12 +420,9 @@ def radial_factors(nmax, kr):
 
     kr = np.maximum(np.asarray(kr, dtype=float), 1e-9)
     ns = np.arange(1, nmax + 1)[:, None]
-    jn = np.stack([spherical_jn(n, kr) for n in range(1, nmax + 1)])
-    jnp = np.stack([spherical_jn(n, kr, derivative=True) for n in range(1, nmax + 1)])
-    R1 = jn
-    R2 = jnp + jn / kr
-    Rr = ns * (ns + 1) * jn / kr
-    return R1, R2, Rr
+    jn = spherical_jn(ns, kr)
+    return (jn, spherical_jn(ns, kr, derivative=True) + jn / kr,
+            ns * (ns + 1) * jn / kr)
 
 
 def regular_wave_function(s, m, n, r, theta, phi):

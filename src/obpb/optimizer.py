@@ -38,7 +38,7 @@ but its matrix and M.
 import numpy as np
 import scipy.linalg
 
-from . import correlation, profiles
+from . import correlation
 from .modes import DIPOLE_SMN, FieldTable, flat_index
 
 # eigenvalues closer than this (relatively) are treated as degenerate: their
@@ -170,31 +170,30 @@ def dominant_beams(r_sph, m):
     return _phase_fix(vecs).conj(), vals
 
 
-class _End:
-    """One link end of a profile: its side ('bs' or 'ue'), its ModeSet and
-    the ModeSet's `FieldTable` on the end's grid's theta nodes, which every
+def _end(profile, side, modeset):
+    """One link end of a profile as (side, table): its side ('bs' or 'ue';
+    any other raises ValueError) and its ModeSet's `FieldTable` on the
+    end's grid's theta nodes under the profile's polarization, which every
     pattern-power harmonic and mode correlation of that end reads."""
-
-    def __init__(self, profile, side, modeset):
-        self.side = side
-        self.modeset = modeset
-        grid = profile.bs_grid if side == "bs" else profile.ue_grid
-        self.table = FieldTable(modeset, grid.theta_nodes)
+    return side, FieldTable(modeset, profile.link_end(side)[0].theta_nodes,
+                            profile.params.polarization)
 
 
 def _correlation(profile, q_far, near, far):
     """Mode correlation of the `near` end under the marginal profile that
-    the far beams' total radiated pattern power weights.
+    the far beams' total radiated pattern power weights; near and far are
+    `_end` pairs.
 
-    The far power's azimuth harmonics (`profiles.power_harmonics`) map
-    through the profile's closed form to the harmonics of the near end's
-    weighted marginal (`JointProfile.weighted_harmonics`), which
-    `correlation.harmonic_correlation` reads: no phi grid enters."""
-    pol = profile.params.polarization
-    d = profile.weighted_harmonics(
-        profiles.power_harmonics(q_far, far.table, pol), near.side,
-        2 * near.modeset.truncation_order)
-    return correlation.harmonic_correlation(near.table, d, pol)
+    The far table gives the far power's azimuth harmonics
+    (`FieldTable.power_harmonics`), the profile's closed form maps them to
+    the harmonics of the near end's weighted marginal
+    (`JointProfile.weighted_harmonics`), and the near table assembles the
+    correlation from those (`FieldTable.correlation`): no phi grid
+    enters."""
+    side, table = near
+    d = profile.weighted_harmonics(far[1].power_harmonics(q_far), side,
+                                   2 * table.modeset.truncation_order)
+    return table.correlation(d)
 
 
 def optimize_side(q_far, profile, modes_near, modes_far, m, side):
@@ -202,14 +201,12 @@ def optimize_side(q_far, profile, modes_near, modes_far, m, side):
 
     q_far: mode coefficients of the far side's current beams over
     modes_far; modes_near: the ModeSet of the side being refreshed.
-    Returns (Q, lam) for the refreshed side.
+    side: 'bs' or 'ue'.  Returns (Q, lam) for the refreshed side.
     """
-    if side not in ("bs", "ue"):
-        raise ValueError("side is 'bs' or 'ue'")
     far_side = "ue" if side == "bs" else "bs"
     return dominant_beams(_correlation(
-        profile, q_far, _End(profile, side, modes_near),
-        _End(profile, far_side, modes_far)), m)
+        profile, q_far, _end(profile, side, modes_near),
+        _end(profile, far_side, modes_far)), m)
 
 
 def _converged(history, epsilon):
@@ -233,8 +230,8 @@ class Sweep:
     """
 
     def __init__(self, profile, modes_bs, modes_ue, m_max):
-        self.bs = _End(profile, "bs", modes_bs)
-        self.ue = _End(profile, "ue", modes_ue)
+        self.bs = _end(profile, "bs", modes_bs)
+        self.ue = _end(profile, "ue", modes_ue)
         q_dipole = np.zeros((modes_ue.mode_count, 1), dtype=complex)
         q_dipole[flat_index(*DIPOLE_SMN) - 1, 0] = 1.0
         self.r_seed = _correlation(profile, q_dipole, self.bs, self.ue)

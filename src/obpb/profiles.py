@@ -23,12 +23,12 @@ phi-phi block, Lambda the Schur complement of A_pp, Sigma_p = A_pp^-1 and
 mu(theta) = mu_phi - Sigma_p A_pt t the conditional mean azimuths.  No
 factor grows with the offsets, so nothing can overflow.
 `JointProfile.weighted_harmonics` maps the far end's pattern-power
-harmonics (`power_harmonics`) through it to the harmonics of the near end's
-weighted marginal, and `total_power`, the normalization, is its k = 0 term
-summed over the Gauss-Legendre theta nodes.  No azimuth node enters: the
-phi integrals are exact, where a trapezoid sum over n_phi nodes would fold
-the harmonics |k| >= n_phi - 2N back in, with a weight of about
-exp(-sigma_phi^2 (n_phi - 2N)^2 / 2).  So `total_power` and
+harmonics (`modes.FieldTable.power_harmonics`) through it to the harmonics
+of the near end's weighted marginal, and `total_power`, the normalization,
+is its k = 0 term summed over the Gauss-Legendre theta nodes.  No azimuth
+node enters: the phi integrals are exact, where a trapezoid sum over n_phi
+nodes would fold the harmonics |k| >= n_phi - 2N back in, with a weight of
+about exp(-sigma_phi^2 (n_phi - 2N)^2 / 2).  So `total_power` and
 `JointProfile.theta_refinement` read the theta rules alone, and a profile
 on grids of two phi nodes gives them to the last bit.
 
@@ -43,6 +43,12 @@ mu_phi = 0); the widest benchmark profile (sigma_phi <= 50.5 deg, |mu_phi| <=
 default grids, is normalized by its own discrete double integral and never
 held: the marginals stream it through cache-sized row blocks with the whole
 matrix's bits.  The codebook element correlation reads `marginal_bs`.
+
+A link end is named 'bs' or 'ue', and `JointProfile.link_end` is the one
+map from that name to the end's (near, far) grids: any other name raises
+ValueError.  `pattern_power`, like the far end's power harmonics, is read
+from a `modes.FieldTable`, which alone knows how the mode fields are laid
+out and which components a polarization reads.
 """
 
 import numpy as np
@@ -143,9 +149,7 @@ class ProfileParams:
             raise ValueError("correlation matrix must be symmetric 4 x 4")
         if not np.allclose(np.diag(self.corr), 1.0):
             raise ValueError("correlation matrix needs a unit diagonal")
-        if polarization not in ("theta", "full"):
-            raise ValueError("polarization is 'theta' or 'full'")
-        self.polarization = polarization
+        self.polarization = modes.check_polarization(polarization)
         np.linalg.cholesky(self.covariance())   # fail early if not PD
 
     def covariance(self):
@@ -205,13 +209,25 @@ class JointProfile:
         self._precision = np.linalg.inv(params.covariance())
         self.total_power = self._theta_total(self.bs_grid, self.ue_grid)
 
-    def _law(self, near, theta_near, theta_far):
-        """The closed form's parts, near end first, on lists of near and far
+    def link_end(self, side):
+        """Link end ``side`` as (near grid, far grid, angles): ``angles``
+        lists the density's angles (theta_b, phi_b, theta_u, phi_u) = 0 ..
+        3 near end first.  The one map from a link end to its grids; any
+        side but 'bs' or 'ue' raises ValueError."""
+        if side == "bs":
+            return self.bs_grid, self.ue_grid, (0, 1, 2, 3)
+        if side == "ue":
+            return self.ue_grid, self.bs_grid, (2, 3, 0, 1)
+        raise ValueError(f"link end is 'bs' or 'ue', not {side!r}")
+
+    def _law(self, theta_near, theta_far, angles=(0, 1, 2, 3)):
+        """The closed form's parts, near end first (``angles`` of
+        `link_end`, the BS end's unless given), on lists of near and far
         theta nodes: the theta kernel (2 pi / sqrt(det A_pp)) exp(-1/2 t^T
         Lambda t) (the k = 0 harmonic), Sigma_p, the map ``shift`` of the
         conditional mean azimuths mu(theta) = mu_phi + shift t, mu_phi and
         the two offset lists t."""
-        th, ph = ([0, 2], [1, 3]) if near == "bs" else ([2, 0], [3, 1])
+        th, ph = list(angles[0::2]), list(angles[1::2])
         a, mu = self._precision, self.params.mean
         sig = np.linalg.inv(a[np.ix_(ph, ph)])
         shift = -sig @ a[np.ix_(ph, th)]
@@ -225,7 +241,7 @@ class JointProfile:
     def _theta_total(self, bs_grid, ue_grid):
         """The density's exact double integral in phi, summed by the two
         grids' Gauss-Legendre theta rules."""
-        kernel = self._law("bs", bs_grid.theta_nodes, ue_grid.theta_nodes)[0]
+        kernel = self._law(bs_grid.theta_nodes, ue_grid.theta_nodes)[0]
         return float(bs_grid.theta_weights @ kernel @ ue_grid.theta_weights)
 
     def theta_refinement(self):
@@ -241,8 +257,9 @@ class JointProfile:
 
         far_power: (n_theta_far, 2J + 1) azimuth harmonics of the far end's
         power on its grid's theta nodes, P(theta, phi) = sum_j
-        far_power[theta, j + J] e^(i j phi), j = -J .. J (`power_harmonics`);
-        near: 'bs' or 'ue'.  Returns the (n_theta_near, 2 kmax + 1) array
+        far_power[theta, j + J] e^(i j phi), j = -J .. J
+        (`modes.FieldTable.power_harmonics`); near: 'bs' or 'ue'
+        (`link_end`).  Returns the (n_theta_near, 2 kmax + 1) array
 
             D[theta, k + kmax] = w(theta) integral P_near(theta, phi)
                                  e^(i k phi) dphi,   k = -kmax .. kmax,
@@ -257,10 +274,9 @@ class JointProfile:
         kernel sums over theta_f, and the sum over j takes the (theta_near,
         j) phase; no array over ~2 MB is formed on the default grids.
         """
-        grid_n, grid_f = ((self.bs_grid, self.ue_grid) if near == "bs"
-                          else (self.ue_grid, self.bs_grid))
+        grid_n, grid_f, angles = self.link_end(near)
         kernel, sig, shift, mu, tn, tf = self._law(
-            near, grid_n.theta_nodes, grid_f.theta_nodes)
+            grid_n.theta_nodes, grid_f.theta_nodes, angles)
         j = np.arange(far_power.shape[1]) - far_power.shape[1] // 2
         k = np.arange(-kmax, kmax + 1)
         spread = np.exp(-0.5 * ((sig[1, 1] * j ** 2)[:, None] + sig[0, 0]
@@ -349,14 +365,15 @@ class JointProfile:
             out[lo:hi] = rows
         return out
 
-    def _product_ue(self, x, scale):
-        """x @ (scale * raw) over the BS rows, to the last bit of the whole
-        matrix's product: gemv adds each block's rows, weighted by x, into
-        the running sum in the order one gemv over the whole matrix adds
-        them."""
+    def _product_ue(self, x, scale=None):
+        """x @ (scale * raw) over the BS rows (x @ raw without a scale), to
+        the last bit of the whole matrix's product: gemv adds each block's
+        rows, weighted by x, into the running sum in the order one gemv
+        over the whole matrix adds them."""
         acc = np.zeros(self.ue_grid.n_nodes)
         for lo, hi, rows in self._raw_blocks(self.bs_grid, self.ue_grid):
-            rows *= scale
+            if scale is not None:
+                rows *= scale
             acc = dgemv(1.0, rows.T, x[lo:hi], beta=1.0, y=acc,
                         overwrite_y=1)
         return acc
@@ -365,7 +382,7 @@ class JointProfile:
         """wb @ raw @ wu of the assembled matrix, to the last bit; a
         ValueError where the image factors overflow."""
         with np.errstate(over="ignore", invalid="ignore"):
-            total = float(self._product_ue(self.bs_grid.weights, 1.0)
+            total = float(self._product_ue(self.bs_grid.weights)
                           @ self.ue_grid.weights)
         if not np.isfinite(total):
             raise ValueError("profile density overflows a float on these "
@@ -403,73 +420,25 @@ def _offsets(grid, mean):
     return np.stack([grid.theta - mean[0], grid.phi - mean[1]], axis=1)
 
 
-def _order_sums(q, table, polarization):
-    """Per field component, the beams summed per azimuthal order on the
-    table's theta nodes, a(theta, m) = sum_{m_j = m} q_j K_j(theta, 0):
-    (M, n_theta, 2N + 1) arrays, m = -N .. N.  The table stores each
-    order's rows as one block, so each is one small product with the same
-    rows of q."""
-    q = np.atleast_2d(np.asarray(q).T).T[table.order_rows]      # (J, M)
-    runs = list(zip(table.order_starts[:-1], table.order_starts[1:]))
-    return [np.stack([q[lo:hi].T @ tc[lo:hi] for lo, hi in runs], axis=-1)
-            for tc in table.components(polarization)]
-
-
-def beam_power(q, table, phi_nodes, polarization="theta"):
-    """Radiated power |q^T K|^2 of each beam on a theta x phi product.
-
-    q: (J,) or (J, M) beam coefficients; table: the `modes.FieldTable` of
-    their ModeSet on the product's theta nodes; phi_nodes: a 1-D angle list
-    in radians.  Each mode separates as K_j(theta, phi) = K_j(theta, 0)
-    e^(i m_j phi), so the beams are summed per azimuthal order on the theta
-    nodes (`_order_sums`) and expanded in azimuth as a @ e^(i m phi).  Under
-    'theta' polarization only the theta components count, under 'full'
-    both.  Returns (M, n_theta, n_phi).
-    """
-    nmax = table.modeset.truncation_order
-    orders = np.arange(-nmax, nmax + 1)
-    azim = np.exp(1j * np.outer(orders, phi_nodes))       # (2N + 1, n_phi)
-    return sum(np.abs(a @ azim) ** 2
-               for a in _order_sums(q, table, polarization))
-
-
-def power_harmonics(q, table, polarization="theta"):
-    """Azimuth harmonics of a beam set's total radiated power.
-
-    The power sum_beams |sum_m a(theta, m) e^(i m phi)|^2 of `beam_power` is
-    a trigonometric polynomial of degree 2N in phi with the coefficients
-    P[theta, j + 2N] = sum_beams sum_m a(theta, m) a^*(theta, m - j), j =
-    -2N .. 2N, on the table's theta nodes.  Returns (n_theta, 4N + 1), the
-    input of `JointProfile.weighted_harmonics`.
-    """
-    nmax = table.modeset.truncation_order
-    # s[theta, m, m'] = sum_beams a(theta, m) a^*(theta, m')
-    s = sum(at @ at.conj().transpose(0, 2, 1)
-            for at in (a.transpose(1, 2, 0)
-                       for a in _order_sums(q, table, polarization)))
-    return np.stack([np.trace(s, offset=-j, axis1=1, axis2=2)
-                     for j in range(-2 * nmax, 2 * nmax + 1)], axis=1)
-
-
 def pattern_power(q, modeset, grid, polarization="theta"):
-    """Radiated power sum_beams |q^T K|^2 of a beam set on a product grid:
-    the beam sum of `beam_power`, per node in the grid's flat order."""
-    table = modes.FieldTable(modeset, grid.theta_nodes)
-    return np.sum(beam_power(q, table, grid.phi_nodes, polarization),
-                  axis=0).ravel()
+    """Radiated power sum_beams |q^T K|^2 of a beam set on a product grid,
+    per node in the grid's flat order: the beam sum of
+    `modes.FieldTable.beam_power` on the grid's theta nodes."""
+    table = modes.FieldTable(modeset, grid.theta_nodes, polarization)
+    return np.sum(table.beam_power(q, grid.phi_nodes), axis=0).ravel()
 
 
 def profile_fields(profile, side, modeset, polarization=None):
-    """Dense far-field matrices of a ModeSet on one of the profile's grids.
+    """Dense far-field matrices of a ModeSet on one link end's grid.
 
+    side: 'bs' or 'ue' (`JointProfile.link_end`); polarization: 'theta'
+    or 'full' (`modes.check_polarization`), the profile's unless given.
     Returns (K_theta, K_phi), each (J, n_nodes), with K_phi set to None
     under 'theta' polarization.  The pipeline never forms these; they are
     the dense reference that checks of pattern_power and mode_correlation
     compare against.
     """
-    grid = profile.bs_grid if side == "bs" else profile.ue_grid
+    grid = profile.link_end(side)[0]
     pol = polarization or profile.params.polarization
     kth, kph = modes.far_field_matrix(modeset, grid.theta, grid.phi)
-    if pol == "theta":
-        return kth, None
-    return kth, kph
+    return kth, (None if modes.check_polarization(pol) == "theta" else kph)

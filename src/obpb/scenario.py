@@ -12,7 +12,10 @@ The runner follows the structure the sweep already has.  What points share is
 built once up front, reduced to what the points read, and only read
 afterwards.  The joint profile holds only its precision matrix and grids;
 its theta nodes must resolve it (`THETA_REFINEMENT`), which the scenario
-checks when it loads, from the theta rules alone.  The optimizer reads it
+checks when it loads, from the theta rules alone, and from the same rules
+the load calibrates the transmit SNR (``Scenario.snr``), which must stay
+inside the float range.  Before the runner computes anything it checks
+that ``output_dir`` can be made.  The optimizer reads the profile
 in closed-form azimuth harmonics.  The codebook element correlation takes
 its one product with the dense joint matrix, the nodal BS marginal, from
 row blocks of about 1.2 MB, so the 680 MB matrix is never formed, and
@@ -311,15 +314,24 @@ class Scenario:
             self._check_quadrature(
                 where, "bs", f"the {cfg.n_v} x {cfg.n_h} array",
                 truncation_order(r_max) if r_max > 0 else 0)
-        # the refinement reads the theta rules alone, so the bs and ue grids
-        # (in schema order) are built with two phi nodes
-        grids = (make_grid(n, 2) for n, _ in self.quadrature.values())
-        change = JointProfile(self.profile_params, *grids).theta_refinement()
+        # the refinement and the SNR calibration read the theta rules alone,
+        # so the bs and ue grids (in schema order) are built with two phi
+        # nodes
+        profile = JointProfile(self.profile_params, *(
+            make_grid(n, 2) for n, _ in self.quadrature.values()))
+        change = profile.theta_refinement()
         if not change <= THETA_REFINEMENT:
             raise ScenarioError(
                 f"{where}: profile: theta nodes too coarse for the spreads: "
                 f"the total power moves by {change:.2g} of itself when the "
                 f"theta nodes double (limit {THETA_REFINEMENT:g})")
+        try:
+            self.snr = correlation.calibrated_snr(profile, self.snr_db_siso)
+        except (OverflowError, ZeroDivisionError):
+            self.snr = np.inf
+        # the calibration left the float range
+        if not 0.0 < self.snr < np.inf:
+            raise ScenarioError(f"{where}: snr_db_siso: out of range")
 
     def _check_quadrature(self, where, side, what, n):
         """Gauss-Legendre in cos(theta) and the n_phi-point trapezoid
@@ -487,22 +499,22 @@ def _power_db(power):
 class _ModeDirections:
     """A ModeSet's fields over one artifact table's list of directions.
 
-    `profiles.beam_power` evaluates the product of the list's distinct theta
-    and phi values, which is gathered back to the list: every artifact table
-    is nearly such a product (a phi cut is 1 x n, a theta cut n x 2, the grid
-    exactly one).  The `FieldTable` on the distinct theta values is built
-    once and serves every point's beams.
+    `FieldTable.beam_power` evaluates the product of the list's distinct
+    theta and phi values, which is gathered back to the list: every artifact
+    table is nearly such a product (a phi cut is 1 x n, a theta cut n x 2,
+    the grid exactly one).  The 'full' `FieldTable` on the distinct theta
+    values is built once and serves every point's beams.
     """
 
     def __init__(self, modeset, theta, phi):
         theta_nodes, self.it = np.unique(theta, return_inverse=True)
         self.phi_nodes, self.ip = np.unique(phi, return_inverse=True)
-        self.table = FieldTable(modeset, theta_nodes)
+        self.table = FieldTable(modeset, theta_nodes, "full")
 
     def pattern_db(self, q):
         """Per-stream radiated power in dB over the list; both polarization
         components contribute."""
-        power = profiles.beam_power(q, self.table, self.phi_nodes, "full")
+        power = self.table.beam_power(q, self.phi_nodes)
         return _power_db(power[:, self.it, self.ip])
 
 
@@ -714,11 +726,11 @@ class _Point:
         return record
 
 
-def _obpb_point(scenario, method, bundle, snr, writer):
+def _obpb_point(scenario, method, bundle, writer):
     """The point of one OBPB family; nothing in it depends on N_UE."""
     family = bundle.families[method["surface"]]
     report = capacity.rank_adapt(lambda m: family[m][1], scenario.obpb_m_max,
-                                 snr)
+                                 scenario.snr)
     report_m = min(scenario.report_m or report.m_opt, scenario.obpb_m_max)
     q_bs, r_report = family[report_m]
     dbs = ([d.pattern_db(q_bs) for d in writer.bs_modes]
@@ -728,7 +740,7 @@ def _obpb_point(scenario, method, bundle, snr, writer):
                   {"converged": bundle.converged})
 
 
-def _conventional_point(scenario, method, n_ue, bundle, snr, writer):
+def _conventional_point(scenario, method, n_ue, bundle, writer):
     """The point of one codebook method at one N_UE."""
     extra = {"converged": None}
     if method["kind"] == "full_array":
@@ -737,12 +749,12 @@ def _conventional_point(scenario, method, n_ue, bundle, snr, writer):
         sel, scale = bundle.full[method["metric"]], float(n_ue)
         m_cap = min(bundle.config.n_elements, n_ue)
         report = capacity.rank_adapt(
-            lambda m: scale * sel.beam_correlation(m), m_cap, snr)
+            lambda m: scale * sel.beam_correlation(m), m_cap, scenario.snr)
     else:
         # the partition winner must be chosen at the true scale, so its
         # selection and report already carry the N_UE factor
         shape, sel, report = conventional.best_subarray_partition(
-            float(n_ue) * bundle.r_unit, bundle.config, n_ue, snr,
+            float(n_ue) * bundle.r_unit, bundle.config, n_ue, scenario.snr,
             metric=method["metric"])
         scale, m_cap = 1.0, sel.m_max
         extra["sub_shape"] = list(shape)
@@ -769,19 +781,23 @@ def run_scenario(scenario, echo=None):
     Returns a RunOutcome whose exit code is 0 on success and 2 when any
     optimizer run failed to converge (artifacts are still written, flagged
     with converged=false).  Configuration problems raise ScenarioError
-    before anything is written.
+    before anything is written; an output directory that cannot be made
+    raises before anything is computed.
     """
     say = echo if echo is not None else (lambda msg: None)
 
     out_dir = scenario.resolved_output_dir()
+    # a file or a read-only directory on the output path fails here, before
+    # anything is computed, and nothing is made
+    at = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not (at.is_dir() and os.access(at, os.W_OK | os.X_OK)):
+        raise ScenarioError(f"{scenario.source}: output_dir: {at} is not a "
+                            "writable directory")
     profile = JointProfile(scenario.profile_params,
                            make_grid(*scenario.quadrature["bs"]),
                            make_grid(*scenario.quadrature["ue"]))
-    snr = correlation.calibrated_snr(profile, scenario.snr_db_siso)
-    if not 0.0 < snr < np.inf:      # the calibration left the float range
-        raise ScenarioError(f"{scenario.source}: snr_db_siso: out of range")
     say(f"profile on {scenario.quadrature['bs']} x "
-        f"{scenario.quadrature['ue']} grids, snr = {snr:.6g}")
+        f"{scenario.quadrature['ue']} grids, snr = {scenario.snr:.6g}")
 
     # codebook first: after the surface step the codebook Gram (16 MB)
     # mostly finds no freed block to reuse.  paper_baseline peaks at
@@ -800,18 +816,18 @@ def run_scenario(scenario, echo=None):
             f"{obpb_bundle.converged}; surface ranks "
             + str({k: s["rank"] for k, s in obpb_bundle.shapes.items()}))
     # the last read of the profile: no point needs it
-    resolved = _resolved_parameters(scenario, profile, snr, obpb_bundle,
+    resolved = _resolved_parameters(scenario, profile, obpb_bundle,
                                     conv_bundle)
     del profile
 
     writer = _ArtifactWriter(scenario, obpb_bundle)
     points = []
     for method in scenario.methods:
-        shared = (_obpb_point(scenario, method, obpb_bundle, snr, writer)
+        shared = (_obpb_point(scenario, method, obpb_bundle, writer)
                   if method["kind"] == "obpb" else None)
         for n_ue in scenario.n_ue:
             point = shared or _conventional_point(scenario, method, n_ue,
-                                                  conv_bundle, snr, writer)
+                                                  conv_bundle, writer)
             rec = point.write(writer, out_dir, method, n_ue)
             points.append(rec)
             say(f"{method['label']} N_UE={n_ue}: M_opt={rec['m_opt']} "
@@ -836,7 +852,7 @@ def run_scenario(scenario, echo=None):
     return RunOutcome(exit_code, out_dir, manifest_path, points)
 
 
-def _resolved_parameters(scenario, profile, snr, obpb_bundle, conv_bundle):
+def _resolved_parameters(scenario, profile, obpb_bundle, conv_bundle):
     """Every tunable the build exposes, at its value for this run.
 
     The antenna, obpb, conventional and artifacts entries spread the
@@ -863,7 +879,7 @@ def _resolved_parameters(scenario, profile, snr, obpb_bundle, conv_bundle):
         },
         "capacity": {
             "snr_db_siso": scenario.snr_db_siso,
-            "snr": snr,
+            "snr": scenario.snr,
             "siso_reference": correlation.siso_reference(profile),
             "eigenvalue_clamp_rel": capacity._CLAMP_REL,
             "tie_break_rel": capacity._TIE_REL,

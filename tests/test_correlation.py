@@ -63,6 +63,22 @@ def test_mode_correlation_rejects_negative_marginal(desk):
         correlation.mode_correlation(modeset, bad, profile.bs_grid)
 
 
+@pytest.mark.parametrize("polarization", ["Full", "phi"])
+def test_unknown_polarizations_raise(desk, polarization):
+    # mode_correlation(..., "Full") silently returned the theta-only matrix
+    # and profile_fields(..., "Full") both components; every reader now
+    # applies the one rule
+    modeset, profile, marginal, _ = desk
+    with pytest.raises(ValueError, match="polarization is 'theta' or"):
+        correlation.mode_correlation(modeset, marginal, profile.bs_grid,
+                                     polarization=polarization)
+    with pytest.raises(ValueError, match="polarization is 'theta' or"):
+        profiles.pattern_power(np.ones(modeset.mode_count), modeset,
+                               profile.bs_grid, polarization)
+    with pytest.raises(ValueError, match="polarization is 'theta' or"):
+        profiles.profile_fields(profile, "bs", modeset, polarization)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_mode_correlation_psd_for_random_marginals(seed):
@@ -169,10 +185,9 @@ def test_harmonic_core_matches_nodal_mode_correlation(baseline_profile,
         r_nodal = correlation.mode_correlation(
             near, marginal(profiles.pattern_power(q, far, far_grid)), grid)
         d = prof.weighted_harmonics(
-            profiles.power_harmonics(q, FieldTable(far, far_grid.theta_nodes)),
+            FieldTable(far, far_grid.theta_nodes, "theta").power_harmonics(q),
             side, 2 * near.truncation_order)
-        r = correlation.harmonic_correlation(
-            FieldTable(near, grid.theta_nodes), d)
+        r = FieldTable(near, grid.theta_nodes, "theta").correlation(d)
         assert np.array_equal(r, r.conj().T)
         assert np.abs(r - r_nodal).max() <= 1e-14 * np.abs(r_nodal).max()
 

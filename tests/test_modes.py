@@ -127,20 +127,48 @@ def test_far_field_matrix_matches_single_mode():
 
 @pytest.mark.parametrize("nmax", [2, 17])
 def test_field_table_stores_order_blocks(nmax):
-    # stored row i is the far_field_matrix row of flat mode order_rows[i]
-    # at phi = 0; each order_starts block holds one order, m = -N .. N in
+    # stored row i is the far_field_matrix row of flat mode _rows[i] at
+    # phi = 0; each of the table's blocks holds one order, m = -N .. N in
     # turn, in ascending flat index
     ms = modes.ModeSet(truncation_order=nmax)
     theta = np.random.default_rng(nmax).uniform(0.05, np.pi - 0.05, 9)
-    table = modes.FieldTable(ms, theta)
+    table = modes.FieldTable(ms, theta, "full")
     kth, kph = modes.far_field_matrix(ms, theta, np.zeros_like(theta))
-    assert np.array_equal(table.k_theta, kth[table.order_rows])
-    assert np.array_equal(table.k_phi, kph[table.order_rows])
-    starts = table.order_starts
-    assert starts.size == 2 * nmax + 2 and starts[0] == 0
-    for m, lo, hi in zip(range(-nmax, nmax + 1), starts[:-1], starts[1:]):
-        rows = table.order_rows[lo:hi]
+    k_theta, k_phi = table._fields
+    assert np.array_equal(k_theta, kth[table._rows])
+    assert np.array_equal(k_phi, kph[table._rows])
+    orders, starts, ends = zip(*table._blocks)
+    assert orders == tuple(range(-nmax, nmax + 1))
+    assert starts == (0, *ends[:-1]) and ends[-1] == ms.mode_count
+    for m, lo, hi in table._blocks:
+        rows = table._rows[lo:hi]
         assert np.array_equal(rows, np.flatnonzero(ms.m == m)), m
+    # 'theta' stores the theta components alone
+    (only,) = modes.FieldTable(ms, theta, "theta")._fields
+    assert np.array_equal(only, k_theta)
+
+
+@pytest.mark.parametrize("polarization", ["Full", "THETA", "phi", None, ""])
+def test_field_table_rejects_unknown_polarizations(polarization):
+    # 'Full' gave the theta-only correlation of mode_correlation before the
+    # table owned the polarization
+    ms = modes.ModeSet(truncation_order=2)
+    with pytest.raises(ValueError, match="polarization is 'theta' or 'full'"):
+        modes.FieldTable(ms, np.linspace(0.1, 3.0, 4), polarization)
+
+
+def test_field_table_keeps_its_layout_private():
+    table = modes.FieldTable(modes.ModeSet(truncation_order=2),
+                             np.linspace(0.1, 3.0, 4), "full")
+    for name in ("order_rows", "order_starts", "k_theta", "k_phi",
+                 "components"):
+        assert not hasattr(table, name), name
+
+
+def test_hermitian_part_has_one_body():
+    # the mode layer owns the rule; correlation re-exports the same object
+    from obpb import correlation
+    assert correlation.hermitian_part is modes.hermitian_part
 
 
 def test_far_field_orthogonality_small():
@@ -164,6 +192,22 @@ def test_far_field_finite_at_poles():
 # regular waves
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("nmax", [12, 17])
+def test_radial_factors_equal_per_order_calls(nmax):
+    # one spherical_jn call broadcast over n = 1 .. N (and one for the
+    # derivative) gives the bytes of one call per order
+    kr = 2.0 * np.pi * np.random.default_rng(nmax).uniform(0.0, 3.0, 128)
+    R1, R2, Rr = modes.radial_factors(nmax, kr)
+    kr = np.maximum(kr, 1e-9)
+    ns = np.arange(1, nmax + 1)[:, None]
+    jn = np.stack([spherical_jn(n, kr) for n in range(1, nmax + 1)])
+    jnp = np.stack([spherical_jn(n, kr, derivative=True)
+                    for n in range(1, nmax + 1)])
+    assert np.array_equal(R1, jn)
+    assert np.array_equal(R2, jnp + jn / kr)
+    assert np.array_equal(Rr, ns * (ns + 1) * jn / kr)
+
+
 def test_radial_factors_against_derivative():
     kr = np.linspace(0.3, 25.0, 50)
     nmax = 9
@@ -176,6 +220,20 @@ def test_radial_factors_against_derivative():
         assert np.abs(R2[n - 1] - fd).max() < 1e-8
         assert np.abs(Rr[n - 1]
                       - n * (n + 1) * spherical_jn(n, kr) / kr).max() < 1e-14
+
+
+@pytest.mark.parametrize("smn", [(1, 2, 3), (2, -1, 3), (2, 0, 4)])
+def test_regular_wave_function_takes_a_scalar_radius(smn):
+    # a scalar r gave radial_factors rows of one value per order n' <= n
+    # where the radial component needs the order-n value alone, so F_r
+    # mixed orders or failed to broadcast against theta
+    theta = np.linspace(0.3, 2.8, 5)
+    phi = np.linspace(-2.0, 2.0, 5)
+    got = modes.regular_wave_function(*smn, 0.7, theta, phi)
+    want = modes.regular_wave_function(*smn, np.full(5, 0.7), theta, phi)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (5,)
+        assert np.array_equal(g, w)
 
 
 def test_regular_wave_matrix_matches_single_mode():

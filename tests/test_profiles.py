@@ -159,16 +159,16 @@ def test_order_sums_match_the_boolean_product(nmax, n_theta, m, pol, seed):
     # product, against the elementwise products summed by a product with
     # the boolean mode-to-order map, to 1e-15 of each sum's sum |q_j K_j|
     # (measured 3.9e-16 over 1500 random cases).  Stored row i is flat
-    # mode order_rows[i], so q and the orders are read through it
+    # mode _rows[i], so q and the orders are read through it
     ms = ModeSet(truncation_order=nmax)
     rng = np.random.default_rng(seed)
-    table = FieldTable(ms, rng.uniform(0.05, np.pi - 0.05, n_theta))
+    table = FieldTable(ms, rng.uniform(0.05, np.pi - 0.05, n_theta), pol)
     flat_q = rng.standard_normal((ms.mode_count, m)) \
         + 1j * rng.standard_normal((ms.mode_count, m))
-    q = flat_q[table.order_rows]
-    per_order = ms.m[table.order_rows, None] == np.arange(-nmax, nmax + 1)
-    sums = profiles._order_sums(flat_q, table, pol)
-    for a, tc in zip(sums, table.components(pol)):
+    q = flat_q[table._rows]
+    per_order = ms.m[table._rows, None] == np.arange(-nmax, nmax + 1)
+    sums = table._order_sums(flat_q)
+    for a, tc in zip(sums, table._fields):
         ref = np.einsum("jb,jt->btj", q, tc) @ per_order
         scale = np.einsum("jb,jt->btj", np.abs(q), np.abs(tc)) @ per_order
         assert a.shape == ref.shape == (m, n_theta, 2 * nmax + 1)
@@ -180,6 +180,33 @@ def test_profile_fields_theta_polarization_drops_phi(desk_profile):
     kth, kph = profiles.profile_fields(desk_profile, "ue", ms)
     assert kph is None
     assert kth.shape == (ms.mode_count, desk_profile.ue_grid.n_nodes)
+
+
+@pytest.mark.parametrize("side", ["BS", "Ue", "relay", None])
+def test_every_link_end_entry_point_rejects_other_names(desk_profile, side):
+    # "BS" read the UE end: weighted_harmonics(x, "BS", k) equalled the
+    # "ue" result on equal-theta grids, and profile_fields read the UE grid
+    from obpb import optimizer
+    ms = ModeSet(truncation_order=1)
+    q = np.ones((ms.mode_count, 1), dtype=complex)
+    far = np.ones((desk_profile.ue_grid.shape[0], 1))
+    for call in (lambda: desk_profile.link_end(side),
+                 lambda: desk_profile.weighted_harmonics(far, side, 0),
+                 lambda: profiles.profile_fields(desk_profile, side, ms),
+                 lambda: optimizer.optimize_side(q, desk_profile, ms, ms, 1,
+                                                 side)):
+        with pytest.raises(ValueError, match="link end is 'bs' or 'ue'"):
+            call()
+
+
+def test_link_end_maps_each_end_to_its_grids(desk_profile):
+    bs, ue = desk_profile.bs_grid, desk_profile.ue_grid
+    assert desk_profile.link_end("bs")[:2] == (bs, ue)
+    assert desk_profile.link_end("ue")[:2] == (ue, bs)
+    ms = ModeSet(truncation_order=1)
+    for side, grid in (("bs", bs), ("ue", ue)):
+        kth, kph = profiles.profile_fields(desk_profile, side, ms)
+        assert kph is None and kth.shape == (ms.mode_count, grid.n_nodes)
 
 
 def _random_corr(rng):
@@ -242,8 +269,8 @@ def _harmonic_errors(profile, joint, rng):
     for near, far, product in (("bs", ue, lambda x: joint @ x),
                                ("ue", bs, lambda x: joint.T @ x)):
         grid = bs if near == "bs" else ue
-        harm = profiles.power_harmonics(
-            q, FieldTable(modeset, far.theta_nodes))
+        harm = FieldTable(modeset, far.theta_nodes,
+                          "theta").power_harmonics(q)
         power = profiles.pattern_power(q, modeset, far)
         # the harmonics are those of the nodal power
         nodal = np.real(harm @ np.exp(1j * np.outer(np.arange(-4, 5),

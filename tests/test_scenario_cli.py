@@ -210,18 +210,44 @@ def test_non_finite_numbers_fail_validation(tmp_path, capsys, keys, message):
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
 
-def test_snr_that_underflows_is_a_scenario_error(tmp_path, capsys):
-    # -4000 dB calibrates to a transmit snr of 0.0, which rank adaptation
-    # rejects; the run reports it at the key and writes nothing
+def _snr_out_of_range(tmp_path, capsys, snr_db):
     out = tmp_path / "out"
     cfg = tmp_path / "snr.yaml"
-    cfg.write_text(SMOKE_YAML.format(out=out) + "snr_db_siso: -4000\n")
-    assert cli.main(["validate", str(cfg)]) == 0
-    capsys.readouterr()
-    assert cli.main(["run", str(cfg)]) == 1
-    assert capsys.readouterr().err == \
-        f"error: {cfg}: snr_db_siso: out of range\n"
+    cfg.write_text(SMOKE_YAML.format(out=out) + f"snr_db_siso: {snr_db}\n")
+    for verb in ("validate", "run"):
+        assert cli.main([verb, str(cfg)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {cfg}: snr_db_siso: out of range\n"
     assert not out.exists()
+
+
+def test_snr_that_underflows_is_a_scenario_error(tmp_path, capsys):
+    # -4000 dB calibrates to a transmit snr of 0.0, which rank adaptation
+    # rejects; the load reports it at the key (validate passed it), and the
+    # run writes nothing
+    _snr_out_of_range(tmp_path, capsys, -4000)
+
+
+def test_snr_that_overflows_is_a_scenario_error(tmp_path, capsys):
+    # +4000 dB overflows the calibration's float power; run ended in an
+    # OverflowError traceback and validate passed it
+    _snr_out_of_range(tmp_path, capsys, 4000)
+
+
+@pytest.mark.parametrize("profile", [
+    {}, {"sigma": [15.0, 45.0, 30.0, 50.0]},
+    {"sigma": [4.03, 20.9, 11.05, 48.2], "mean_bs": [90.0, 3.1],
+     "mean_ue": [90.0, -4.2]}])
+def test_load_calibrates_the_snr_of_the_full_grids(profile):
+    # the load calibrates on grids of two phi nodes; a profile on the
+    # scenario's grids gives the same bits
+    from obpb import correlation, profiles
+    scn = scenario.Scenario({"methods": ["obpb:optimal"], "n_ue": [4],
+                             "profile": profile})
+    full = profiles.JointProfile(
+        scn.profile_params, profiles.make_grid(*scn.quadrature["bs"]),
+        profiles.make_grid(*scn.quadrature["ue"]))
+    assert scn.snr == correlation.calibrated_snr(full, scn.snr_db_siso)
 
 
 def test_shipped_baseline_spells_every_schema_default():
@@ -1055,6 +1081,55 @@ def test_cli_compare_out_makes_its_directories(smoke_run, tmp_path, capsys):
     assert cli.main(args + ["--out", str(out_csv)]) == 0
     assert capsys.readouterr().out == f"wrote {out_csv}\n"
     assert out_csv.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("below", [(), ("tiny",), ("a", "b")])
+def test_run_into_a_blocked_output_path_fails_before_computing(
+        tmp_path, capsys, monkeypatch, below):
+    # a file on the output path ended in a NotADirectoryError traceback at
+    # the first point's write, after every point had been computed; now
+    # the run stops before any bundle is built and makes nothing
+    blocker = tmp_path / "blocker"
+    blocker.write_text("in the way\n")
+    cfg = tmp_path / "blocked.yaml"
+    cfg.write_text(SMOKE_YAML.format(out=blocker.joinpath(*below)))
+
+    def computed(*args):
+        raise AssertionError("computed before the output check")
+
+    monkeypatch.setattr(scenario, "_ObpbBundle", computed)
+    monkeypatch.setattr(scenario, "_ConventionalBundle", computed)
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: output_dir: {blocker} is not a writable directory\n")
+    assert sorted(tmp_path.iterdir()) == sorted([blocker, cfg])
+    assert blocker.read_text() == "in the way\n"
+
+
+def test_run_reports_a_failed_write(tmp_path, capsys):
+    # a file where a method's directory goes passes the output check and
+    # fails at the write, which cli reports as path and reason
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "obpb_plane").write_text("")
+    cfg = tmp_path / "blocked.yaml"
+    cfg.write_text(SMOKE_YAML.format(out=out))
+    assert cli.main(["run", "--quiet", str(cfg)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {out / 'obpb_plane' / 'n_ue_2'}: Not a directory\n"
+
+
+def test_cli_compare_reports_an_unwritable_out(smoke_run, tmp_path, capsys):
+    # --out FILE/x.csv ended in a FileExistsError traceback
+    _, outcome = smoke_run
+    args = ["compare", str(outcome.manifest_path), str(outcome.manifest_path)]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert cli.main(args + ["--out", str(blocker / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {blocker}: File exists\n"
+    assert cli.main(args + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+    assert blocker.read_text() == ""
 
 
 def test_cli_compare_needs_two_manifests(smoke_run, capsys):
