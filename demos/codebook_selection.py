@@ -37,7 +37,7 @@ def beam_label(config, idx, sub_shape=None):
 def main():
     profile = profiles.JointProfile(profiles.baseline_params())
     config = conventional.ArrayConfig()
-    snr = correlation.calibrated_snr(profile)
+    snr = correlation.calibrated_snr(correlation.siso_reference(profile))
     print(f"array {config.n_v} x {config.n_h}, codebook {config.n_beams} "
           f"beams, calibrated snr = {snr:.5f}")
 

@@ -3,13 +3,16 @@
 Exit codes: 0 success, 1 configuration or input error, 2 scenario ran but at
 least one optimizer point did not converge (artifacts are still written).
 `validate` checks everything that reads neither a transfer matrix nor the
-nodal density, the theta nodes' resolution of the profile and the SNR
-calibration included.  So two errors only `run` reports (exit 1), before
-anything is written: an ``obpb.m_max`` above a surface's radiatable rank,
-once the surface's transfer matrix is built, and a nodal density that
-overflows a float on the grids, which only a codebook method reads.
-``compare --out`` writes through the artifacts' text writer, which makes
-the file's directories.  Before it computes anything, `run` checks that
+nodal density, the artifact steps (each must divide 180 deg), the theta
+nodes' resolution of the profile and the SNR calibration included.  So two
+errors only `run` reports (exit 1), before anything is written: an
+``obpb.m_max`` above a surface's radiatable rank, once the surface's
+transfer matrix is built, and a nodal density that overflows a float on the
+grids, which only a codebook method reads.  `compare` reads of each
+manifest only its profile and each point's summary keys, and reports a file
+without them as ``<path>: not a run manifest`` (exit 1).  ``compare --out``
+writes through the artifacts' text writer, which makes the file's
+directories.  Before it computes anything, `run` checks that
 ``output_dir``, or else its nearest existing ancestor, is a writable
 directory (exit 1, anchored at ``output_dir``), and any file system error
 that `run` or ``compare --out`` meets is reported as ``error: <path>:

@@ -131,6 +131,7 @@ def siso_reference(profile):
     return float(omni_b @ d[:, 0].real)
 
 
-def calibrated_snr(profile, siso_snr_db=-12.0):
-    """Transmit SNR P/Pn making the dipole-to-dipole link sit at siso_snr_db."""
-    return 10.0 ** (siso_snr_db / 10.0) / siso_reference(profile)
+def calibrated_snr(reference, siso_snr_db=-12.0):
+    """Transmit SNR P/Pn making the dipole-to-dipole link, of mean channel
+    power `reference` (`siso_reference`), sit at siso_snr_db."""
+    return 10.0 ** (siso_snr_db / 10.0) / reference

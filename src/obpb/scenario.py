@@ -12,8 +12,9 @@ The runner follows the structure the sweep already has.  What points share is
 built once up front, reduced to what the points read, and only read
 afterwards.  The joint profile holds only its precision matrix and grids;
 its theta nodes must resolve it (`THETA_REFINEMENT`), which the scenario
-checks when it loads, from the theta rules alone, and from the same rules
-the load calibrates the transmit SNR (``Scenario.snr``), which must stay
+checks when it loads, from the theta rules alone.  From the same rules the
+load computes the dipole link's SISO reference (``Scenario.siso_reference``)
+and calibrates the transmit SNR on it (``Scenario.snr``), which must stay
 inside the float range.  Before the runner computes anything it checks
 that ``output_dir`` can be made.  The optimizer reads the profile
 in closed-form azimuth harmonics.  The codebook element correlation takes
@@ -48,7 +49,7 @@ alive at a time on the 8 x 8 array) and never forms the 1024 x 1024 Gram of
 the zero-padded codebook; its chains equal that Gram's bit for bit.  A
 method's tables are let go once its points are written.  The joint profile
 is let go before the first point, once the manifest has taken its
-normalization and SISO reference; no point reads it.
+normalization; no point reads it.
 
 Numeric tables are rendered a whole column at a time, and the text of every
 distinct column is kept for the rest of the run, as one string per chunk of
@@ -270,6 +271,11 @@ class Scenario:
         # every section's values by key; the manifest spreads the flat ones
         self.sections = {name: _section(tree, name, where)
                          for name in _SECTIONS}
+        # a step that does not divide 180 deg writes rows past the pole
+        for key, step in self.sections["artifacts"].items():
+            if not (180.0 / step).is_integer():
+                raise ScenarioError(f"{where}: artifacts: {key}: {step:g} "
+                                    "does not divide 180")
         try:
             self.profile_params = ProfileParams(**self.sections["profile"])
         except (TypeError, ValueError) as exc:
@@ -314,9 +320,9 @@ class Scenario:
             self._check_quadrature(
                 where, "bs", f"the {cfg.n_v} x {cfg.n_h} array",
                 truncation_order(r_max) if r_max > 0 else 0)
-        # the refinement and the SNR calibration read the theta rules alone,
-        # so the bs and ue grids (in schema order) are built with two phi
-        # nodes
+        # the refinement and the SISO reference, which the SNR calibration
+        # and the manifest read, depend on the theta rules alone, so the bs
+        # and ue grids (in schema order) are built with two phi nodes
         profile = JointProfile(self.profile_params, *(
             make_grid(n, 2) for n, _ in self.quadrature.values()))
         change = profile.theta_refinement()
@@ -325,8 +331,10 @@ class Scenario:
                 f"{where}: profile: theta nodes too coarse for the spreads: "
                 f"the total power moves by {change:.2g} of itself when the "
                 f"theta nodes double (limit {THETA_REFINEMENT:g})")
+        self.siso_reference = correlation.siso_reference(profile)
         try:
-            self.snr = correlation.calibrated_snr(profile, self.snr_db_siso)
+            self.snr = correlation.calibrated_snr(self.siso_reference,
+                                                  self.snr_db_siso)
         except (OverflowError, ZeroDivisionError):
             self.snr = np.inf
         # the calibration left the float range
@@ -880,7 +888,7 @@ def _resolved_parameters(scenario, profile, obpb_bundle, conv_bundle):
         "capacity": {
             "snr_db_siso": scenario.snr_db_siso,
             "snr": scenario.snr,
-            "siso_reference": correlation.siso_reference(profile),
+            "siso_reference": scenario.siso_reference,
             "eigenvalue_clamp_rel": capacity._CLAMP_REL,
             "tie_break_rel": capacity._TIE_REL,
         },
@@ -925,6 +933,9 @@ def _resolved_parameters(scenario, profile, obpb_bundle, conv_bundle):
 # comparison across runs
 # ---------------------------------------------------------------------------
 
+_COMPARED = {"method", "n_ue", "m_opt", "capacity_bits", "det_db"}
+
+
 def compare_manifests(paths, baseline=None):
     """Aligned comparison table across run manifests.
 
@@ -943,9 +954,14 @@ def compare_manifests(paths, baseline=None):
             raise ScenarioError(f"{path}: {exc.strerror or exc}") from None
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}:{exc.lineno}: {exc.msg}") from None
-        if not isinstance(man, dict) or not {"points", "resolved"} <= set(man):
-            raise ScenarioError(f"{path}: not a run manifest "
-                                "(missing points/resolved)")
+        # what the table reads: the profile and each point's summary keys
+        points = man.get("points") if isinstance(man, dict) else None
+        if not (points and isinstance(points, list)
+                and isinstance(man.get("resolved"), dict)
+                and "profile" in man["resolved"]
+                and all(isinstance(p, dict) and _COMPARED <= p.keys()
+                        for p in points)):
+            raise ScenarioError(f"{path}: not a run manifest")
         manifests.append((str(path), man))
 
     reference_profile = manifests[0][1]["resolved"]["profile"]

@@ -25,18 +25,21 @@ each tangent onto +-1 times that sample's tangent) maps each regular wave
 onto +-1 times one other (`modes.ModeSet.mirror`), so sigma Z = Z C with
 signed permutations sigma of the modes and C of the currents.  `build_z`
 keeps each such reflection for which Z agrees with its mirrored copy to
-roundoff, and Z splits into the reflections' joint parity classes.  The
-hemisphere (y and z mirrors) reaches every class in full, so P = I; the
-x = 0 plane (x, y and z mirrors) reaches every x-even class in full and no
+roundoff, and Z splits into the reflections' joint parity classes; a Z
+with no such reflection is the trivial group, one class of every mode and
+every current.  One rule decides where P is exact: every class is reached
+in full or not at all.  The hemisphere (y and z mirrors) reaches every
+class in full, and so does any Z of full row rank, so P = I; the x = 0
+plane (x, y and z mirrors) reaches every x-even class in full and no
 x-odd one, so P = (I + sigma_x) / 2, with entries exactly 0, +-1/2 or 1.
 Such a P is kept as its nonzero signed mode maps, P = sum_g a_g sigma_g
-(one term for the hemisphere, two for the plane), and applied as
+(one term for the identity, two for the plane), and applied as
 sum_g a_g sign_g * q[perm_g]: no J x J matrix is formed unless ``p_op`` is
 read.  The 1/32-sphere's classes are reached only in part (its narrow Z has
-fewer columns than each class has modes); it and every other such case
-take the SVD of the whole Z, whose projector depends on roundoff where
-the spectrum decays without a cliff, and keep that dense U_r U_r^H, or
-the identity term when a wide Z is taken whole at full rank.
+fewer columns than each class has modes); it and every other Z the rule
+does not settle take one SVD of the whole Z, whose projector depends on
+roundoff where the spectrum decays without a cliff, and keep that dense
+U_r U_r^H.
 
 Surfaces all fit inside the sphere of radius r0 that encloses the reference
 square aperture: the through-center plane of side sqrt(2) r0, spherical caps
@@ -227,43 +230,35 @@ def _rank(s, rtol):
     return int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
 
 
-def _singular(z, rtol):
-    """(sigma, U) of z (J x n): every singular value, descending, and the
-    economy-size left singular vectors, or None in place of U when z is
-    wide and all J values lie above rtol * sigma_0, so that U U^H = I.
+def _whole(z, rtol):
+    """(sigma, U_r U_r^H) of z (J x n) from one SVD of the whole Z: every
+    singular value, descending, and the dense projector onto the left
+    singular vectors above rtol * sigma_0.
 
-    A wide z (n > J: a hemisphere taken whole) is first reduced to the J x J
-    triangular factor R of a QR of z^H, which has the same left singular
-    vectors and singular values (Golub & Van Loan, section 5.4), so neither
-    the long right singular vectors nor the QR's orthogonal factor is
-    formed.  The QR is taken of z^T, a view, and R^H is read as
-    qr(z^T).R^T: Householder QR commutes with conjugation to the last bit
-    (every reflector and every update of the conjugated input is the
-    conjugate of the original's, and IEEE negation is exact), so qr(z^T).R
-    = conj(qr(z^H).R) without a conjugated copy of z.  Only the sign of
-    zero imaginary parts differs.  sigma comes from one values-only SVD of
-    R, and the rank from sigma alone; the SVD of R is taken again with its
-    left vectors only below full rank.  The 4-wavelength hemisphere is full
-    rank, with sigma_min / sigma_0 = 4.4e-14 close above the 1e-14 cut, so
-    its rank must come from that one values-only call.
+    A wide z (n > J) is first reduced to the J x J triangular factor R of
+    a QR of z^H, which has the same left singular vectors and singular
+    values (Golub & Van Loan, section 5.4), so neither the long right
+    singular vectors nor the QR's orthogonal factor is formed.  The QR is
+    taken of z^T, a view, and R^H is read as qr(z^T).R^T: Householder QR
+    commutes with conjugation to the last bit (every reflector and every
+    update of the conjugated input is the conjugate of the original's, and
+    IEEE negation is exact), so qr(z^T).R = conj(qr(z^H).R) without a
+    conjugated copy of z.  Only the sign of zero imaginary parts differs.
+    The rank and the projector both come from the one SVD call.
 
-    A narrow z (the 1/32-sphere) goes straight to the SVD.  Do not
-    refactor that factorization: the 1/32-sphere keeps singular values
-    down to 4.8e-13 sigma_0, so its projector is fixed only to ~2e-5, and
-    any change of its last bits moves results pinned by the benchmark
-    reference (the FOUND line on `ProjectionOperator` in CHANGES.md).
-    The plane and the hemisphere reach this function only without their
-    mirrors, or at a loose rtol; `ProjectionOperator` fixes their
-    projectors from the mirror classes.
+    Do not refactor the narrow factorization: the 1/32-sphere keeps
+    singular values down to 4.8e-13 sigma_0, so its projector is fixed only
+    to ~2e-5, and any change of its last bits moves results pinned by the
+    benchmark reference (the FOUND line on `ProjectionOperator` in
+    CHANGES.md).  The plane and the hemisphere reach this function only at
+    a loose rtol or without their mirrors; the class rule fixes their
+    projectors otherwise.
     """
-    if z.shape[1] <= z.shape[0]:
-        u, s, _ = np.linalg.svd(z, full_matrices=False)
-        return s, u
-    r = np.linalg.qr(z.T, mode="r").T
-    s = np.linalg.svd(r, compute_uv=False)
-    if _rank(s, rtol) == z.shape[0]:
-        return s, None
-    return s, np.linalg.svd(r, full_matrices=False)[0]
+    if z.shape[1] > z.shape[0]:
+        z = np.linalg.qr(z.T, mode="r").T
+    u, s, _ = np.linalg.svd(z, full_matrices=False)
+    r = _rank(s, rtol)
+    return s, u[:, :r] @ u[:, :r].conj().T
 
 
 class ProjectionOperator:
@@ -275,22 +270,20 @@ class ProjectionOperator:
     Z in descending order, and ``rank`` counts those above rtol * sigma_0.
 
     ``mirrors`` lists reflections under which Z is symmetric, as pairs of
-    signed row and column maps (`surface_mirrors`).  With any, Z is first
-    split into their joint parity classes (`_by_classes`).  When every
-    class is either reached in full at the rtol * sigma_0 cut or has no
-    columns, P_op is the sum of the full classes' projectors, a fixed
-    combination sum_g a_g sigma_g of the mirror maps whose entries are
-    exactly 0, +-1/2 or 1, and no singular vector is formed: the
-    hemisphere gets P_op = I and the x = 0 plane the x-even modes,
+    signed row and column maps (`surface_mirrors`); none is the trivial
+    group, one class holding every mode and every current.  One rule
+    decides when P_op is exact (`_by_classes`): when every parity class is
+    either reached in full at the rtol * sigma_0 cut or has no columns,
+    P_op is the sum of the full classes' projectors, a fixed combination
+    sum_g a_g sigma_g of the mirror maps whose entries are exactly 0, +-1/2
+    or 1, and no singular vector is formed: a full-rank Z without mirrors
+    and the hemisphere get P_op = I, the x = 0 plane the x-even modes,
     (I + sigma_x) / 2.  ``projector`` then holds the nonzero terms
     (a_g, perm_g, sign_g), and ``p_op`` builds the dense matrix from them
     each time it is read; nothing the pipeline runs reads it.  Every other
-    case, a class that reaches some but not all of its modes (the
-    1/32-sphere) or a loose rtol among them, takes the whole-Z path
-    `_singular`, to the last bit as without mirrors, and ``projector``
-    holds the dense U_r U_r^H.  There a wide Z of full rank r = J has a
-    unitary U_r, so P_op = I exactly as well, and ``projector`` holds the
-    class path's identity term (1, identity, +1): P = I has one form.
+    Z, a class that reaches some but not all of its modes (the
+    1/32-sphere) or a class below full rank, takes one SVD of the whole Z
+    (`_whole`), and ``projector`` holds the dense U_r U_r^H.
 
     The pseudoinverse is built from a full SVD of Z on first use only.
     """
@@ -298,16 +291,9 @@ class ProjectionOperator:
     def __init__(self, z, rtol=RANK_RTOL, mirrors=()):
         self.z = z
         self.mirrors = mirrors
-        by_classes = _by_classes(z, mirrors, rtol) if mirrors else None
-        if by_classes is not None:
-            self.singular_values, self.projector = by_classes
-            self.rank = _rank(self.singular_values, rtol)
-            return
-        self.singular_values, u = _singular(z, rtol)
-        self.rank = r = _rank(self.singular_values, rtol)
-        j = z.shape[0]
-        self.projector = ([(1.0, np.arange(j), np.ones(j))] if u is None
-                          else u[:, :r] @ u[:, :r].conj().T)
+        self.singular_values, self.projector = (
+            _by_classes(z, mirrors, rtol) or _whole(z, rtol))
+        self.rank = _rank(self.singular_values, rtol)
 
     @property
     def mode_count(self):
@@ -332,13 +318,13 @@ class ProjectionOperator:
         return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
 
 
-def _products(maps):
-    """Every product of commuting signed maps (perm, sign), the identity
-    first: element g is the product of the maps whose bit is set in g.
+def _products(maps, size):
+    """Every product of commuting signed maps (perm, sign) of `size`
+    indices, the identity first: element g is the product of the maps
+    whose bit is set in g.
 
     A map acts on a vector v as (sigma v)[i] = sign[i] v[perm[i]].
     """
-    size = maps[0][0].size
     out = [(np.arange(size), np.ones(size))]
     for perm, sign in maps:
         out += [(p[perm], s[perm] * sign) for p, s in out]
@@ -366,11 +352,14 @@ def _class_basis(perms, signs, chars):
 
 def _by_classes(z, mirrors, rtol):
     """(sigma, terms) of z from its blocks in the mirrors' joint parity
-    classes, or None when some class is reached only in part.
+    classes, or None when the classes do not fix P exactly.
 
-    The mirror maps commute, so Z, with sigma_g Z = Z C_g for every group
-    element g, is block diagonal between the class bases U of rows (m / -m
-    combinations) and V of columns (orbit sums of the paired currents).
+    No mirrors is the trivial group: one class, every mode and every
+    current, whose one block is Z itself, so a Z of full row rank gets
+    P = I and any other Z without mirrors gets None.  The mirror maps
+    commute, so Z, with sigma_g Z = Z C_g for every group element g, is
+    block diagonal between the class bases U of rows (m / -m combinations)
+    and V of columns (orbit sums of the paired currents).
     Z maps an orbit sum onto sqrt|orbit| times the class projection of its
     first column, so each class block B = U^H Z V is read from one column
     per orbit.  Each block gets one values-only factorization, a QR of its
@@ -381,11 +370,13 @@ def _by_classes(z, mirrors, rtol):
     sum_g a_g sigma_g with a_g = sum_chi chi(g) / |G| over the full
     classes: sums of dyadic fractions of +-1, exact in floating point.
     terms lists the nonzero a_g with g's signed row map, (a_g, perm_g,
-    sign_g): (1, identity) for the hemisphere, and (1/2, identity) and
-    (1/2, sigma_x) for the x = 0 plane.
+    sign_g): (1, identity) for a full-rank Z and the hemisphere, and
+    (1/2, identity) and (1/2, sigma_x) for the x = 0 plane.  None is
+    returned when some class is reached only in part, or is below full
+    rank at the cut.
     """
-    rows = _products([r for r, _ in mirrors])
-    cols = _products([c for _, c in mirrors])
+    rows = _products([r for r, _ in mirrors], z.shape[0])
+    cols = _products([c for _, c in mirrors], z.shape[1])
     order = len(rows)
     row_perms, row_signs = (np.stack(a, axis=1) for a in zip(*rows))
     col_perms, col_signs = (np.stack(a, axis=1) for a in zip(*cols))
@@ -399,9 +390,10 @@ def _by_classes(z, mirrors, rtol):
     for chi, ((ri, rc), (ci, cc)) in enumerate(bases):
         if not len(ri) or not len(ci):
             continue
-        # order * cc[:, 0] = sqrt|orbit| of each column orbit
-        b = sum(rc[:, g, None] * z[np.ix_(ri[:, g], ci[:, 0])]
-                for g in range(order)) * (order * cc[:, 0])
+        # order * cc[:, 0] = sqrt|orbit| of each column orbit; the trivial
+        # group's one block is Z itself, read without a copy
+        b = z if order == 1 else sum(rc[:, g, None] * z[np.ix_(
+            ri[:, g], ci[:, 0])] for g in range(order)) * (order * cc[:, 0])
         if b.shape[1] > b.shape[0]:
             b = np.linalg.qr(b.T, mode="r")
         values.append(np.linalg.svd(b, compute_uv=False))

@@ -231,5 +231,5 @@ def test_siso_reference_golden_value(baseline_profile):
     # capacity scale, so it is locked as a golden value
     r_omni = correlation.siso_reference(baseline_profile)
     assert abs(r_omni - 2.1624) < 2e-4
-    snr = correlation.calibrated_snr(baseline_profile, -12.0)
+    snr = correlation.calibrated_snr(r_omni, -12.0)
     assert abs(snr - 10.0 ** (-1.2) / r_omni) < 1e-15

@@ -133,19 +133,39 @@ def test_scenario_error_messages_are_anchored(tmp_path):
     assert scenario.load_scenario(bad).array_config.n_elements == 9
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _bench_workloads():
+    """The benchmark's scenario generator, ``bench/workloads.py``."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", REPO / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def test_shipped_baseline_matches_benchmark_workload():
     # the acceptance gates read the shipped file and the benchmark builds
     # its own copy of the same tree; the two must not drift apart
-    import importlib.util
     import yaml
-    repo = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", repo / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     shipped = yaml.safe_load(
-        (repo / "scenarios" / "paper_baseline.yaml").read_text())
-    assert shipped == workloads.scenario_tree("paper_baseline", 0)
+        (REPO / "scenarios" / "paper_baseline.yaml").read_text())
+    assert shipped == _bench_workloads().scenario_tree("paper_baseline", 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_benchmark_workload_scenario_loads(tmp_path, seed):
+    # the benchmark runs each workload from its generated file; no
+    # load-time rule (the theta rule, the artifact steps, the SISO
+    # calibration) may reject one
+    workloads = _bench_workloads()
+    for name in workloads.WORKLOADS:
+        cfg = tmp_path / f"{name}.yaml"
+        tree = workloads.write_scenario(name, seed, cfg)
+        scn = scenario.load_scenario(cfg)
+        assert scn.name == tree["name"] and 0.0 < scn.snr < np.inf
 
 
 # every row of the scenario schema as (section, key, parser, default)
@@ -210,6 +230,27 @@ def test_non_finite_numbers_fail_validation(tmp_path, capsys, keys, message):
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
 
+@pytest.mark.parametrize("key", ["cut_step_deg", "grid_step_deg"])
+def test_artifact_steps_must_divide_180(tmp_path, capsys, key):
+    # a grid step of 7 deg wrote pattern rows at theta = 182 deg and a cut
+    # step of 11 deg ended the theta-plane cut at 183 deg, past the pole,
+    # where the OBPB and codebook families read different directions
+    import yaml
+    cfg = tmp_path / "steps.yaml"
+    for step in (7, 11, 1, 3, 30, 45, 60):
+        cfg.write_text(yaml.safe_dump({"methods": ["obpb:plane",
+                                                   "full_array:power"],
+                                       "n_ue": [4], "artifacts": {key: step}}))
+        if step in (7, 11):
+            assert cli.main(["validate", str(cfg)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {cfg}: artifacts: {key}: {step} does not divide "
+                "180\n")
+        else:
+            assert scenario.load_scenario(cfg).sections["artifacts"][key] \
+                == step
+
+
 def _snr_out_of_range(tmp_path, capsys, snr_db):
     out = tmp_path / "out"
     cfg = tmp_path / "snr.yaml"
@@ -247,15 +288,16 @@ def test_load_calibrates_the_snr_of_the_full_grids(profile):
     full = profiles.JointProfile(
         scn.profile_params, profiles.make_grid(*scn.quadrature["bs"]),
         profiles.make_grid(*scn.quadrature["ue"]))
-    assert scn.snr == correlation.calibrated_snr(full, scn.snr_db_siso)
+    reference = correlation.siso_reference(full)
+    assert scn.siso_reference == reference
+    assert scn.snr == correlation.calibrated_snr(reference, scn.snr_db_siso)
 
 
 def test_shipped_baseline_spells_every_schema_default():
     # the README's claim: the shipped file documents every key at its
     # library default, report_m apart
     import yaml
-    path = Path(__file__).resolve().parent.parent / "scenarios" / \
-        "paper_baseline.yaml"
+    path = REPO / "scenarios" / "paper_baseline.yaml"
     shipped = yaml.safe_load(path.read_text())
     for name, rows in scenario._SECTIONS.items():
         assert shipped[name] == {key: default
@@ -940,9 +982,8 @@ def _compare_artifact_trees(a, b):
 
 def test_artifacts_match_dense_solvers(tmp_path, monkeypatch):
     # the Krylov eigensolver and the projectors (the mirror-class sums, or
-    # the QR-reduced route with the identity at full rank) against dense
-    # eigh and a full SVD of every transfer matrix, on all four OBPB
-    # families
+    # the QR-reduced whole-Z route) against dense eigh and a full SVD of
+    # every transfer matrix, on all four OBPB families
     import scipy.sparse.linalg
     from obpb import surfaces
     cfg = tmp_path / "desk.yaml"
@@ -970,18 +1011,19 @@ def test_artifacts_match_dense_solvers(tmp_path, monkeypatch):
     def full_svd(z, rtol):
         factored.append(z.shape)
         u, s, _ = np.linalg.svd(z, full_matrices=False)
-        return s, u
+        r = surfaces._rank(s, rtol)
+        return s, u[:, :r] @ u[:, :r].conj().T
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    monkeypatch.setattr(surfaces, "_singular", full_svd)
+    monkeypatch.setattr(surfaces, "_whole", full_svd)
+    monkeypatch.setattr(surfaces, "_by_classes", lambda *args: None)
     monkeypatch.setattr(surfaces, "surface_mirrors", lambda *args: [])
     scn = scenario.load_scenario(cfg)
     scn.output_dir = str(tmp_path / "dense")
     dense = scenario.run_scenario(scn)
     assert krylov.exit_code == dense.exit_code == 0
     # the dense run's projectors, the hemisphere's included, come from a
-    # full SVD of every Z, not the mirror classes, the QR route or the
-    # identity at full rank
+    # full SVD of every Z, not the class rule or the QR route
     assert (man["resolved"]["modes"]["j_bs"], 2 * hemi["n_points"]) \
         in factored
     assert len(factored) == 3
@@ -1149,10 +1191,15 @@ def test_cli_compare_rejects_unknown_baseline(smoke_run, tmp_path, capsys):
 
 
 def test_cli_compare_rejects_non_manifest_json(smoke_run, tmp_path, capsys):
-    # JSON that is not a mapping ended in a TypeError traceback
+    # JSON that is not a mapping ended in a TypeError traceback, and a
+    # mapping without a profile, or a point without the compared keys, in a
+    # KeyError traceback
     _, outcome = smoke_run
     stray = tmp_path / "stray.json"
-    for text in ("{\"hello\": 1}\n", "3\n", "[\"points\", \"resolved\"]\n"):
+    for text in ("{\"hello\": 1}\n", "3\n", "[\"points\", \"resolved\"]\n",
+                 "{\"points\": [], \"resolved\": {}}\n",
+                 "{\"points\": [{\"n_ue\": 4}], "
+                 "\"resolved\": {\"profile\": {}}}\n"):
         stray.write_text(text)
         rc = cli.main(["compare", str(outcome.manifest_path), str(stray)])
         assert rc == 1

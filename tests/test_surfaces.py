@@ -325,8 +325,8 @@ def test_class_path_operator_holds_no_dense_projector(small_plane_op,
 
 def test_whole_z_at_full_rank_keeps_the_identity_term(reachable):
     # a hemisphere taken whole, without its mirrors, is wide and full rank:
-    # its P = I has the class path's one form, the identity term, and no
-    # J x J array is held until p_op is read
+    # the trivial group's one class is reached in full, so its P = I is the
+    # identity term, and no J x J array is held until p_op is read
     modeset = ModeSet(truncation_order=3)
     z = surfaces.build_z(modeset, surfaces.sample_surface(
         surfaces.hemisphere_surface(1.0 / np.sqrt(2.0)))).z
@@ -343,6 +343,41 @@ def test_whole_z_at_full_rank_keeps_the_identity_term(reachable):
     q = np.random.default_rng(3).standard_normal((j, 2)) + 0j
     assert np.array_equal(surfaces.project(op, q),
                           q / np.linalg.norm(q, axis=0))
+
+
+def test_square_full_rank_z_without_mirrors_is_the_identity():
+    # a square Z of full rank reaches every mode: the trivial group fixes
+    # P = I exactly, where U U^H of its SVD is I only to roundoff
+    rng = np.random.default_rng(5)
+    j = 20
+    z = rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j))
+    op = surfaces.ProjectionOperator(z)
+    assert op.rank == j
+    [(a_g, perm, sign)] = op.projector
+    assert a_g == 1.0 and np.array_equal(perm, np.arange(j))
+    assert op.p_op.tobytes() == np.eye(j, dtype=complex).tobytes()
+
+
+def test_unsettled_wide_z_takes_one_whole_svd(monkeypatch):
+    # at a loose rtol the small hemisphere's mirror classes fall below full
+    # rank, so the class rule does not settle P: its wide Z is reduced by
+    # one QR and factored by one SVD, which gives the rank and U_r U_r^H
+    modeset = ModeSet(truncation_order=3)
+    hemi = surfaces.build_z(modeset, surfaces.sample_surface(
+        surfaces.hemisphere_surface(1.0 / np.sqrt(2.0))))
+    j = modeset.mode_count
+    assert hemi.mirrors and hemi.z.shape[1] > j
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs:
+                        shapes.append(a.shape) or svd(a, *args, **kwargs))
+    op = surfaces.ProjectionOperator(hemi.z, rtol=0.5, mirrors=hemi.mirrors)
+    assert 1 <= op.rank < j
+    # the class blocks are smaller than J x J; the whole Z's R is not
+    assert shapes.count((j, j)) == 1
+    assert all(shape[0] < j for shape in shapes if shape != (j, j))
+    u = svd(np.linalg.qr(hemi.z.T, mode="r").T)[0][:, :op.rank]
+    assert np.abs(op.p_op - u @ u.conj().T).max() <= 1e-13
 
 
 def _x_even_projector(modeset):
@@ -488,7 +523,7 @@ def test_blocked_z_is_the_one_shot_z_bit_for_bit(name, monkeypatch):
        st.integers(min_value=1, max_value=200),
        st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_qr_of_the_transpose_is_the_conjugate_qr(rows, extra, seed):
-    # `surfaces._singular` reads R^H of a QR of z^H as qr(z^T).R^T, with no
+    # `surfaces._whole` reads R^H of a QR of z^H as qr(z^T).R^T, with no
     # conjugated copy of z.  It relies on this LAPACK property: Householder
     # QR of conj(A) yields conj(R) to the last bit, since each reflector and
     # each update of the conjugated input is the conjugate of the original's.
