@@ -6,7 +6,8 @@ Three things have to hold before anything downstream can be trusted:
    646 (base station) and 48 (user) modes;
 2. the far-field functions are orthogonal under the sphere quadrature, with
    every mode carrying the same total power 4*pi;
-3. the flat index j <-> (s, m, n) mapping round-trips.
+3. the flat index j <-> (s, m, n) mapping round-trips: ModeSet's decode of
+   j = 1 .. J gives back j under `flat_index`.
 
 The orthogonality check runs on a deliberately small Gauss-Legendre grid:
 products of order-17 modes are polynomials of degree <= 35 in cos(theta)
@@ -45,14 +46,14 @@ def main():
     ue = modes.ModeSet(enclosing_radius=R0_UE)
     print(f"\nreference sets: J_BS = {bs.mode_count}, J_UE = {ue.mode_count}")
 
-    # flat index round trip over both sets plus the classic first entries
-    for j in range(1, bs.mode_count + 1):
-        s, m, n = modes.mode_from_flat(j)
+    # flat index round trip over the BS set plus the classic first entries
+    smn = [(int(s), int(m), int(n)) for s, m, n in zip(bs.s, bs.m, bs.n)]
+    for j, (s, m, n) in enumerate(smn, start=1):
         assert modes.flat_index(s, m, n) == j
     print("flat index round-trips for all", bs.mode_count, "BS modes")
-    print("  j=1 ->", modes.mode_from_flat(1), " (TE, m=-1, n=1)")
-    print("  j=2 ->", modes.mode_from_flat(2), " (TM, m=-1, n=1)")
-    dipole = modes.flat_index(2, 0, 1)
+    print("  j=1 ->", smn[0], " (TE, m=-1, n=1)")
+    print("  j=2 ->", smn[1], " (TM, m=-1, n=1)")
+    dipole = modes.flat_index(*modes.DIPOLE_SMN)
     print("  omni seed (s=2, m=0, n=1) sits at j =", dipole)
 
     grid = profiles.make_grid(20, 40)
@@ -67,8 +68,9 @@ def main():
 
     # the dipole fingerprint: |K_201|^2 is the sin^2 donut with power 4 pi
     power = profiles.make_grid(64, 128)
-    kth, kph = modes.far_field_function(2, 0, 1, power.theta, power.phi)
-    pat = np.abs(kth) ** 2 + np.abs(kph) ** 2
+    kth, kph = modes.far_field_matrix(modes.ModeSet(truncation_order=1),
+                                      power.theta, power.phi)
+    pat = np.abs(kth[dipole - 1]) ** 2 + np.abs(kph[dipole - 1]) ** 2
     total = power.integrate(pat)
     ratio = pat / np.sin(power.theta) ** 2
     print(f"\ndipole mode (2,0,1): total power / 4pi = {total / 4 / np.pi:.12f}")

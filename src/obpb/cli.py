@@ -10,7 +10,8 @@ errors only `run` reports (exit 1), before anything is written: an
 transfer matrix is built, and a nodal density that overflows a float on the
 grids, which only a codebook method reads.  `compare` reads of each
 manifest only its profile and each point's summary keys, and reports a file
-without them as ``<path>: not a run manifest`` (exit 1).  ``compare --out``
+without them, or with a key of the wrong JSON type, as ``<path>: not a run
+manifest`` (exit 1).  ``compare --out``
 writes through the artifacts' text writer, which makes the file's
 directories.  Before it computes anything, `run` checks that
 ``output_dir``, or else its nearest existing ancestor, is a writable

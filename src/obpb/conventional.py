@@ -99,17 +99,6 @@ def steering_matrix(config, theta, phi):
     return element_amplitude(theta, phi) * phase
 
 
-def dft_weight(config, p, q, sub_shape=None):
-    """One DFT beam (p, q), unit norm, over the full array or a sub shape."""
-    n_v, n_h = sub_shape if sub_shape is not None else (config.n_v, config.n_h)
-    a = config.beam_interval
-    u = np.arange(n_v)[:, None]
-    v = np.arange(n_h)[None, :]
-    w = np.exp(-2j * np.pi * (u * (p - 1) / (a * n_v)
-                              + v * (q - 1) / (a * n_h)))
-    return (w / np.sqrt(n_v * n_h)).ravel()
-
-
 def dft_codebook(config, sub_shape=None):
     """All a^2 N beams as columns (N, a^2 N), q fastest: column (p-1) a n_h + (q-1)."""
     n_v, n_h = sub_shape if sub_shape is not None else (config.n_v, config.n_h)
@@ -134,27 +123,6 @@ def subarray_groups(config, sub_shape):
             v = gv * sh + np.arange(sh)[None, :]
             groups.append((u * config.n_h + v).ravel())
     return groups
-
-
-def subarray_codebook(config, sub_shape):
-    """Embedded per-group DFT beams: the dense oracle of `subarray_selection`.
-
-    Returns (weights, group_of): weights (N, n_groups * a^2 N_sub) with each
-    group's codebook zero-padded to full length, and the owning group index
-    per column.  Total candidate count is a^2 N regardless of the shape.
-    The search never forms these weights or their Gram; tests compare its
-    chains with greedy chains on ``candidate_gram(weights, R)``.
-    """
-    groups = subarray_groups(config, sub_shape)
-    local = dft_codebook(config, sub_shape)
-    n = config.n_elements
-    weights = np.zeros((n, len(groups) * local.shape[1]), dtype=complex)
-    group_of = np.empty(len(groups) * local.shape[1], dtype=int)
-    for g, idx in enumerate(groups):
-        lo = g * local.shape[1]
-        weights[np.ix_(idx, np.arange(lo, lo + local.shape[1]))] = local
-        group_of[lo:lo + local.shape[1]] = g
-    return weights, group_of
 
 
 def element_correlation(profile, config):
@@ -302,12 +270,13 @@ def full_array_selections(r_elem, config, m_max, metrics):
 def subarray_selection(r_elem, config, sub_shape, m_max, metric="power"):
     """Greedy chain of embedded sub-array beams, at most one per group.
 
-    The chain is the one greedy_select_* picks on the Gram of
-    `subarray_codebook`, but that 1024 x 1024 Gram (8 x 8 array, beam
-    interval 4) is never formed.  Each embedded column is nonzero on its
-    group only, so with L the shape's local codebook and X_g = L^T R[g, :]
-    (the group's rows of W^T R) the Gram splits into group-pair blocks
-    G_gh = X_g[:, h] L^*.  The power rule reads the diagonal blocks, the
+    The chain is the one greedy_select_* picks on the Gram of the embedded
+    codebook, each group's local DFT beams zero-padded to the full array
+    (its dense oracle, `subarray_codebook`, lives in tests/oracles.py), but
+    that 1024 x 1024 Gram (8 x 8 array, beam interval 4) is never formed.
+    Each embedded column is nonzero on its group only, so with L the
+    shape's local codebook and X_g = L^T R[g, :] (the group's rows of
+    W^T R) the Gram splits into group-pair blocks G_gh = X_g[:, h] L^*.  The power rule reads the diagonal blocks, the
     determinant rule the row blocks of the groups it picks, and the chain's
     Gram block is gathered from the same blocks.  Each entry is taken from
     a whole block product and Hermitized as 0.5 (G_gh + G_hg^H), which

@@ -105,27 +105,24 @@ def det_db(r):
     return float(_DB * logabs)
 
 
-def omni_power(grid):
-    """Radiated power pattern of the unit-norm lowest TM mode on a grid.
-
-    This is the electrically small dipole reference: |K_201|^2, a
-    sin^2(theta) donut carrying total power 4 pi like every mode.
-    """
-    kth, kph = modes_mod.far_field_function(*modes_mod.DIPOLE_SMN, grid.theta,
-                                          grid.phi)
-    return np.abs(kth) ** 2 + np.abs(kph) ** 2
-
-
 def siso_reference(profile):
     """Mean channel power of the single-dipole link under a joint profile.
 
     r_omni = E|h|^2 for one unit-norm lowest-mode antenna at each end;
-    the SNR calibration pins this link to a prescribed mean SNR.  The
-    dipole's power does not depend on phi, so it has only the harmonic
-    k = 0, and the link power is the k = 0 column of the BS end's
-    `weighted_harmonics` against the UE dipole's power.
+    the SNR calibration pins this link to a prescribed mean SNR.  Each
+    end's dipole power is the beam power of the lowest TM mode in the
+    `modes.FieldTable` of the N = 1 mode set on that end's theta nodes,
+    the table every other pattern reads; its nodal oracle (`omni_power`)
+    lives in tests/oracles.py.  The dipole's power does not depend on phi,
+    so one phi node gives it, it has only the harmonic k = 0, and the link
+    power is the k = 0 column of the BS end's `weighted_harmonics` against
+    the UE dipole's power.
     """
-    omni_b, omni_u = (omni_power(g).reshape(g.shape)[:, 0]
+    dipole = modes_mod.ModeSet(truncation_order=1)
+    q = np.zeros(dipole.mode_count)
+    q[modes_mod.flat_index(*modes_mod.DIPOLE_SMN) - 1] = 1.0
+    omni_b, omni_u = (modes_mod.FieldTable(dipole, g.theta_nodes, "full")
+                      .beam_power(q, g.phi_nodes[:1])[0, :, 0]
                       for g in (profile.bs_grid, profile.ue_grid))
     d = profile.weighted_harmonics(omni_u[:, None], "bs", 0)
     return float(omni_b @ d[:, 0].real)

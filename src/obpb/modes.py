@@ -79,18 +79,6 @@ def flat_index(s, m, n):
     return 2 * (n * (n + 1) + m - 1) + s
 
 
-def mode_from_flat(j):
-    """Invert the flat index: j -> (s, m, n)."""
-    if j < 1:
-        raise ValueError("flat index starts at 1")
-    s = 2 - (j % 2)
-    t = (j - s) // 2 + 1          # t = n (n + 1) + m in [n^2, n^2 + 2n]
-    n = int(np.sqrt(t))
-    m = t - n * (n + 1)
-    _check_smn(s, m, n)
-    return s, m, n
-
-
 def _check_smn(s, m, n):
     if s not in (1, 2):
         raise ValueError("polarization class s must be 1 or 2")
@@ -201,27 +189,6 @@ def normalized_legendre(nmax, m, theta):
 def _mode_sign(m):
     """Hansen prefactor (-m/|m|)^m, with the m = 0 convention of 1."""
     return np.where((m > 0) & (m % 2 == 1), -1.0, 1.0)
-
-
-def far_field_function(s, m, n, theta, phi):
-    """Far-field pattern function K_smn at directions (theta, phi).
-
-    Returns (K_theta, K_phi) as complex arrays broadcast over the inputs.
-    """
-    _check_smn(s, m, n)
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    P, dP = normalized_legendre(n, abs(m), theta)
-    pb, dpb = P[-1], dP[-1]
-    st = np.sin(np.clip(theta, POLE_CLAMP, np.pi - POLE_CLAMP))
-    c = np.sqrt(2.0 / (n * (n + 1.0))) * _mode_sign(m)
-    azim = np.exp(1j * m * phi)
-    mps = 1j * m * pb / st
-    if s == 1:
-        pref = c * (-1j) ** (n + 1)
-        return pref * azim * mps, pref * azim * (-dpb)
-    pref = c * (-1j) ** n
-    return pref * azim * dpb, pref * azim * mps
 
 
 def far_field_matrix(modes, theta, phi):
@@ -423,27 +390,6 @@ def radial_factors(nmax, kr):
     jn = spherical_jn(ns, kr)
     return (jn, spherical_jn(ns, kr, derivative=True) + jn / kr,
             ns * (ns + 1) * jn / kr)
-
-
-def regular_wave_function(s, m, n, r, theta, phi):
-    """Regular spherical wave function F^(1)_smn at points (r, theta, phi).
-
-    Returns (F_r, F_theta, F_phi) in spherical components.  The tangential
-    part equals K_smn times the per-mode radial scalar, so the phase
-    conventions match far_field_function exactly.
-    """
-    _check_smn(s, m, n)
-    r = np.asarray(r, dtype=float)
-    R1, R2, Rr = radial_factors(n, 2.0 * np.pi * r)
-    Kth, Kph = far_field_function(s, m, n, theta, phi)
-    if s == 1:
-        zero = np.zeros(np.broadcast(r, np.asarray(theta), np.asarray(phi)).shape)
-        return zero, R1[-1] * Kth, R1[-1] * Kph
-    P, _ = normalized_legendre(n, abs(m), theta)
-    c = np.sqrt(2.0 / (n * (n + 1.0))) * _mode_sign(m)
-    pref = c * (-1j) ** n
-    Fr = Rr[-1] * pref * np.exp(1j * m * np.asarray(phi)) * P[-1]
-    return Fr, R2[-1] * Kth, R2[-1] * Kph
 
 
 def regular_wave_matrix(modes, r, theta, phi):

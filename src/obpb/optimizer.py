@@ -196,19 +196,6 @@ def _correlation(profile, q_far, near, far):
     return table.correlation(d)
 
 
-def optimize_side(q_far, profile, modes_near, modes_far, m, side):
-    """One half-step: refresh the beams of `side` against fixed far beams.
-
-    q_far: mode coefficients of the far side's current beams over
-    modes_far; modes_near: the ModeSet of the side being refreshed.
-    side: 'bs' or 'ue'.  Returns (Q, lam) for the refreshed side.
-    """
-    far_side = "ue" if side == "bs" else "bs"
-    return dominant_beams(_correlation(
-        profile, q_far, _end(profile, side, modes_near),
-        _end(profile, far_side, modes_far)), m)
-
-
 def _converged(history, epsilon):
     if len(history) < 3:
         return False

@@ -933,7 +933,10 @@ def _resolved_parameters(scenario, profile, obpb_bundle, conv_bundle):
 # comparison across runs
 # ---------------------------------------------------------------------------
 
-_COMPARED = {"method", "n_ue", "m_opt", "capacity_bits", "det_db"}
+# each point key the table reads, with the types its JSON value may have:
+# exact types, so a bool (an int subclass) is neither an int nor a number
+_COMPARED = {"method": (str,), "n_ue": (int,), "m_opt": (int,),
+             "capacity_bits": (int, float), "det_db": (int, float)}
 
 
 def compare_manifests(paths, baseline=None):
@@ -954,12 +957,15 @@ def compare_manifests(paths, baseline=None):
             raise ScenarioError(f"{path}: {exc.strerror or exc}") from None
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}:{exc.lineno}: {exc.msg}") from None
-        # what the table reads: the profile and each point's summary keys
+        # what the table reads: the profile and each point's summary
+        # keys, each of its type
         points = man.get("points") if isinstance(man, dict) else None
         if not (points and isinstance(points, list)
                 and isinstance(man.get("resolved"), dict)
                 and "profile" in man["resolved"]
-                and all(isinstance(p, dict) and _COMPARED <= p.keys()
+                and all(isinstance(p, dict)
+                        and all(type(p.get(k)) in t
+                                for k, t in _COMPARED.items())
                         for p in points)):
             raise ScenarioError(f"{path}: not a run manifest")
         manifests.append((str(path), man))

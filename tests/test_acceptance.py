@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from obpb import capacity, conventional, correlation, optimizer, profiles
 from obpb import surfaces
 from obpb.modes import ModeSet, far_field_matrix, mode_count_for_radius
@@ -280,10 +281,9 @@ def test_criterion_8_desk_oracles(capsys):
     marginal = profile.marginal_bs(np.ones(profile.ue_grid.n_nodes))
 
     # brute-force quadrature, mode pair by mode pair
-    from obpb.modes import far_field_function
     j = modeset.mode_count
     r_brute = np.zeros((j, j), dtype=complex)
-    fns = [far_field_function(s, m, n, grid.theta, grid.phi)[0]
+    fns = [oracles.far_field_function(s, m, n, grid.theta, grid.phi)[0]
            for (s, m, n) in zip(modeset.s, modeset.m, modeset.n)]
     wm = grid.weights * marginal
     for a in range(j):
@@ -307,7 +307,7 @@ def test_criterion_8_desk_oracles(capsys):
     from obpb.modes import flat_index
     q_far = np.zeros((modeset.mode_count, 1), dtype=complex)
     q_far[flat_index(2, 0, 1) - 1, 0] = 1.0
-    q_side, lam_side = optimizer.optimize_side(
+    q_side, lam_side = oracles.optimize_side(
         q_far, profile, modeset, modeset, 2, "bs")
 
     u_far = profiles.pattern_power(q_far, modeset, profile.ue_grid)

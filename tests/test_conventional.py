@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from obpb import conventional, profiles
 
 
@@ -82,10 +83,10 @@ def test_dft_codebook_columns(small_config):
     for p, q in ((1, 1), (2, 3), (8, 5)):
         col = (p - 1) * small_config.beam_interval * small_config.n_h \
             + (q - 1)
-        w = conventional.dft_weight(small_config, p, q)
+        w = oracles.dft_weight(small_config, p, q)
         assert np.abs(cb[:, col] - w).max() < 1e-12
     # the un-steered beam is the uniform taper
-    assert np.allclose(conventional.dft_weight(small_config, 1, 1), 0.25)
+    assert np.allclose(oracles.dft_weight(small_config, 1, 1), 0.25)
 
 
 def test_subarray_groups_tile_the_array(small_config):
@@ -99,7 +100,7 @@ def test_subarray_groups_tile_the_array(small_config):
 
 
 def test_subarray_codebook_is_zero_padded(small_config):
-    weights, group_of = conventional.subarray_codebook(small_config, (2, 2))
+    weights, group_of = oracles.subarray_codebook(small_config, (2, 2))
     assert weights.shape == (16, small_config.n_beams)
     assert group_of.shape == (small_config.n_beams,)
     groups = conventional.subarray_groups(small_config, (2, 2))
@@ -258,7 +259,7 @@ def test_selection_keeps_only_the_chain(desk_profile, small_config):
               lambda metric: conventional.full_array_selections(
                   r, small_config, 6, (metric,))[metric])]
     for shape in ((2, 2), (1, 4)):
-        cases.append((conventional.subarray_codebook(small_config, shape)[0],
+        cases.append((oracles.subarray_codebook(small_config, shape)[0],
                       lambda metric, shape=shape:
                       conventional.subarray_selection(
                           r, small_config, shape, 4, metric)))
@@ -337,7 +338,7 @@ def _assert_block_search_is_the_dense_search(r, config, n_ue):
     # every tiling shape and both metrics: subarray_selection against the
     # greedy rules on the dense Gram of the zero-padded codebook
     for shape in conventional.tiling_shapes(config):
-        weights, group_of = conventional.subarray_codebook(config, shape)
+        weights, group_of = oracles.subarray_codebook(config, shape)
         gram = conventional.candidate_gram(weights, r)
         m = min(config.n_elements // (shape[0] * shape[1]), n_ue)
         for metric, select in (("power", conventional.greedy_select_power),

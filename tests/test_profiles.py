@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from obpb import correlation, profiles
 from obpb.modes import FieldTable, ModeSet, flat_index
+from oracles import omni_power, optimize_side
 
 
 @pytest.fixture(scope="module")
@@ -186,15 +187,13 @@ def test_profile_fields_theta_polarization_drops_phi(desk_profile):
 def test_every_link_end_entry_point_rejects_other_names(desk_profile, side):
     # "BS" read the UE end: weighted_harmonics(x, "BS", k) equalled the
     # "ue" result on equal-theta grids, and profile_fields read the UE grid
-    from obpb import optimizer
     ms = ModeSet(truncation_order=1)
     q = np.ones((ms.mode_count, 1), dtype=complex)
     far = np.ones((desk_profile.ue_grid.shape[0], 1))
     for call in (lambda: desk_profile.link_end(side),
                  lambda: desk_profile.weighted_harmonics(far, side, 0),
                  lambda: profiles.profile_fields(desk_profile, side, ms),
-                 lambda: optimizer.optimize_side(q, desk_profile, ms, ms, 1,
-                                                 side)):
+                 lambda: optimize_side(q, desk_profile, ms, ms, 1, side)):
         with pytest.raises(ValueError, match="link end is 'bs' or 'ue'"):
             call()
 
@@ -331,8 +330,8 @@ def test_harmonics_match_the_oracle_marginal(params):
         errs = _harmonic_errors(profile, oracle, np.random.default_rng(7))
         assert max(errs) <= 1e-13
     assert abs(profile.total_power - total) <= 1e-13 * total
-    omni_b = profile.bs_grid.weights * correlation.omni_power(profile.bs_grid)
-    omni_u = profile.ue_grid.weights * correlation.omni_power(profile.ue_grid)
+    omni_b = profile.bs_grid.weights * omni_power(profile.bs_grid)
+    omni_u = profile.ue_grid.weights * omni_power(profile.ue_grid)
     want = omni_b @ joint @ omni_u
     assert abs(correlation.siso_reference(profile) - want) <= 1e-13 * want
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from obpb import cli, scenario
 
 SMOKE_YAML = """\
@@ -575,9 +576,11 @@ def test_obpb_bundle_keeps_only_what_points_read(tmp_path, reachable):
 def test_obpb_run_builds_each_table_and_the_seed_eigenbeams_once(
         tmp_path, monkeypatch):
     # far_field_matrix runs once per (ModeSet, theta-node set): the two
-    # quadrature grids and each artifact table's theta nodes per end (the
-    # surfaces' build_z takes regular waves, not far fields), and the seed
-    # correlation's eigenproblem is solved once, at m_max, for every M
+    # quadrature grids, under each end's mode set and under the N = 1 set
+    # of the SISO reference's dipole, and each artifact table's theta nodes
+    # per end (the surfaces' build_z takes regular waves, not far fields),
+    # and the seed correlation's eigenproblem is solved once, at m_max, for
+    # every M
     import yaml
     from obpb import modes, optimizer, profiles
     tables = []
@@ -601,8 +604,11 @@ def test_obpb_run_builds_each_table_and_the_seed_eigenbeams_once(
     scn = scenario.Scenario(tree)
     scenario.run_scenario(scn)
     monkeypatch.undo()
-    # 2 quadrature grids + (3 BS + 2 UE) artifact tables
-    assert len(tables) == len(set(tables)) == 7
+    # 2 quadrature grids x (end + dipole) + (3 BS + 2 UE) artifact tables
+    assert len(tables) == len(set(tables)) == 9
+    assert {theta for order, theta in tables if order == 1} == {
+        profiles.make_grid(*scn.quadrature[end]).theta_nodes.tobytes()
+        for end in ("bs", "ue")}
 
     profile = profiles.JointProfile(
         scn.profile_params, profiles.make_grid(*scn.quadrature["bs"]),
@@ -854,7 +860,7 @@ def test_conventional_patterns_match_direct_evaluation(smoke_run):
         if point["method"] not in ("full_array_det", "sub_array"):
             continue
         if point["method"] == "sub_array":
-            weights, _ = conventional.subarray_codebook(
+            weights, _ = oracles.subarray_codebook(
                 config, tuple(point["sub_shape"]))
         else:
             weights = conventional.dft_codebook(config)
@@ -1204,3 +1210,20 @@ def test_cli_compare_rejects_non_manifest_json(smoke_run, tmp_path, capsys):
         rc = cli.main(["compare", str(outcome.manifest_path), str(stray)])
         assert rc == 1
         assert "not a run manifest" in capsys.readouterr().err
+    # a real manifest with one point value of the wrong type ended in a
+    # ValueError ("four") or TypeError (null, [3]) traceback; a bool is not
+    # a count
+    man = json.loads(outcome.manifest_path.read_text())
+    for key, value in (("n_ue", "four"), ("capacity_bits", None),
+                       ("m_opt", [3]), ("n_ue", True)):
+        bad = json.loads(json.dumps(man))
+        bad["points"][0][key] = value
+        stray.write_text(json.dumps(bad))
+        rc = cli.main(["compare", str(outcome.manifest_path), str(stray)])
+        assert rc == 1, (key, value)
+        assert "not a run manifest" in capsys.readouterr().err
+    # a determinant of -inf, as codebook runs write one, is still a number
+    man["points"][0]["det_db"] = -np.inf
+    stray.write_text(json.dumps(man))
+    assert cli.main(["compare", str(outcome.manifest_path), str(stray)]) == 0
+    assert "-inf" in capsys.readouterr().out
