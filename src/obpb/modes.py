@@ -211,6 +211,11 @@ def check_polarization(polarization):
     return polarization
 
 
+# side of the square tiles in which `hermitian_part` Hermitizes a matrix
+# larger than one tile; no value changes a bit
+_HERMITIAN_TILE = 128
+
+
 def hermitian_part(g, h=None):
     """0.5 (G + H^H), in place in G; H is G itself unless given.
 
@@ -220,9 +225,29 @@ def hermitian_part(g, h=None):
     goes through these two operations, so an entry assembled from the
     products G_gh and G_hg of two groups equals the dense Gram's entry to
     the last bit.
+
+    A square G larger than one tile is taken in tile pairs (A above the
+    diagonal, B below), each side from its own sum, A + B^H and B + A^H,
+    so no full-size G^H is formed.  Writing the lower tile as the
+    conjugate transpose of the upper one would flip the sign of zero
+    imaginary parts.
     """
-    g += (g if h is None else h).conj().T
-    g *= 0.5
+    n = g.shape[0]
+    if h is not None or g.shape != (n, n) or n <= _HERMITIAN_TILE:
+        g += (g if h is None else h).conj().T
+        g *= 0.5
+        return g
+    for i in range(0, n, _HERMITIAN_TILE):
+        a = slice(i, i + _HERMITIAN_TILE)
+        hermitian_part(g[a, a])
+        for j in range(i + _HERMITIAN_TILE, n, _HERMITIAN_TILE):
+            b = slice(j, j + _HERMITIAN_TILE)
+            up = g[a, b] + g[b, a].conj().T
+            lo = g[b, a] + g[a, b].conj().T
+            up *= 0.5
+            lo *= 0.5
+            g[a, b] = up
+            g[b, a] = lo
     return g
 
 

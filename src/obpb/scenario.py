@@ -68,6 +68,7 @@ fixed key order and without timestamps, so a rerun of the same scenario on the
 same build produces byte-identical files.
 """
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -443,10 +444,12 @@ class _ColumnText:
 
     ``repr`` of the Python scalars that ``tolist`` yields is the form `_fmt`
     gives (str of an int, shortest round-trip repr of a float) without a
-    per-cell type check.  Rendered columns are kept by dtype and bytes, so a
-    column that recurs anywhere in the run (the angle columns of every
-    table, an OBPB family's streams at every N_UE, a greedy chain's beams at
-    every prefix that evaluates them to the same bits) is formatted once.
+    per-cell type check.  Rendered columns are keyed by dtype, length and
+    the SHA-256 digest of their bytes, so a column that recurs anywhere in
+    the run (the angle columns of every table, an OBPB family's streams at
+    every N_UE, a greedy chain's beams at every prefix that evaluates them
+    to the same bits) is formatted once, and the memo keeps no copy of any
+    column's values.
     Each is kept as a list of chunk strings, the cells of ``_TEXT_ROWS``
     rows joined by newlines.  A table is written one chunk index at a time,
     and only that chunk of each column is split into cells, which as
@@ -455,10 +458,12 @@ class _ColumnText:
     the table's every cell or line or its whole text.
 
     The memo lives for the whole run, though some columns are never read
-    again.  A fresh memo per method holds less text at any time
-    (``codebook_sweep``, seed 0: 10.1 MB against 15.7 MB at run end), but
-    renders again what methods share, and no workload's peak RSS falls:
-    each peak is set before the artifact phase or inside a single method.
+    again.  At the end of ``codebook_sweep`` (seed 0) it holds 337 columns:
+    15.7 MB of text and 11 kB of keys, where keys of the column bytes took
+    6.9 MB more.  A fresh memo per method would hold at most 10.1 MB of
+    text at a time, but renders again what methods share.  That run's RSS
+    climbs only 0.6 MB after its first method (91.1 to 91.7 MB), which
+    bounds what a memo per method could take off its peak.
     """
 
     def __init__(self):
@@ -467,7 +472,8 @@ class _ColumnText:
     def column(self, values):
         """The chunk strings of one column, rendered on first use."""
         values = np.ascontiguousarray(values)
-        key = (values.dtype.str, values.tobytes())
+        key = (values.dtype.str, values.size,
+               hashlib.sha256(values).digest())
         chunks = self._text.get(key)
         if chunks is None:
             chunks = self._text[key] = [
@@ -526,10 +532,28 @@ class _ModeDirections:
         return _power_db(power[:, self.it, self.ip])
 
 
+# streams per product of `_element_pattern_db`; no value changes a bit
+_STREAM_BLOCK = 8
+
+
 def _element_pattern_db(weights, steering):
     """Per-stream array pattern in dB (element envelope times array factor)
-    over the directions of a `conventional.steering_matrix`."""
-    g = np.abs(np.atleast_2d(np.asarray(weights).T) @ steering)
+    over the directions of a `conventional.steering_matrix`.
+
+    The complex pattern is formed `_STREAM_BLOCK` streams at a time, so
+    beside the float table only one block of it is alive.  A gemm's rows do
+    not depend on how many rows it multiplies, so each block equals those
+    rows of the one whole product; a 1-row product goes through gemv and
+    rounds differently, so a last block of one stream joins the one before.
+    """
+    w = np.atleast_2d(np.asarray(weights).T)
+    m = w.shape[0]
+    edges = list(range(0, m, _STREAM_BLOCK)) + [m]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    g = np.empty((m, steering.shape[1]))
+    for lo, hi in zip(edges, edges[1:]):
+        np.abs(w[lo:hi] @ steering, out=g[lo:hi])
     g *= g
     return _power_db(g)
 
@@ -807,22 +831,21 @@ def run_scenario(scenario, echo=None):
     say(f"profile on {scenario.quadrature['bs']} x "
         f"{scenario.quadrature['ue']} grids, snr = {scenario.snr:.6g}")
 
-    # codebook first: after the surface step the codebook Gram (16 MB)
-    # mostly finds no freed block to reuse.  paper_baseline peaks at
-    # 117.1-120.6 MB this way round and at 115.3-128.7 MB (4 of 6 runs
-    # above 126 MB) the other way (ru_maxrss, 2 runs at each of seeds
-    # 0-2, 1-thread BLAS)
-    conv_bundle = None
-    if scenario.needs_conventional():
-        conv_bundle = _ConventionalBundle(scenario, profile)
-        say("conventional chains ready "
-            f"(codebook {conv_bundle.config.n_beams} beams)")
     obpb_bundle = None
     if scenario.needs_obpb():
         obpb_bundle = _ObpbBundle(scenario, profile)
         say(f"optimizer: {scenario.obpb_m_max} stream counts, converged="
             f"{obpb_bundle.converged}; surface ranks "
             + str({k: s["rank"] for k, s in obpb_bundle.shapes.items()}))
+    # codebook last: its Hermitian part makes no second 16 MB Gram, and
+    # paper_baseline peaks at 115.1-118.5 MB this way round against
+    # 117.4-120.9 MB (7 of 12 runs above 119 MB) the other way (ru_maxrss,
+    # 4 runs each way at each of seeds 0-2, 1-thread BLAS)
+    conv_bundle = None
+    if scenario.needs_conventional():
+        conv_bundle = _ConventionalBundle(scenario, profile)
+        say("conventional chains ready "
+            f"(codebook {conv_bundle.config.n_beams} beams)")
     # the last read of the profile: no point needs it
     resolved = _resolved_parameters(scenario, profile, obpb_bundle,
                                     conv_bundle)

@@ -250,6 +250,23 @@ def test_candidate_gram_is_the_hermitian_part_bit_for_bit():
                 == (0.5 * (g + g.conj().T)).tobytes())
 
 
+def test_full_array_selections_form_one_gram(desk_profile):
+    # the 8 x 8 array at beam interval 4 has a 1024 x 1024 complex Gram
+    # (16 MiB); its Hermitian part is taken in tiles, so the chains to the
+    # reference scenario's deepest N_UE allocate one Gram and the codebook
+    # beside it (1.22 Grams), where a whole G^H took a second Gram (2.07)
+    config = conventional.ArrayConfig()
+    r = conventional.element_correlation(desk_profile, config)
+    tracemalloc.start()
+    try:
+        conventional.full_array_selections(r, config, 49,
+                                           ("power", "determinant"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * config.n_beams ** 2 * 16
+
+
 def test_selection_keeps_only_the_chain(desk_profile, small_config):
     # a selection holds the chain's columns and Gram block, nothing the size
     # of the codebook, and its prefixes are the dense Gram's blocks bit for bit

@@ -10,7 +10,7 @@ batched evaluators and the single-mode oracles (`oracles`).
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.special import factorial, lpmv, spherical_jn
 
 import oracles
@@ -171,6 +171,38 @@ def test_hermitian_part_has_one_body():
     # the mode layer owns the rule; correlation re-exports the same object
     from obpb import correlation
     assert correlation.hermitian_part is modes.hermitian_part
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 127, 128, 129, 300, 1024)),
+       st.sampled_from(("c", "strided", "transposed")),
+       st.sampled_from(("complex", "real", "wide")),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_tiled_hermitian_part_is_the_dense_rule_bit_for_bit(n, layout, kind,
+                                                            seed):
+    # matrices above one tile are Hermitized in tile pairs, each side from
+    # its own sum; the bytes must be those of 0.5 (G + G^H), signs of zero
+    # included: exactly real inputs have +0 imaginary parts whose sum with
+    # their conjugates' -0 is +0, where conj(upper)^T would write -0
+    rng = np.random.default_rng(seed)
+    shape = (n, n) if layout == "c" else (n + 3, 2 * n)
+    base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "real":
+        base = base.real + 0j
+    elif kind == "wide":
+        base *= 10.0 ** rng.uniform(-300.0, 300.0, shape)
+    view = {"c": np.s_[:, :], "strided": np.s_[3:, ::2],
+            "transposed": np.s_[3:, :n]}[layout]
+    g = base[view].T if layout == "transposed" else base[view]
+    want = (g + g.conj().T) * 0.5
+    outside = np.ones(shape, dtype=bool)
+    outside[view] = False
+    kept = base[outside]
+    got = modes.hermitian_part(g)
+    assert got.tobytes() == want.tobytes()
+    assert g.tobytes() == want.tobytes()
+    # in place: what lies outside a view is untouched
+    assert base[outside].tobytes() == kept.tobytes()
 
 
 def test_far_field_orthogonality_small():

@@ -9,6 +9,7 @@ writing, exit codes).
 
 import json
 import shutil
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -439,6 +440,26 @@ def test_bulk_columns_render_like_fmt(tmp_path):
     assert text.column(floats.view(np.int64)) != text.column(floats)
 
 
+def test_memo_keys_hold_no_column_bytes():
+    # a column is keyed by its dtype, length and SHA-256 digest: a few dozen
+    # bytes for 10 values as for 100000, so the memo holds no column's values
+    x = np.random.default_rng(2).standard_normal(100_000)
+    text = scenario._ColumnText()
+    text.column(x[:10])
+    text.column(x)
+    sizes = [sum(sys.getsizeof(part) for part in key) for key in text._text]
+    assert len(sizes) == 2 and sizes[0] == sizes[1] < 512
+    # the same bytes under another dtype, or another dtype and length, are
+    # other columns, each rendered from its own values
+    x = x[:1000]
+    text = scenario._ColumnText()
+    views = (x, x.view(np.int64), x.view(np.float32), x.view(np.int16))
+    for values in views * 2:
+        cells = "\n".join(text.column(values)).split("\n")
+        assert cells == [scenario._fmt(v) for v in values], values.dtype
+    assert len(text._text) == len(views)
+
+
 @pytest.mark.parametrize("n_rows", [
     0, 1, scenario._TEXT_ROWS - 1, scenario._TEXT_ROWS,
     scenario._TEXT_ROWS + 1, 2 * scenario._TEXT_ROWS + 1])
@@ -482,10 +503,36 @@ def test_chunked_table_allocation(tmp_path):
     assert peak - kept < 10 * 2 ** 20
 
 
+@pytest.mark.parametrize("table", ["cut_phi_plane", "cut_theta_plane",
+                                   "pattern_grid"])
+def test_element_pattern_blocks_are_the_one_product(table):
+    # the pattern is formed a few streams at a time; every stream count
+    # (every remainder, 1 included) must give the one whole product's
+    # bytes on the 3 deg tables: a 1-row block would round differently
+    from obpb import conventional
+    config = conventional.ArrayConfig()
+    phi_cut, theta_cut = scenario._cut_directions(3.0)
+    _, _, grid_th, grid_ph = scenario._grid_directions(3.0)
+    theta, phi = {"cut_phi_plane": phi_cut[1:], "cut_theta_plane":
+                  theta_cut[1:], "pattern_grid": (grid_th, grid_ph)}[table]
+    steering = conventional.steering_matrix(config, theta, phi)
+    codebook = conventional.dft_codebook(config)
+    rng = np.random.default_rng(5)
+    # a chain's weights: leading columns of a wider array, as selections
+    # hand them out
+    weights = codebook[:, rng.permutation(codebook.shape[1])[:64]]
+    for m in range(1, 65):
+        beams = weights[:, :m]
+        whole = np.abs(beams.T @ steering)
+        whole *= whole
+        assert (scenario._element_pattern_db(beams, steering).tobytes()
+                == scenario._power_db(whole).tobytes()), m
+
+
 def test_element_pattern_allocation():
-    # 64 codebook beams over the 3 deg grid: the complex array pattern
-    # (7.2 MB) and one float table (3.6 MB) at a time, where the abs,
-    # square, floor and log10 temporaries each took a table more (18 MB)
+    # 64 codebook beams over the 3 deg grid: one float table (3.6 MiB) and
+    # one 8-stream block of the complex pattern (0.9 MiB) at a time, 4.5 MiB
+    # (the whole complex pattern would take 7.2 MiB more)
     from obpb import conventional
     config = conventional.ArrayConfig()
     _, _, theta, phi = scenario._grid_directions(3.0)
@@ -498,7 +545,8 @@ def test_element_pattern_allocation():
     finally:
         tracemalloc.stop()
     assert db.shape == (64, 7381)
-    assert peak <= 12 * 2 ** 20
+    # the reading plus half a block
+    assert peak <= 5 * 2 ** 20
 
 
 def test_obpb_tables_are_shared_across_n_ue(smoke_run):
