@@ -4,11 +4,14 @@ Exit codes: 0 success, 1 configuration or input error, 2 scenario ran but at
 least one optimizer point did not converge (artifacts are still written).
 `validate` checks everything that reads neither a transfer matrix nor the
 nodal density, the artifact steps (each must divide 180 deg), the theta
-nodes' resolution of the profile and the SNR calibration included.  So two
-errors only `run` reports (exit 1), before anything is written: an
-``obpb.m_max`` above a surface's radiatable rank, once the surface's
-transfer matrix is built, and a nodal density that overflows a float on the
-grids, which only a codebook method reads.  `compare` reads of each
+nodes' resolution of the profile and the SNR calibration included.  So
+three errors only `run` reports (exit 1).  Two come before anything is
+written: an ``obpb.m_max`` above a surface's radiatable rank, once the
+surface's transfer matrix is built, and a nodal density that overflows a
+float on the grids, which only a codebook method reads.  The third is a
+determinant chain that runs out of admissible beams before its stream
+count: a full-array method reports it before anything is written, a
+sub-array method at its point.  `compare` reads of each
 manifest only its profile and each point's summary keys, and reports a file
 without them, or with a key of the wrong JSON type, as ``<path>: not a run
 manifest`` (exit 1).  ``compare --out``

@@ -21,7 +21,6 @@ scales linearly with N_UE without changing any selection.
 """
 
 import numpy as np
-import scipy.linalg
 
 from . import capacity
 from .correlation import hermitian_part
@@ -157,28 +156,13 @@ def candidate_gram(weights, r_elem):
 def greedy_select_power(gram, m, group_of=None):
     """Top-m beams by mean received power diag(G), at most one per group.
 
-    Only exact ties go to the lowest candidate index (a stable sort), so
-    powers that differ in the last bits can order differently once G is
-    rescaled.  The 1e-12 relative tie rule of greedy_select_det would make
-    chains scale-invariant, but it moves sub_array det_db values that
-    bench/reference.json pins.  Returns the indices in selection order.
+    Only exact ties go to the lowest candidate index (a stable sort's
+    order), so powers that differ in the last bits can order differently
+    once G is rescaled.  The 1e-12 relative tie rule of greedy_select_det
+    would make chains scale-invariant, but it moves sub_array det_db values
+    that bench/reference.json pins.  Returns the indices in selection order.
     """
-    return _power_chain(np.real(np.diag(gram)), m, group_of)
-
-
-def _power_chain(power, m, group_of):
-    """greedy_select_power on the candidates' diagonal powers alone."""
-    chosen = []
-    used = set()
-    for c in np.argsort(-power, kind="stable"):
-        if group_of is not None:
-            if group_of[c] in used:
-                continue
-            used.add(group_of[c])
-        chosen.append(int(c))
-        if len(chosen) == m:
-            return chosen
-    raise ValueError("not enough admissible candidates for m beams")
+    return _chain(np.real(np.diag(gram)), m, group_of)[0]
 
 
 def greedy_select_det(gram, m, group_of=None):
@@ -188,42 +172,44 @@ def greedy_select_det(gram, m, group_of=None):
     current selection, det(G_{S+c}) = det(G_S) (g_cc - g_cS G_S^-1 g_Sc),
     at most one per group, lowest index on ties.
     """
-    return _det_chain(np.real(np.diag(gram)), gram.__getitem__, m,
-                      group_of)[0]
+    return _chain(np.real(np.diag(gram)), m, group_of, gram.__getitem__)[0]
 
 
-def _det_chain(diag, gram_row, m, group_of):
-    """greedy_select_det reading G through its diagonal and gram_row(c),
-    the Gram row of candidate c, called once per chosen beam.
+def _chain(diag, m, group_of, gram_row=None):
+    """The greedy chain of m candidates with diagonal powers `diag`, at most
+    one per group of `group_of`; returns (chain, its Gram rows).
 
-    Returns (chain, rows): the chain and its Gram rows (m, n_candidates).
+    Without gram_row this is greedy_select_power: the largest power, the
+    lowest index on an exact tie.  With gram_row(c), the Gram row of
+    candidate c read once per pick, it is greedy_select_det: the largest
+    Schur complement s, the lowest index within _TIE_REL of it.  The rule
+    grows the Cholesky factor X of the chosen block one row per pick,
+    X[k] = (g_c - X[:k, c]^H X[:k]) / sqrt(s_c), then s -= |X[k]|^2, so
+    pick k costs O(kN) and no factor of the whole block is taken (the
+    update of fast greedy MAP inference, Chen, Zhang & Zhou, NeurIPS 2018).
     """
-    chosen = []
-    rows = []
-    used = set()
-    schur = diag.copy()
-    for _ in range(m):
-        score = schur.copy()
-        if group_of is not None and used:
-            score[np.isin(group_of, list(used))] = -np.inf
-        if chosen:
-            score[chosen] = -np.inf
-        best = np.max(score)
-        if not np.isfinite(best) or best <= 0:
-            raise ValueError("determinant metric exhausted admissible beams")
-        cands = np.flatnonzero(score >= best - _TIE_REL * abs(best))
-        c = int(cands.min())
-        chosen.append(c)
-        rows.append(gram_row(c))
-        if group_of is not None:
-            used.add(group_of[c])
-        # Schur complements of every candidate against the whole selection,
-        # from a fresh Cholesky factor of the chosen block
-        gs = np.array(rows)
-        l = scipy.linalg.cholesky(gs[:, chosen], lower=True)
-        x = scipy.linalg.solve_triangular(l, gs, lower=True)
-        schur = diag - np.sum(np.abs(x) ** 2, axis=0)
-    return chosen, np.array(rows)
+    score = diag.copy()
+    blocked = np.zeros(score.shape, dtype=bool)
+    tie = 0.0 if gram_row is None else _TIE_REL
+    x = None if gram_row is None else np.empty((m, score.size), complex)
+    chain, rows = [], []
+    for k in range(m):
+        if blocked.all():
+            raise ValueError(f"not enough admissible candidates for {m} "
+                             "beams")
+        admissible = np.where(blocked, -np.inf, score)
+        best = admissible.max()
+        if gram_row is not None and not (np.isfinite(best) and best > 0):
+            raise ValueError("determinant metric exhausted admissible beams "
+                             f"at {k} of {m} streams")
+        c = int(np.argmax(admissible >= best - tie * abs(best)))
+        chain.append(c)
+        blocked[c if group_of is None else group_of == group_of[c]] = True
+        if gram_row is not None:
+            rows.append(gram_row(c))
+            x[k] = (rows[-1] - x[:k, c].conj() @ x[:k]) / np.sqrt(score[c])
+            score -= np.abs(x[k]) ** 2
+    return chain, np.array(rows)
 
 
 class ConventionalSelection:
@@ -309,13 +295,12 @@ def subarray_selection(r_elem, config, sub_shape, m_max, metric="power"):
     for g in range(n_groups):
         power[g] = np.real(hermitian_part(np.diag(block(g, g)).copy()))
     if metric == "power":
-        chain = _power_chain(power.ravel(), m_max, group_of)
+        chain = _chain(power.ravel(), m_max, group_of)[0]
         at = [divmod(c, n_loc) for c in chain]
         gram = hermitian_part(np.array([[block(g, h)[b, d] for h, d in at]
                                         for g, b in at]))
     else:
-        chain, rows = _det_chain(power.ravel(), gram_row, m_max,
-                                 group_of)
+        chain, rows = _chain(power.ravel(), m_max, group_of, gram_row)
         gram = rows[:, chain]
     weights = np.zeros((config.n_elements, len(chain)), dtype=complex)
     for k, c in enumerate(chain):

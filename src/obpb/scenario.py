@@ -23,19 +23,23 @@ row blocks of about 1.2 MB, so the 680 MB matrix is never formed, and
 builds its steering matrix on the nodes that marginal keeps only.  The
 full-array greedy chains (selection is scale-invariant, so one chain at
 N_UE = 1 serves every N_UE) are all read from one Gram and keep only their
-beams and Gram block.  The codebook bundle is built before the OBPB
-bundle: the other way round, the codebook Gram mostly finds no freed block
-of the surface step to reuse, and the run peaks higher.  The OBPB surface
-projectors are built first (a stream count above a surface's rank fails
-there, before the optimizer runs), one at a time: each surface keeps only
-what projection reads (the plane's and the hemisphere's mirror-fixed P as
-its signed mode maps, the 1/32-sphere's dense J x J P), and its transfer
-matrix Z goes before the next surface's is built.  Then the
-optimizer runs once per M from one `optimizer.Sweep`: both ends' field
-tables, and the dipole-seeded BS correlation with its top-m_max
-eigenbeams, whose first M start the run at M.  Each run is reduced as it
-returns to every OBPB family's BS beams and M x M beam correlation plus
-the UE beams and the history, and is let go before the next starts.  Once
+beams and Gram block.  A determinant chain can run out of admissible
+beams before its stream count (the element correlation's numerical rank
+can be lower); the run then stops with a ScenarioError that names the
+method, its N_UE and the stream count, for the full-array chains before
+any file is written and for a sub-array search at its point.  The OBPB
+bundle is built before the codebook bundle, and the run peaks lower that
+way round.  The OBPB surface projectors are built first (a stream count
+above a surface's rank fails there, before the optimizer runs), one at a
+time: each surface keeps only what projection reads (the plane's and the
+hemisphere's mirror-fixed P as its signed mode maps, the 1/32-sphere's
+dense J x J P), and its transfer matrix Z goes before the next surface's
+is built.  Then the optimizer runs once per M from one `optimizer.Sweep`:
+both ends' field tables, and the dipole-seeded BS correlation with its
+top-m_max eigenbeams, whose first M start the run at M.  Each run is
+reduced as it returns to every OBPB family's BS beams and M x M beam
+correlation plus the UE beams and the history, and is let go before the
+next starts.  Once
 the joint profile is gone one steering matrix per BS artifact table is
 built, and each end's field table on each artifact table's theta nodes.
 Nothing an OBPB family reports depends on N_UE, so each family's point
@@ -722,8 +726,14 @@ class _ConventionalBundle:
         depth = min(self.config.n_elements, max(scenario.n_ue))
         metrics = sorted({mm["metric"] for mm in scenario.methods
                           if mm["kind"] == "full_array"})
-        self.full = (conventional.full_array_selections(
-            self.r_unit, self.config, depth, metrics) if metrics else {})
+        try:
+            self.full = (conventional.full_array_selections(
+                self.r_unit, self.config, depth, metrics) if metrics else {})
+        except ValueError as exc:
+            # only the determinant rule refuses: a^2 N beams >= depth
+            raise ScenarioError(f"{scenario.source}: methods: full_array_det:"
+                                f" N_UE = {max(scenario.n_ue)}: {exc}") \
+                from None
 
 
 class _Point:
@@ -785,9 +795,14 @@ def _conventional_point(scenario, method, n_ue, bundle, writer):
     else:
         # the partition winner must be chosen at the true scale, so its
         # selection and report already carry the N_UE factor
-        shape, sel, report = conventional.best_subarray_partition(
-            float(n_ue) * bundle.r_unit, bundle.config, n_ue, scenario.snr,
-            metric=method["metric"])
+        try:
+            shape, sel, report = conventional.best_subarray_partition(
+                float(n_ue) * bundle.r_unit, bundle.config, n_ue,
+                scenario.snr, metric=method["metric"])
+        except ValueError as exc:
+            raise ScenarioError(f"{scenario.source}: methods: "
+                                f"{method['label']}: N_UE = {n_ue}: {exc}") \
+                from None
         scale, m_cap = 1.0, sel.m_max
         extra["sub_shape"] = list(shape)
         extra["sub_shape_label"] = f"{shape[0]}x{shape[1]}"

@@ -5,15 +5,17 @@ The library evaluates every mode at once (`modes.far_field_matrix`,
 `optimizer.run` and never forms a zero-padded sub-array codebook.  The
 functions here are the one-at-a-time and dense forms those paths are held
 to: per-mode far fields and regular waves, the dipole's nodal power, one
-optimizer half-step, one DFT beam and the embedded sub-array codebook.
+optimizer half-step, one DFT beam, the embedded sub-array codebook and the
+two greedy chains as a stable sort and as a fresh Cholesky factor per pick.
 
 Test modules import them as ``import oracles``; pytest puts ``tests/`` on
 the import path.  Nothing under ``src/`` or ``demos/`` imports this module.
 """
 
 import numpy as np
+import scipy.linalg
 
-from obpb.conventional import dft_codebook, subarray_groups
+from obpb.conventional import _TIE_REL, dft_codebook, subarray_groups
 from obpb.modes import (DIPOLE_SMN, POLE_CLAMP, _check_smn, _mode_sign,
                         normalized_legendre, radial_factors)
 from obpb.optimizer import _correlation, _end, dominant_beams
@@ -115,3 +117,50 @@ def subarray_codebook(config, sub_shape):
         weights[np.ix_(idx, np.arange(lo, lo + local.shape[1]))] = local
         group_of[lo:lo + local.shape[1]] = g
     return weights, group_of
+
+
+def power_chain(power, m, group_of=None):
+    """The power rule's chain as a stable sort of the powers: the first m
+    candidates by descending power, skipping groups already used."""
+    chosen = []
+    used = set()
+    for c in np.argsort(-power, kind="stable"):
+        if group_of is not None:
+            if group_of[c] in used:
+                continue
+            used.add(group_of[c])
+        chosen.append(int(c))
+        if len(chosen) == m:
+            return chosen
+    raise ValueError("not enough admissible candidates for m beams")
+
+
+def det_chain(diag, gram_row, m, group_of=None):
+    """The determinant rule's chain, re-scoring every candidate after each
+    pick from a fresh Cholesky factor and triangular solve of the whole
+    chosen block.  Returns (chain, its Gram rows (m, n_candidates)).
+    """
+    chosen = []
+    rows = []
+    used = set()
+    schur = diag.copy()
+    for _ in range(m):
+        score = schur.copy()
+        if group_of is not None and used:
+            score[np.isin(group_of, list(used))] = -np.inf
+        if chosen:
+            score[chosen] = -np.inf
+        best = np.max(score)
+        if not np.isfinite(best) or best <= 0:
+            raise ValueError("determinant metric exhausted admissible beams")
+        cands = np.flatnonzero(score >= best - _TIE_REL * abs(best))
+        c = int(cands.min())
+        chosen.append(c)
+        rows.append(gram_row(c))
+        if group_of is not None:
+            used.add(group_of[c])
+        gs = np.array(rows)
+        l = scipy.linalg.cholesky(gs[:, chosen], lower=True)
+        x = scipy.linalg.solve_triangular(l, gs, lower=True)
+        schur = diag - np.sum(np.abs(x) ** 2, axis=0)
+    return chosen, np.array(rows)

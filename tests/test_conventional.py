@@ -2,14 +2,19 @@
 
 The determinant-greedy oracle re-scores every admissible candidate with a
 dense determinant at each step; the fast Schur-complement chain must pick
-the same beam every time.  Selection scale-invariance (N_UE only rescales
-the element correlation) is what lets the runner build each chain once.
+the same beam every time.  Both rules run one greedy loop, held to the
+stable sort and the fresh-Cholesky chain it replaced (`tests/oracles.py`).
+Selection scale-invariance (N_UE only rescales the element correlation) is
+what lets the runner build each chain once.
 The sub-array search reads its Gram block by block; the dense Gram of the
 zero-padded codebook is its oracle, bit for bit.
 """
 
 import itertools
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +223,97 @@ def test_det_metric_rejects_rank_exhaustion():
     gram = v @ v.conj().T
     with pytest.raises(ValueError):
         conventional.greedy_select_det(gram, 2)
+
+
+def _oracle_prefix(oracle, m):
+    """The oracle's longest chain of at most m picks (chains are nested)."""
+    for k in range(m, 0, -1):
+        try:
+            return oracle(k)
+        except ValueError:
+            continue
+    raise AssertionError("the oracle refused its first pick")
+
+
+def _determined(gram, chain, floor):
+    """How many leading picks of a determinant chain have a Schur
+    complement above `floor`; past the Gram's numerical rank every
+    complement is roundoff, and no pick is better than another."""
+    for k, c in enumerate(chain):
+        s = chain[:k]
+        pivot = gram[c, c].real
+        if s:
+            pivot -= (gram[c, s] @ np.linalg.solve(gram[np.ix_(s, s)],
+                                                   gram[s, c])).real
+        if pivot <= floor:
+            return k
+    return len(chain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((6, 12, 24, 48)), st.sampled_from((1.0, 0.5, 0.0)),
+       st.sampled_from((None, 2, 3)), st.sampled_from((1, 4, 9, 36, 49)),
+       st.booleans(), st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_one_chain_is_the_sort_and_the_fresh_factor_chain(
+        n, rank_frac, group_size, n_ue, ties, seed):
+    # random PSD Grams of full rank down to rank 1, with and without
+    # groups.  With ties, the second half of the candidates repeats the
+    # first in shuffled order, bit for bit (exact determinant ties), the
+    # strongest candidate's copy scaled by 1 + 1e-14 (a near tie inside
+    # _TIE_REL, met at the first pick, on the diagonal both chains share),
+    # and every third power is drawn from three values (exact power ties).
+    # Near ties past the first pick are left out: where the Schur
+    # complements fall far below the diagonal, roundoff decides them, and
+    # the two chains round differently.  The chain must agree with every
+    # pick the oracle made, up to the Gram's numerical rank (_determined)
+    rng = np.random.default_rng(seed)
+    rank = max(1, int(rank_frac * n))
+    x = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    gram = float(n_ue) * (x @ x.conj().T)
+    if ties:
+        half = n // 2
+        copy = np.concatenate([np.arange(half), rng.permutation(half)])
+        near = (copy == np.argmax(np.real(np.diag(gram))[:half])) & (
+            np.arange(n) >= half)
+        scale = np.where(near, 1.0 + 1e-14, 1.0)
+        gram = scale[:, None] * gram[np.ix_(copy, copy)] * scale
+    group_of = None if group_size is None else np.arange(n) // group_size
+    m = int(rng.integers(1, n + 1))
+    diag = np.real(np.diag(gram)).copy()
+
+    power = diag.copy()
+    if ties:
+        power[::3] = float(n_ue) * rng.choice((1.0, 2.0, 3.0), (n + 2) // 3)
+    chain = _oracle_prefix(
+        lambda k: oracles.power_chain(power, k, group_of), m)
+    assert conventional._chain(power, len(chain), group_of)[0] == chain
+    if len(chain) < m:
+        with pytest.raises(ValueError):
+            conventional._chain(power, m, group_of)
+
+    chain, rows = _oracle_prefix(
+        lambda k: oracles.det_chain(diag, gram.__getitem__, k, group_of), m)
+    d = _determined(gram, chain, 1e-9 * diag.max())
+    ours, our_rows = conventional._chain(diag, d, group_of, gram.__getitem__)
+    assert ours == chain[:d]
+    assert our_rows.tobytes() == rows[:d].tobytes()
+
+
+def test_conventional_imports_no_scipy():
+    # the package's __init__ imports profiles, whose nodal marginal still
+    # calls scipy's dgemv, so the module loads beneath a bare package here:
+    # conventional and the modules it imports load no scipy module
+    src = str(Path(conventional.__file__).parent)
+    code = ("import sys, types\n"
+            "pkg = types.ModuleType('obpb')\n"
+            f"pkg.__path__ = [{src!r}]\n"
+            "sys.modules['obpb'] = pkg\n"
+            "import obpb.conventional\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_selection_chain_object(desk_profile, small_config):

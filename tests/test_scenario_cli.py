@@ -785,6 +785,59 @@ def test_m_max_above_surface_rank_fails_before_any_file(tmp_path, capsys,
     assert not out.exists() and not runs
 
 
+def test_rank_exhausted_det_chain_fails_before_any_file(tmp_path, capsys):
+    # on the 8 x 2 array at quarter-wavelength spacing this profile's
+    # element correlation has fewer than 16 numerically independent
+    # directions, so the 16-beam full-array determinant chain runs out of
+    # admissible beams.  Validation cannot see it; the run stops at the
+    # chain, before anything is written
+    cfg = tmp_path / "rank.yaml"
+    out = tmp_path / "out"
+    cfg.write_text(
+        f"output_dir: {out}\nmethods: [full_array:det]\nn_ue: [16]\n"
+        "conventional: {n_v: 8, n_h: 2, spacing: 0.25, beam_interval: 2}\n"
+        "quadrature: {bs: [32, 64], ue: [12, 24]}\n"
+        "profile: {sigma: [3, 60, 5, 70], mean_bs: [10, -120], "
+        "mean_ue: [20, 0]}\n")
+    assert cli.main(["validate", str(cfg)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: methods: full_array_det: "
+                          "N_UE = 16: determinant metric exhausted "
+                          "admissible beams at "), err
+    assert err.endswith(" of 16 streams\n"), err
+    assert not out.exists()
+
+
+def test_rank_exhausted_sub_array_search_fails_at_its_point(
+        tmp_path, capsys, monkeypatch):
+    # a sub-array search runs per N_UE, so a determinant chain that runs out
+    # at N_UE = 4 stops the run there, the N_UE = 2 point already written
+    from obpb import conventional
+    search = conventional.best_subarray_partition
+    message = "determinant metric exhausted admissible beams at 3 of 4 streams"
+
+    def exhausted_at_4(r_elem, config, n_ue, snr, metric="power"):
+        if n_ue == 4:
+            raise ValueError(message)
+        return search(r_elem, config, n_ue, snr, metric)
+
+    monkeypatch.setattr(conventional, "best_subarray_partition",
+                        exhausted_at_4)
+    cfg = tmp_path / "sub.yaml"
+    out = tmp_path / "out"
+    cfg.write_text(
+        f"output_dir: {out}\nmethods: [sub_array:det]\nn_ue: [2, 4]\n"
+        "quadrature: {bs: [24, 48], ue: [24, 48]}\n"
+        "conventional: {n_v: 4, n_h: 4, beam_interval: 2}\n")
+    assert cli.main(["run", "--quiet", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: methods: sub_array_det: N_UE = 4: {message}\n")
+    assert (out / "sub_array_det" / "n_ue_2" / "capacity.json").is_file()
+    assert not (out / "sub_array_det" / "n_ue_4").exists()
+
+
 def test_sub_array_rules_run_side_by_side(tmp_path):
     # the power and det rules of the sub-array search carry their own
     # labels, so one scenario runs both and compare can tell their rows apart
