@@ -211,6 +211,18 @@ def check_polarization(polarization):
     return polarization
 
 
+def row_blocks(n, size):
+    """(lo, hi) edges of ``size``-row blocks over n rows, each starting at
+    a multiple of ``size``.  A last block of one row joins the block before
+    it: numpy takes a one-row product with another BLAS kernel (a gemv
+    where the other blocks' products are gemms, a dot where they are
+    gemvs), which rounds differently.  The one blocking rule of every
+    streamed product (`profiles`' nodal marginals, `scenario`'s element
+    patterns)."""
+    edges = [*range(0, n - (n > 1 and n % size == 1), size), n]
+    return list(zip(edges, edges[1:]))
+
+
 # side of the square tiles in which `hermitian_part` Hermitizes a matrix
 # larger than one tile; no value changes a bit
 _HERMITIAN_TILE = 128

@@ -36,7 +36,6 @@ but its matrix and M.
 """
 
 import numpy as np
-import scipy.linalg
 
 from . import correlation
 from .modes import DIPOLE_SMN, FieldTable, flat_index
@@ -134,8 +133,10 @@ def _top_eigenpairs(r_sph, m):
     orthogonal, so the returned pairs come from one Rayleigh-Ritz step on
     the orthonormalized Krylov answer.
     """
-    # imported here, not at module load: scipy.sparse.linalg costs tens of
-    # milliseconds of start-up that runs without an optimizer never use
+    # imported here, not at module load: scipy.linalg and scipy.sparse.linalg
+    # cost tens of megabytes and a fifth of a second of start-up that runs
+    # without an optimizer never use
+    import scipy.linalg
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     j = r_sph.shape[0]

@@ -41,8 +41,9 @@ sigma_phi^2)) exceeds 1e-10 of the peak (sigma_phi above ~79 deg at
 mu_phi = 0); the widest benchmark profile (sigma_phi <= 50.5 deg, |mu_phi| <=
 5 deg) sits at e^-56.  The dense (n_bs, n_ue) matrix, ~680 MB on the
 default grids, is normalized by its own discrete double integral and never
-held: the marginals stream it through cache-sized row blocks with the whole
-matrix's bits.  The codebook element correlation reads `marginal_bs`.
+held: the marginals stream it through cache-sized row blocks, in numpy
+products that keep the whole matrix's bits.  The codebook element
+correlation reads `marginal_bs`.
 
 A link end is named 'bs' or 'ue', and `JointProfile.link_end` is the one
 map from that name to the end's (near, far) grids: any other name raises
@@ -52,7 +53,6 @@ out and which components a polarization reads.
 """
 
 import numpy as np
-from scipy.linalg.blas import dgemv
 
 from . import modes
 
@@ -73,7 +73,10 @@ _IMAGE_CUT = 1e-10
 # and column's factors alone, so the block size moves no bit of the matrix.
 # The streamed marginals match the whole matrix's products only for a
 # multiple of 4: OpenBLAS's gemv kernels take a matrix's rows in groups of
-# 4, and a block edge inside a group rounds differently
+# 4, and a block edge inside a group rounds differently.  So blocks start at
+# multiples of 4, a one-row tail joins the block before it
+# (`modes.row_blocks`: numpy takes a one-row product as a dot), and
+# `_product_ue` adds four rows per product
 _CHUNK_ROWS = 32
 
 
@@ -347,11 +350,9 @@ class JointProfile:
         vb = _offsets(bs_grid, mu[:2])
         vu = _offsets(ue_grid, mu[2:])
         fb, fu = self._image_terms(vb, vu)
-        Abu = self._precision[:2, 2:]
-        cu = Abu @ vu.T                                    # (2, nu)
-        buf = np.empty((2, min(_CHUNK_ROWS, len(vb)), len(vu)))
-        for lo in range(0, len(vb), _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, len(vb))
+        cu = self._precision[:2, 2:] @ vu.T                # (2, nu)
+        buf = np.empty((2, min(_CHUNK_ROWS + 1, len(vb)), len(vu)))
+        for lo, hi in modes.row_blocks(len(vb), _CHUNK_ROWS):
             rows, images = buf[:, :hi - lo]
             np.matmul(vb[lo:hi], cu, out=rows)
             np.negative(rows, out=rows)
@@ -367,15 +368,26 @@ class JointProfile:
 
     def _product_ue(self, x, scale=None):
         """x @ (scale * raw) over the BS rows (x @ raw without a scale), to
-        the last bit of the whole matrix's product: gemv adds each block's
-        rows, weighted by x, into the running sum in the order one gemv
-        over the whole matrix adds them."""
+        the last bit of the whole matrix's product.
+
+        One gemv over the whole matrix adds its rows, weighted by x, into
+        the result four at a time, then a last two and a last one; here
+        each such group is one numpy product added into the running sum.
+        The result's last n % 4 entries (n UE nodes) gemv takes instead as
+        whole dots over every row, and so does a product of the matrix's
+        last 4 + n % 4 columns alone: those columns are kept from every
+        block and multiplied once at the end.
+        """
         acc = np.zeros(self.ue_grid.n_nodes)
+        tail = np.empty((self.bs_grid.n_nodes, 4 + acc.size % 4))
         for lo, hi, rows in self._raw_blocks(self.bs_grid, self.ue_grid):
             if scale is not None:
                 rows *= scale
-            acc = dgemv(1.0, rows.T, x[lo:hi], beta=1.0, y=acc,
-                        overwrite_y=1)
+            cuts = [*range(lo, hi, 4)] + [hi - 1] * (hi % 4 == 3) + [hi]
+            for c, d in zip(cuts, cuts[1:]):
+                acc += rows[c - lo:d - lo].T @ x[c:d]
+            tail[lo:hi] = rows[:, -tail.shape[1]:]
+        acc[-tail.shape[1]:] = tail.T @ x
         return acc
 
     def _streamed_total(self):
@@ -404,8 +416,7 @@ class JointProfile:
         out = np.empty(self.bs_grid.n_nodes)
         for lo, hi, rows in self._raw_blocks(self.bs_grid, self.ue_grid):
             rows *= scale
-            # gemv even for a 1-row block, which numpy would take as a dot
-            out[lo:hi] = dgemv(1.0, rows.T, x, trans=1)
+            np.matmul(rows, x, out=out[lo:hi])
         return out
 
     def marginal_ue(self, bs_power):

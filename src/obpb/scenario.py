@@ -83,7 +83,7 @@ import yaml
 from . import __version__, capacity, conventional, correlation, optimizer
 from . import profiles, surfaces
 from .modes import (DIPOLE_SMN, FieldTable, ModeSet, mode_count_for_radius,
-                    truncation_order)
+                    row_blocks, truncation_order)
 from .profiles import DEG, JointProfile, ProfileParams, make_grid
 
 DB_FLOOR = 1e-20          # pattern power floor before 10*log10
@@ -546,17 +546,12 @@ def _element_pattern_db(weights, steering):
 
     The complex pattern is formed `_STREAM_BLOCK` streams at a time, so
     beside the float table only one block of it is alive.  A gemm's rows do
-    not depend on how many rows it multiplies, so each block equals those
-    rows of the one whole product; a 1-row product goes through gemv and
-    rounds differently, so a last block of one stream joins the one before.
+    not depend on how many rows it multiplies, so each block of
+    `modes.row_blocks` equals those rows of the one whole product.
     """
     w = np.atleast_2d(np.asarray(weights).T)
-    m = w.shape[0]
-    edges = list(range(0, m, _STREAM_BLOCK)) + [m]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    g = np.empty((m, steering.shape[1]))
-    for lo, hi in zip(edges, edges[1:]):
+    g = np.empty((w.shape[0], steering.shape[1]))
+    for lo, hi in row_blocks(w.shape[0], _STREAM_BLOCK):
         np.abs(w[lo:hi] @ steering, out=g[lo:hi])
     g *= g
     return _power_db(g)

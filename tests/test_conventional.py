@@ -11,6 +11,7 @@ zero-padded codebook is its oracle, bit for bit.
 """
 
 import itertools
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -299,21 +300,36 @@ def test_one_chain_is_the_sort_and_the_fresh_factor_chain(
     assert our_rows.tobytes() == rows[:d].tobytes()
 
 
-def test_conventional_imports_no_scipy():
-    # the package's __init__ imports profiles, whose nodal marginal still
-    # calls scipy's dgemv, so the module loads beneath a bare package here:
-    # conventional and the modules it imports load no scipy module
-    src = str(Path(conventional.__file__).parent)
-    code = ("import sys, types\n"
-            "pkg = types.ModuleType('obpb')\n"
-            f"pkg.__path__ = [{src!r}]\n"
-            "sys.modules['obpb'] = pkg\n"
-            "import obpb.conventional\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
-            "'scipy'))\n")
+_CODEBOOK_YAML = """\
+name: codebook
+output_dir: {out}
+methods: [full_array:power, full_array:det, sub_array]
+n_ue: [2, 4]
+quadrature: {{bs: [24, 48], ue: [12, 24]}}
+conventional: {{n_v: 4, n_h: 4, beam_interval: 2}}
+artifacts: {{cut_step_deg: 30.0, grid_step_deg: 60.0}}
+"""
+
+
+def test_conventional_imports_no_scipy(tmp_path):
+    # the library reaches BLAS through numpy alone: a codebook-only run
+    # loads no scipy module, neither at import nor while it runs
+    scn = tmp_path / "codebook.yaml"
+    scn.write_text(_CODEBOOK_YAML.format(out=tmp_path / "out"))
+    code = ("import sys\n"
+            "def scipy():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] == 'scipy')\n"
+            "from obpb import cli\n"
+            "print(scipy())\n"
+            f"assert cli.main(['run', {str(scn)!r}]) == 0\n"
+            "print(scipy())\n")
+    src = str(Path(conventional.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines()[0] == "[]" and out.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "sub_array" / "n_ue_4").is_dir()
 
 
 def test_selection_chain_object(desk_profile, small_config):

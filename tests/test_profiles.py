@@ -384,34 +384,42 @@ def test_theta_refinement_flags_nodes_that_miss_the_profile(baseline_profile):
 # time (4 in OpenBLAS), whether it is called once or once per row block:
 # nothing in numpy promises that, so this test is its guard.  Blocks of 1
 # or 7 rows cut those groups and move last bits; 4, 8 and 32 keep them.
+# BS node counts 325, 338 and 351 leave every remainder of the 4-row
+# groups; 33 = 32 + 1 makes the default block size meet a one-row tail,
+# which joins the block before it.  35 UE nodes leave gemv's last 3
+# entries of the UE product to whole dots.
+_STREAM_GRIDS = (((13, 25), (8, 16)), ((13, 26), (8, 16)), ((13, 27), (8, 16)),
+                 ((3, 11), (8, 16)), ((13, 27), (5, 7)))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.booleans())
 def test_streamed_product_is_the_dense_product_bit_for_bit(seed, wide):
-    # 13 x 25 = 325 BS nodes: not a multiple of 4, 8 or 32, so the last
-    # block is short and ends inside a gemv column group
     rng = np.random.default_rng(seed)
     params = _random_params(rng, wide, rng.uniform(-180.0, 180.0, 2))
-    profile = profiles.JointProfile(params, profiles.make_grid(13, 25),
-                                    profiles.make_grid(8, 16))
-    wb, wu = profile.bs_grid.weights, profile.ue_grid.weights
-    pu = rng.random(wu.size) * (rng.random(wu.size) > 0.2)
-    pb = rng.random(wb.size) * (rng.random(wb.size) > 0.2)
-    with pytest.MonkeyPatch.context() as mp:
-        for rows in (4, 8, 32, wb.size):
-            mp.setattr(profiles, "_CHUNK_ROWS", rows)
-            with np.errstate(over="ignore", invalid="ignore"):
-                raw = profile._assemble(profile.bs_grid, profile.ue_grid)
-            if not np.isfinite(raw).all():
-                # about one draw in 2000 is so narrow and off-centre that
-                # the nodal density overflows a float: then it must say so
-                with pytest.raises(ValueError, match="overflows a float"):
-                    profile.marginal_bs(pu)
-                return
-            assert profile._streamed_total() == wb @ raw @ wu
-            joint = profile.joint_matrix
-            assert np.array_equal(profile.marginal_bs(pu), joint @ (wu * pu))
-            assert np.array_equal(profile.marginal_ue(pb),
-                                  joint.T @ (wb * pb))
+    for bs, ue in _STREAM_GRIDS:
+        profile = profiles.JointProfile(params, profiles.make_grid(*bs),
+                                        profiles.make_grid(*ue))
+        wb, wu = profile.bs_grid.weights, profile.ue_grid.weights
+        pu = rng.random(wu.size) * (rng.random(wu.size) > 0.2)
+        pb = rng.random(wb.size) * (rng.random(wb.size) > 0.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = profile._assemble(profile.bs_grid, profile.ue_grid)
+        if not np.isfinite(raw).all():
+            # about one draw in 2000 is so narrow and off-centre that the
+            # nodal density overflows a float: then it must say so
+            with pytest.raises(ValueError, match="overflows a float"):
+                profile.marginal_bs(pu)
+            continue
+        joint = profile.joint_matrix
+        with pytest.MonkeyPatch.context() as mp:
+            for rows in (4, 8, 32, wb.size):
+                mp.setattr(profiles, "_CHUNK_ROWS", rows)
+                assert profile._streamed_total() == wb @ raw @ wu
+                assert np.array_equal(profile.marginal_bs(pu),
+                                      joint @ (wu * pu))
+                assert np.array_equal(profile.marginal_ue(pb),
+                                      joint.T @ (wb * pb))
 
 
 def test_marginals_are_nonnegative_exactly():
